@@ -19,6 +19,8 @@ from .core import (
     INF,
     Hypergraph,
     InternalInvariantError,
+    Query,
+    RestrictResult,
     UnreachableTargetError,
     ValidationError,
     restrict,
@@ -31,7 +33,7 @@ from .grammar import (
     to_hypergraph,
 )
 from .inside import InsideResult, extract_best_tree, format_tree, viterbi_inside
-from .outside import PruneResult, prune_relatively_useless, viterbi_outside
+from .outside import OutsideResult, PruneResult, prune_relatively_useless, viterbi_outside
 from .reachability import reach_from, reach_to, reduce
 from .textio import ParsedHypergraph, format_float, parse_hypergraph, serialize_hypergraph
 
@@ -142,34 +144,31 @@ def _cmd_best_tree(args: argparse.Namespace) -> int:
 
 
 def _forward_stage(
-    parsed: ParsedHypergraph,
-) -> tuple[Hypergraph, dict[int, int], dict[int, int], tuple[tuple[int, float], ...], int, InsideResult]:
+    g: Hypergraph, query: Query
+) -> tuple[RestrictResult, tuple[tuple[int, float], ...], int, InsideResult]:
     """Restrict to source-derivable vertices and run the inside pass.
 
     The restriction keeps inside costs intact for every surviving vertex and
-    gives the outside pass the graph it is specified on.
+    gives the outside pass the graph it is specified on. Returns the
+    restriction, the sources and target in its ids, and the inside result.
     """
-    g = parsed.graph
-    sources = _require_sources(parsed)
-    target = _require_target(parsed)
-    rf = reach_from(g, [v for v, _ in sources])
-    if not rf.reached[target]:
+    rf = reach_from(g, query.source_vertices())
+    if not rf.reached[query.target]:
         raise UnreachableTargetError("target unreachable")
     rr = restrict(g, rf.vertices())
-    sources1 = tuple((rr.vertex_map[v], c) for v, c in sources)
-    target1 = rr.vertex_map[target]
-    ins = viterbi_inside(rr.graph, sources1)
-    return rr.graph, rr.vertex_map, rr.arc_map, sources1, target1, ins
+    sources1 = tuple((rr.vertex_map[v], c) for v, c in query.sources)
+    target1 = rr.vertex_map[query.target]
+    return rr, sources1, target1, viterbi_inside(rr.graph, sources1)
 
 
 def _cmd_outside(args: argparse.Namespace) -> int:
     parsed = _load(args.file)
     g = parsed.graph
-    g1, vmap, amap, sources1, target1, ins = _forward_stage(parsed)
-    outs = viterbi_outside(g1, ins, target1)
-    arc_old = {new: old for old, new in amap.items()}
+    rr, _, target1, ins = _forward_stage(g, parsed.query())
+    outs = viterbi_outside(rr.graph, ins, target1)
+    arc_old = {new: old for old, new in rr.arc_map.items()}
     for v in range(g.n):
-        mapped = vmap.get(v)
+        mapped = rr.vertex_map.get(v)
         if mapped is None:
             print(f"{g.name_of(v)} inf 0")
         else:
@@ -179,87 +178,80 @@ def _cmd_outside(args: argparse.Namespace) -> int:
 
 
 def _prune_report_rows(
-    g: Hypergraph,
-    vmap: dict[int, int],
-    amap: dict[int, int],
-    ins: InsideResult,
-    outs,
-    pr: PruneResult,
-) -> tuple[list[dict], list[dict], float]:
+    g: Hypergraph, rr: RestrictResult, ins: InsideResult, outs: OutsideResult, pr: PruneResult
+) -> tuple[list[tuple[str, float, float, float, bool]], list[tuple[int, float, bool]]]:
+    """Report rows for every vertex and arc of the input graph ``g``.
+
+    Vertex rows are ``(name, inside, outside, gamma, keep)`` and arc rows
+    ``(index, gamma, keep)``; elements the forward restriction ``rr``
+    dropped get infinite values and are not kept.
+    """
     vertices = []
     for v in range(g.n):
-        mapped = vmap.get(v)
-        if mapped is None:
-            inside = outside = gamma = INF
-            keep = False
+        k = rr.vertex_map.get(v)
+        if k is None:
+            row = (INF, INF, INF, False)
         else:
-            inside = ins.inside[mapped]
-            outside = outs.outside[mapped]
-            gamma = pr.gamma_vertices[mapped]
-            keep = pr.keep_vertices[mapped]
-        vertices.append(
-            {
-                "name": g.name_of(v),
-                "inside": _json_value(inside),
-                "outside": _json_value(outside),
-                "gamma": _json_value(gamma),
-                "keep": keep,
-            }
-        )
+            row = (ins.inside[k], outs.outside[k], pr.gamma_vertices[k], pr.keep_vertices[k])
+        vertices.append((g.name_of(v), *row))
     arcs = []
     for i in g.arc_indices:
-        arc = g.arc(i)
-        mapped = amap.get(i)
-        gamma = pr.gamma_arcs[mapped] if mapped is not None else INF
-        keep = pr.keep_arcs[mapped] if mapped is not None else False
-        arcs.append(
-            {
-                "index": i,
-                "head": g.name_of(arc.head),
-                "tails": [[g.name_of(v), m] for v, m in arc.tails],
-                "length": arc.length,
-                "gamma": _json_value(gamma),
-                "keep": keep,
-            }
-        )
-    best = ins.inside[outs.target]
-    return vertices, arcs, best
+        k = rr.arc_map.get(i)
+        arcs.append((i, INF, False) if k is None else (i, pr.gamma_arcs[k], pr.keep_arcs[k]))
+    return vertices, arcs
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
     beam = _parse_beam(args.beam)
     parsed = _load(args.file)
-    g1, vmap, amap, sources1, target1, ins = _forward_stage(parsed)
-    outs = viterbi_outside(g1, ins, target1)
-    pr = prune_relatively_useless(g1, ins, outs, beam)
+    g = parsed.graph
+    rr, sources1, target1, ins = _forward_stage(g, parsed.query())
+    outs = viterbi_outside(rr.graph, ins, target1)
+    pr = prune_relatively_useless(rr.graph, ins, outs, beam)
 
     sources2 = tuple((pr.vertex_map[v], c) for v, c in sources1 if v in pr.vertex_map)
     target2 = pr.vertex_map[target1]
     sys.stdout.write(serialize_hypergraph(pr.graph, sources2, target2))
 
-    vertices, arcs, best = _prune_report_rows(parsed.graph, vmap, amap, ins, outs, pr)
+    vertices, arcs = _prune_report_rows(g, rr, ins, outs, pr)
+    best = ins.inside[target1]
     if args.report == "json":
-        report = {"vertices": vertices, "arcs": arcs, "best": _json_value(best)}
+        report = {
+            "vertices": [
+                {
+                    "name": name,
+                    "inside": _json_value(inside),
+                    "outside": _json_value(outside),
+                    "gamma": _json_value(gamma),
+                    "keep": keep,
+                }
+                for name, inside, outside, gamma, keep in vertices
+            ],
+            "arcs": [
+                {
+                    "index": i,
+                    "head": g.name_of(g._heads[i]),
+                    "tails": [[g.name_of(v), m] for v, m in g._tails[i]],
+                    "length": g._lengths[i],
+                    "gamma": _json_value(gamma),
+                    "keep": keep,
+                }
+                for i, gamma, keep in arcs
+            ],
+            "best": _json_value(best),
+        }
         print(json.dumps(report), file=sys.stderr)
     else:
-        for row in vertices:
+        for name, inside, outside, gamma, keep in vertices:
             print(
-                f"vertex {row['name']} inside {_fmt(_unjson(row['inside']))} "
-                f"outside {_fmt(_unjson(row['outside']))} gamma {_fmt(_unjson(row['gamma']))} "
-                f"keep {int(row['keep'])}",
+                f"vertex {name} inside {_fmt(inside)} outside {_fmt(outside)} "
+                f"gamma {_fmt(gamma)} keep {int(keep)}",
                 file=sys.stderr,
             )
-        for row in arcs:
-            print(
-                f"arc {row['index']} gamma {_fmt(_unjson(row['gamma']))} keep {int(row['keep'])}",
-                file=sys.stderr,
-            )
+        for i, gamma, keep in arcs:
+            print(f"arc {i} gamma {_fmt(gamma)} keep {int(keep)}", file=sys.stderr)
         print(f"best {_fmt(best)}", file=sys.stderr)
     return EXIT_OK
-
-
-def _unjson(x: float | str) -> float:
-    return INF if x == "inf" else float(x)
 
 
 def _parse_beam(text: str) -> float:
@@ -293,13 +285,10 @@ def _cmd_prune_grammar(args: argparse.Namespace) -> int:
     grammar = parse_grammar(_read_text(args.file))
     graph, query, gmap = to_hypergraph(grammar)
 
-    rf = reach_from(graph, [v for v, _ in query.sources])
-    if not rf.reached[query.target]:
-        raise UnreachableTargetError("target unreachable: the grammar derives nothing")
-    rr = restrict(graph, rf.vertices())
-    sources1 = tuple((rr.vertex_map[v], c) for v, c in query.sources)
-    target1 = rr.vertex_map[query.target]
-    ins = viterbi_inside(rr.graph, sources1)
+    try:
+        rr, _, target1, ins = _forward_stage(graph, query)
+    except UnreachableTargetError:
+        raise UnreachableTargetError("target unreachable: the grammar derives nothing") from None
     outs = viterbi_outside(rr.graph, ins, target1)
     pr = prune_relatively_useless(rr.graph, ins, outs, beam)
 

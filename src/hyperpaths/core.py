@@ -6,7 +6,16 @@ algorithm outputs (predecessor and parent pointers). Costs are 64-bit floats
 with ``math.inf`` as the explicit "unreached" value; arc lengths must be
 finite and nonnegative, and NaN is rejected everywhere.
 
-A :class:`Hypergraph` is immutable after :func:`build` and safe to share
+A :class:`Hypergraph` stores its arcs in one form only: flat per-arc arrays
+of heads, tail pairs, lengths and distinct tails, from which the forward and
+backward adjacency is derived. Inputs are checked once, at the boundary:
+:func:`build` (through :class:`Hyperarc`) and the text parsers validate, and
+everything built from an existing graph, such as :func:`restrict`, is
+trusted. :class:`Hyperarc` objects exist only at the edges, as the input of
+:func:`build` and as the values that :meth:`Hypergraph.arc` and
+:attr:`Hypergraph.arcs` build on demand.
+
+A :class:`Hypergraph` is immutable after construction and safe to share
 across threads; all algorithm state lives in per-call arrays.
 """
 
@@ -49,6 +58,49 @@ def _check_vertex(v: object) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ValidationError(f"vertex id must be a nonnegative integer, got {v!r}")
     return v
+
+
+def _check_names(names: Sequence[str | None]) -> None:
+    seen: set[str] = set()
+    for name in names:
+        if name is None:
+            continue
+        if name in seen:
+            raise ValidationError(f"duplicate vertex name {name!r}")
+        seen.add(name)
+
+
+def _distinct_tails(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """One ``(vertex, total multiplicity)`` pair per distinct tail vertex, in
+    order of first occurrence; ``pairs`` itself when its vertices are distinct."""
+    total: dict[int, int] = {}
+    for v, m in pairs:
+        total[v] = total.get(v, 0) + m
+    return pairs if len(total) == len(pairs) else tuple(total.items())
+
+
+def check_sources(sources: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
+    """Validate a source set: at least one ``(vertex, initial cost)`` pair,
+    distinct vertices, finite nonnegative costs. Returns the pairs with the
+    costs as floats. Vertex ranges are the caller's to check."""
+    out: list[tuple[int, float]] = []
+    seen: set[int] = set()
+    for v, c in sources:
+        _check_vertex(v)
+        if v in seen:
+            raise ValidationError(f"duplicate source vertex {v}")
+        seen.add(v)
+        c = float(c)
+        if math.isnan(c) or c == INF:
+            raise ValidationError(f"source {v}: initial cost must be finite and nonnegative")
+        if c < 0:
+            raise ValidationError(
+                f"negative initial cost {c!r} for source {v}; it must be nonnegative"
+            )
+        out.append((v, c))
+    if not out:
+        raise ValidationError("need at least one source vertex")
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,10 +149,7 @@ class Hyperarc:
 
         Order follows the first occurrence of each vertex in ``tails``.
         """
-        total: dict[int, int] = {}
-        for v, m in self.tails:
-            total[v] = total.get(v, 0) + m
-        return tuple(total.items())
+        return _distinct_tails(self.tails)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,22 +160,7 @@ class Query:
     target: int
 
     def __post_init__(self) -> None:
-        src = []
-        seen: set[int] = set()
-        for v, c in self.sources:
-            _check_vertex(v)
-            if v in seen:
-                raise ValidationError(f"duplicate source vertex {v}")
-            seen.add(v)
-            c = float(c)
-            if math.isnan(c) or c == INF:
-                raise ValidationError("source initial cost must be finite")
-            if c < 0:
-                raise ValidationError(f"negative initial cost {c!r} for source {v}")
-            src.append((v, c))
-        if not src:
-            raise ValidationError("query needs at least one source")
-        object.__setattr__(self, "sources", tuple(src))
+        object.__setattr__(self, "sources", check_sources(self.sources))
         _check_vertex(self.target)
 
     def source_vertices(self) -> tuple[int, ...]:
@@ -136,36 +170,42 @@ class Query:
 class Hypergraph:
     """Immutable directed multi-hypergraph with both adjacency directions.
 
-    ``forward[v]`` lists the indices of arcs in which ``v`` occurs as a tail
-    (each arc at most once), ``backward[v]`` the arcs whose head is ``v``.
-    Construct through :func:`build`.
+    Arc ``i`` (1..m) is stored as ``_heads[i]``, ``_tails[i]`` (its
+    ``(vertex, multiplicity)`` pairs in input order), ``_lengths[i]`` and
+    ``_dtails[i]`` (one pair per distinct tail vertex, multiplicities
+    summed); slot 0 of each array is unused. ``forward[v]`` lists the
+    indices of arcs in which ``v`` occurs as a tail (each arc at most once),
+    ``backward[v]`` the arcs whose head is ``v``.
+
+    The constructor trusts its arguments: every head and tail must be a
+    vertex id below ``len(names)``, every length finite and nonnegative, and
+    named vertices distinct. Construct from unchecked data through
+    :func:`build`.
     """
 
     __slots__ = (
         "n",
         "names",
-        "arcs",
         "forward",
         "backward",
         "input_size",
         "_display",
         "_name_to_id",
         "_heads",
+        "_tails",
         "_lengths",
         "_dtails",
     )
 
-    def __init__(self, names: Sequence[str | None], arcs: Sequence[Hyperarc]) -> None:
-        names = tuple(names)
-        arcs = tuple(arcs)
+    def __init__(
+        self,
+        names: tuple[str | None, ...],
+        heads: list[int],
+        tails: list[tuple[tuple[int, int], ...]],
+        lengths: list[float],
+    ) -> None:
         n = len(names)
-        name_to_id: dict[str, int] = {}
-        for v, name in enumerate(names):
-            if name is None:
-                continue
-            if name in name_to_id:
-                raise ValidationError(f"duplicate vertex name {name!r}")
-            name_to_id[name] = v
+        name_to_id = {name: v for v, name in enumerate(names) if name is not None}
         display = list(names)
         for v, name in enumerate(names):
             if name is None:
@@ -175,38 +215,25 @@ class Hypergraph:
                 name_to_id[candidate] = v
                 display[v] = candidate
 
-        heads = [0] * (len(arcs) + 1)
-        lengths = [0.0] * (len(arcs) + 1)
-        dtails: list[tuple[tuple[int, int], ...]] = [()] * (len(arcs) + 1)
+        dtails = [_distinct_tails(pairs) for pairs in tails]
         forward: list[list[int]] = [[] for _ in range(n)]
         backward: list[list[int]] = [[] for _ in range(n)]
         size = n
-        for i, arc in enumerate(arcs, start=1):
-            if not isinstance(arc, Hyperarc):
-                raise ValidationError(f"arc {i}: expected a Hyperarc, got {type(arc).__name__}")
-            if arc.head >= n:
-                raise ValidationError(f"arc {i}: head vertex {arc.head} out of range (n={n})")
-            for v, _ in arc.tails:
-                if v >= n:
-                    raise ValidationError(f"arc {i}: tail vertex {v} out of range (n={n})")
-            heads[i] = arc.head
-            lengths[i] = arc.length
-            dt = arc.distinct_tails()
-            dtails[i] = dt
-            backward[arc.head].append(i)
-            for v, _ in dt:
+        for i in range(1, len(heads)):
+            backward[heads[i]].append(i)
+            for v, _ in dtails[i]:
                 forward[v].append(i)
-            size += 1 + len(arc.tails)
+            size += 1 + len(tails[i])
 
         self.n = n
         self.names = names
-        self.arcs = arcs
         self.forward = tuple(tuple(a) for a in forward)
         self.backward = tuple(tuple(a) for a in backward)
         self.input_size = size
         self._display = tuple(display)
         self._name_to_id = name_to_id
         self._heads = heads
+        self._tails = tails
         self._lengths = lengths
         self._dtails = dtails
 
@@ -214,17 +241,22 @@ class Hypergraph:
 
     @property
     def num_arcs(self) -> int:
-        return len(self.arcs)
+        return len(self._heads) - 1
 
     @property
     def arc_indices(self) -> range:
-        return range(1, len(self.arcs) + 1)
+        return range(1, len(self._heads))
+
+    @property
+    def arcs(self) -> tuple[Hyperarc, ...]:
+        """All arcs in index order, as :class:`Hyperarc` objects built on demand."""
+        return tuple(self.arc(i) for i in self.arc_indices)
 
     def arc(self, i: int) -> Hyperarc:
-        """The hyperarc at 1-based index ``i``."""
-        if not 1 <= i <= len(self.arcs):
-            raise ValidationError(f"arc index {i} out of range 1..{len(self.arcs)}")
-        return self.arcs[i - 1]
+        """The hyperarc at 1-based index ``i``, built on demand."""
+        if not 1 <= i <= self.num_arcs:
+            raise ValidationError(f"arc index {i} out of range 1..{self.num_arcs}")
+        return Hyperarc(self._heads[i], self._tails[i], self._lengths[i])
 
     def name_of(self, v: int) -> str:
         """Display name of vertex ``v`` (synthesized ``v<i>`` if unnamed)."""
@@ -254,32 +286,30 @@ class Hypergraph:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Re-derive adjacency and invariants from ``arcs`` and compare.
+        """Re-derive distinct tails and adjacency from the arc arrays and compare.
 
-        Raises :class:`InternalInvariantError` if the stored indexes disagree
-        with the arc list, :class:`ValidationError` for bad arc data.
+        Raises :class:`InternalInvariantError` if the derived data disagree
+        with the arrays, :class:`ValidationError` for bad arc data.
         """
         fwd: list[list[int]] = [[] for _ in range(self.n)]
         bwd: list[list[int]] = [[] for _ in range(self.n)]
-        for i, arc in enumerate(self.arcs, start=1):
-            if arc.head >= self.n:
-                raise ValidationError(f"arc {i}: head vertex {arc.head} out of range")
-            bwd[arc.head].append(i)
-            for v, _ in arc.distinct_tails():
-                if v >= self.n:
+        for i in self.arc_indices:
+            head = self._heads[i]
+            if not 0 <= head < self.n:
+                raise ValidationError(f"arc {i}: head vertex {head} out of range")
+            bwd[head].append(i)
+            dtails = _distinct_tails(self._tails[i])
+            if dtails != self._dtails[i]:
+                raise InternalInvariantError(f"arc {i}: distinct tails disagree with its tails")
+            for v, _ in dtails:
+                if not 0 <= v < self.n:
                     raise ValidationError(f"arc {i}: tail vertex {v} out of range")
                 fwd[v].append(i)
         if tuple(tuple(a) for a in fwd) != self.forward:
             raise InternalInvariantError("forward adjacency disagrees with arcs")
         if tuple(tuple(a) for a in bwd) != self.backward:
             raise InternalInvariantError("backward adjacency disagrees with arcs")
-        seen: set[str] = set()
-        for name in self.names:
-            if name is None:
-                continue
-            if name in seen:
-                raise ValidationError(f"duplicate vertex name {name!r}")
-            seen.add(name)
+        _check_names(self.names)
 
     def check_query(self, query: Query) -> None:
         for v, _ in query.sources:
@@ -291,7 +321,12 @@ class Hypergraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self.names == other.names and self.arcs == other.arcs
+        return (
+            self.names == other.names
+            and self._heads == other._heads
+            and self._tails == other._tails
+            and self._lengths == other._lengths
+        )
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, m={self.num_arcs})"
@@ -302,15 +337,32 @@ def build(vertices: int | Sequence[str | None], arcs: Iterable[Hyperarc]) -> Hyp
 
     ``vertices`` is either a vertex count (all unnamed) or a sequence of
     optional names; ids are assigned by position. Arc order is preserved and
-    arcs keep their stable 1-based indices.
+    arcs keep their stable 1-based indices. This is the validating entry
+    point: each :class:`Hyperarc` has checked its own fields, and ``build``
+    checks that names are distinct and every endpoint is in range before
+    unpacking the arcs into the graph's arrays.
     """
     if isinstance(vertices, int):
         if vertices < 0:
             raise ValidationError("vertex count must be nonnegative")
-        names: Sequence[str | None] = (None,) * vertices
+        names: tuple[str | None, ...] = (None,) * vertices
     else:
         names = tuple(vertices)
-    return Hypergraph(names, tuple(arcs))
+        _check_names(names)
+    n = len(names)
+    heads, tails, lengths = [0], [()], [0.0]
+    for i, arc in enumerate(arcs, start=1):
+        if not isinstance(arc, Hyperarc):
+            raise ValidationError(f"arc {i}: expected a Hyperarc, got {type(arc).__name__}")
+        if arc.head >= n:
+            raise ValidationError(f"arc {i}: head vertex {arc.head} out of range (n={n})")
+        for v, _ in arc.tails:
+            if v >= n:
+                raise ValidationError(f"arc {i}: tail vertex {v} out of range (n={n})")
+        heads.append(arc.head)
+        tails.append(arc.tails)
+        lengths.append(arc.length)
+    return Hypergraph(names, heads, tails, lengths)
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,36 +388,28 @@ def restrict(
 
     The result keeps exactly the arcs whose head and all tail vertices lie in
     ``keep``. When ``keep_arcs`` is given, arcs are additionally filtered to
-    that index set (used by beam pruning).
+    that index set (used by beam pruning). One pass over the arc arrays
+    copies and renumbers the surviving entries; nothing is validated again,
+    since ``g`` already holds checked data.
     """
     kept = set(keep)
     for v in kept:
         if not 0 <= v < g.n:
             raise ValidationError(f"vertex {v} out of range (n={g.n})")
+    vertex_map = {v: k for k, v in enumerate(sorted(kept))}
     arc_filter = None if keep_arcs is None else set(keep_arcs)
 
-    vertex_map: dict[int, int] = {}
-    names: list[str | None] = []
-    for v in range(g.n):
-        if v in kept:
-            vertex_map[v] = len(names)
-            names.append(g.names[v])
-
     arc_map: dict[int, int] = {}
-    new_arcs: list[Hyperarc] = []
-    for i, arc in enumerate(g.arcs, start=1):
+    heads, tails, lengths = [0], [()], [0.0]
+    for i in g.arc_indices:
         if arc_filter is not None and i not in arc_filter:
             continue
-        if arc.head not in kept:
+        head = vertex_map.get(g._heads[i])
+        if head is None or any(v not in vertex_map for v, _ in g._dtails[i]):
             continue
-        if any(v not in kept for v, _ in arc.tails):
-            continue
-        arc_map[i] = len(new_arcs) + 1
-        new_arcs.append(
-            Hyperarc(
-                head=vertex_map[arc.head],
-                tails=tuple((vertex_map[v], m) for v, m in arc.tails),
-                length=arc.length,
-            )
-        )
-    return RestrictResult(Hypergraph(tuple(names), tuple(new_arcs)), vertex_map, arc_map)
+        arc_map[i] = len(heads)
+        heads.append(head)
+        tails.append(tuple([(vertex_map[v], m) for v, m in g._tails[i]]))
+        lengths.append(g._lengths[i])
+    names = tuple(g.names[v] for v in vertex_map)
+    return RestrictResult(Hypergraph(names, heads, tails, lengths), vertex_map, arc_map)

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .core import Hyperarc, Hypergraph, Query, ValidationError, build
+from .core import Hypergraph, Query, ValidationError
 from .inside import HyperpathTree
 from .textio import format_float
 
@@ -200,7 +200,7 @@ def to_hypergraph(g: Wrtg) -> tuple[Hypergraph, Query, GrammarHypergraphMap]:
     vertex_of = {nt: i for i, nt in enumerate(g.nonterminals)}
     sink = len(g.nonterminals)
 
-    arcs: list[Hyperarc] = []
+    heads, tails, lengths = [0], [()], [0.0]
     for i, p in enumerate(g.productions, start=1):
         if p.weight > 1:
             raise GrammarError(
@@ -210,25 +210,24 @@ def to_hypergraph(g: Wrtg) -> tuple[Hypergraph, Query, GrammarHypergraphMap]:
         length = -math.log(p.weight)
         if length == 0:
             length = 0.0  # normalize -0.0
-        occurrences = yield_nonterminals(p.rhs, nts)
-        if occurrences:
-            pairs: list[tuple[int, int]] = []
-            for nt in occurrences:
-                v = vertex_of[nt]
-                if pairs and pairs[-1][0] == v:
-                    pairs[-1] = (v, pairs[-1][1] + 1)
-                else:
-                    pairs.append((v, 1))
-            tails = tuple(pairs)
-        else:
-            tails = ((sink, 1),)
-        arcs.append(Hyperarc(vertex_of[p.lhs], tails, length))
+        pairs: list[tuple[int, int]] = []
+        for nt in yield_nonterminals(p.rhs, nts):
+            v = vertex_of[nt]
+            if pairs and pairs[-1][0] == v:
+                pairs[-1] = (v, pairs[-1][1] + 1)
+            else:
+                pairs.append((v, 1))
+        heads.append(vertex_of[p.lhs])
+        tails.append(tuple(pairs) if pairs else ((sink, 1),))
+        lengths.append(length)
 
-    graph = build(names, arcs)
+    # Names are distinct, ids in range and lengths finite and nonnegative by
+    # construction, so the graph is built unchecked.
+    graph = Hypergraph(names, heads, tails, lengths)
     query = Query(((sink, 0.0),), vertex_of[g.start])
     gmap = GrammarHypergraphMap(
-        production_for_arc={i: i for i in range(1, len(arcs) + 1)},
-        arc_for_production={i: i for i in range(1, len(arcs) + 1)},
+        production_for_arc={i: i for i in graph.arc_indices},
+        arc_for_production={i: i for i in graph.arc_indices},
         vertex_for_nonterminal=dict(vertex_of),
         nonterminal_for_vertex={v: nt for nt, v in vertex_of.items()},
         sink=sink,

@@ -16,7 +16,6 @@ is not implemented.
 from __future__ import annotations
 
 import heapq
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -27,6 +26,7 @@ from .core import (
     InternalInvariantError,
     UnreachableTargetError,
     ValidationError,
+    check_sources,
 )
 
 
@@ -85,24 +85,6 @@ class InsideResult:
     binds: int
 
 
-def _checked_sources(g: Hypergraph, sources: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-    out: list[tuple[int, float]] = []
-    seen: set[int] = set()
-    for v, c in sources:
-        if not 0 <= v < g.n:
-            raise ValidationError(f"source vertex {v} out of range (n={g.n})")
-        if v in seen:
-            raise ValidationError(f"duplicate source vertex {v}")
-        seen.add(v)
-        c = float(c)
-        if math.isnan(c) or c == INF or c < 0:
-            raise ValidationError(f"source {v}: initial cost must be finite and nonnegative")
-        out.append((v, c))
-    if not out:
-        raise ValidationError("source set must be nonempty")
-    return tuple(out)
-
-
 def viterbi_inside(
     g: Hypergraph,
     sources: Iterable[tuple[int, float]],
@@ -124,7 +106,10 @@ def viterbi_inside(
     additive family on a fast array path. Zero-length arcs, self-loops and
     cycles are fine: a settled vertex can never be improved again.
     """
-    sources = _checked_sources(g, sources)
+    sources = check_sources(sources)
+    for v, _ in sources:
+        if v >= g.n:
+            raise ValidationError(f"source vertex {v} out of range (n={g.n})")
     n = g.n
     inside = [INF] * n
     pi = [0] * n
@@ -275,7 +260,7 @@ def extract_best_tree(g: Hypergraph, result: InsideResult, vertex: int) -> Hyper
         if i == 0:
             nodes[v] = HyperpathTree(0, v, (), inside[v])
         else:
-            kids = tuple(nodes[t] for t in g.arc(i).occurrences())
+            kids = tuple(nodes[t] for t, m in g._tails[i] for _ in range(m))
             cost = g._lengths[i]
             for kid in kids:
                 cost += kid.cost

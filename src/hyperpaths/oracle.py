@@ -93,7 +93,7 @@ class _Enumerator:
             if depth_left <= 0:
                 self.hit_depth = True
                 continue
-            occurrences = g.arc(i).occurrences()
+            occurrences = [t for t, m in g._tails[i] for _ in range(m)]
             child_lists: list[list[HyperpathTree]] = []
             feasible = True
             for t in occurrences:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Hypergraph, Query, RestrictResult, ValidationError, restrict
+from .core import Hypergraph, Query, ValidationError, restrict
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,8 +103,9 @@ def reach_to(g: Hypergraph, target: int) -> ReachResult:
 class ReduceResult:
     """Result of the two-phase reduction.
 
-    Index maps are old id -> new id over the composed restriction. The
-    remapped query drops sources that turned out useless for the target.
+    Index maps are old id -> new id over the restriction of the input graph
+    to ``pass2_vertices``. The remapped query drops sources that turned out
+    useless for the target.
     ``pass1_vertices`` / ``pass2_vertices`` expose, in original ids, the
     vertex sets surviving each phase (pass2 is the final set).
     """
@@ -117,20 +118,6 @@ class ReduceResult:
     target_reachable: bool
     pass1_vertices: frozenset[int]
     pass2_vertices: frozenset[int]
-
-
-def _compose(first: RestrictResult, second: RestrictResult) -> tuple[dict[int, int], dict[int, int]]:
-    vmap = {
-        old: second.vertex_map[mid]
-        for old, mid in first.vertex_map.items()
-        if mid in second.vertex_map
-    }
-    amap = {
-        old: second.arc_map[mid]
-        for old, mid in first.arc_map.items()
-        if mid in second.arc_map
-    }
-    return vmap, amap
 
 
 def reduce(g: Hypergraph, query: Query, *, backward_first: bool = False) -> ReduceResult:
@@ -148,47 +135,35 @@ def reduce(g: Hypergraph, query: Query, *, backward_first: bool = False) -> Redu
     demos can exhibit the difference.
     """
     g.check_query(query)
-
-    if backward_first:
-        first_pass = reach_to(g, query.target)
-    else:
-        first_pass = reach_from(g, query.source_vertices())
-        if not first_pass.reached[query.target]:
-            empty = restrict(g, ())
-            return ReduceResult(
-                graph=empty.graph,
-                vertex_map={},
-                arc_map={},
-                sources=(),
-                target=None,
-                target_reachable=False,
-                pass1_vertices=frozenset(first_pass.vertices()),
-                pass2_vertices=frozenset(),
-            )
-    r1 = restrict(g, first_pass.vertices())
-    g1 = r1.graph
-
-    if backward_first:
-        mid_sources = [r1.vertex_map[v] for v, _ in query.sources if v in r1.vertex_map]
-        if mid_sources:
-            second_pass = reach_from(g1, mid_sources)
+    first_pass = (
+        reach_to(g, query.target)
+        if backward_first
+        else reach_from(g, query.source_vertices())
+    )
+    pass1 = first_pass.vertices()
+    pass2: tuple[int, ...] = ()
+    if first_pass.reached[query.target]:
+        r1 = restrict(g, pass1)
+        if backward_first:
+            mid_sources = [r1.vertex_map[v] for v, _ in query.sources if v in r1.vertex_map]
+            second_pass = reach_from(r1.graph, mid_sources) if mid_sources else None
         else:
-            second_pass = ReachResult((False,) * g1.n, 0)
-    else:
-        second_pass = reach_to(g1, r1.vertex_map[query.target])
-    r2 = restrict(g1, second_pass.vertices())
-
-    vmap, amap = _compose(r1, r2)
-    sources = tuple((vmap[v], c) for v, c in query.sources if v in vmap)
-    target = vmap.get(query.target)
-    inv1 = {mid: old for old, mid in r1.vertex_map.items()}
+            second_pass = reach_to(r1.graph, r1.vertex_map[query.target])
+        if second_pass is not None:
+            # restrict renumbers in order, so vertex k of r1.graph is pass1[k]
+            pass2 = tuple(pass1[k] for k in second_pass.vertices())
+    # pass2 lies inside pass1, so restricting g to it once gives the same
+    # graph and maps as restricting r1.graph again.
+    res = restrict(g, pass2)
+    sources = tuple((res.vertex_map[v], c) for v, c in query.sources if v in res.vertex_map)
+    target = res.vertex_map.get(query.target)
     return ReduceResult(
-        graph=r2.graph,
-        vertex_map=vmap,
-        arc_map=amap,
+        graph=res.graph,
+        vertex_map=res.vertex_map,
+        arc_map=res.arc_map,
         sources=sources,
         target=target,
         target_reachable=target is not None,
-        pass1_vertices=frozenset(first_pass.vertices()),
-        pass2_vertices=frozenset(inv1[v] for v in second_pass.vertices()),
+        pass1_vertices=frozenset(pass1),
+        pass2_vertices=frozenset(pass2),
     )

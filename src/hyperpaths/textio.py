@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .core import FormatError, Hyperarc, Hypergraph, Query, ValidationError, build
+from .core import FormatError, Hypergraph, Query, ValidationError
 
 _NAME_RE = re.compile(r"^[^\s#*@(),:]+$")
 
@@ -75,7 +75,7 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
             order[name] = len(order)
         return order[name]
 
-    arcs: list[tuple[int, str, tuple[tuple[int, int], ...], float]] = []
+    heads, tails, lengths = [0], [()], [0.0]
     sources: list[tuple[int, float]] = []
     source_names: set[str] = set()
     target: int | None = None
@@ -123,7 +123,9 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
                 raise FormatError(f"negative length {tokens[-1]}", lineno)
             if length == math.inf:
                 raise FormatError("length must be finite", lineno)
-            arcs.append((lineno, tokens[1], tuple(pairs), length))
+            heads.append(head)
+            tails.append(tuple(pairs))
+            lengths.append(length)
         elif kind == "source":
             if len(tokens) not in (2, 3):
                 raise FormatError("expected: source <name> [<initialCost>]", lineno)
@@ -144,16 +146,8 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
         else:
             raise FormatError(f"unknown directive {kind!r}", lineno)
 
-    names = [None] * len(order)
-    for name, v in order.items():
-        names[v] = name
-    try:
-        graph = build(
-            tuple(names),
-            tuple(Hyperarc(order[h], pairs, length) for _, h, pairs, length in arcs),
-        )
-    except ValidationError as exc:  # range errors cannot happen; be defensive
-        raise FormatError(str(exc)) from exc
+    # Every token has been checked above, so the graph is built unchecked.
+    graph = Hypergraph(tuple(order), heads, tails, lengths)
     return ParsedHypergraph(graph, tuple(sources), target)
 
 
@@ -166,12 +160,12 @@ def serialize_hypergraph(
     lines: list[str] = []
     for v in range(g.n):
         lines.append(f"vertex {check_name(g.name_of(v))}")
-    for arc in g.arcs:
+    for i in g.arc_indices:
         tails = " ".join(
-            g.name_of(v) if m == 1 else f"{g.name_of(v)}*{m}" for v, m in arc.tails
+            g.name_of(v) if m == 1 else f"{g.name_of(v)}*{m}" for v, m in g._tails[i]
         )
         lines.append(
-            f"arc {g.name_of(arc.head)} <- {tails} @ {format_float(arc.length)}"
+            f"arc {g.name_of(g._heads[i])} <- {tails} @ {format_float(g._lengths[i])}"
         )
     for v, cost in sources:
         lines.append(f"source {g.name_of(v)} {format_float(cost)}")

@@ -36,6 +36,8 @@ def test_build_f1(f1):
     assert f1.backward == tuple(tuple(a) for a in bwd)
     # e4's doubled tail appears once in the adjacency
     assert f1.forward[1] == (3, 4)
+    # n plus, per arc, the head and each tail pair
+    assert f1.input_size == 4 + 2 + 2 + 3 + 2
 
 
 def test_build_trivial():
@@ -81,6 +83,7 @@ def test_distinct_tails_aggregates_spread_pairs():
     arc = Hyperarc(0, ((1, 1), (2, 1), (1, 1)), 1.0)
     assert arc.occurrences() == (1, 2, 1)
     assert dict(arc.distinct_tails()) == {1: 2, 2: 1}
+    assert build(3, (arc,)).input_size == 3 + 1 + 3
 
 
 def test_query_validation():

@@ -1,0 +1,195 @@
+"""The stored form of a hypergraph: flat per-arc arrays.
+
+Only :func:`build` validates arcs; the parser, the grammar conversion and
+:func:`restrict` hand arrays straight to the trusted constructor. These
+tests check that the trusted paths store exactly what the validating path
+stores, and that no library path builds a :class:`Hyperarc`.
+"""
+
+from __future__ import annotations
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from random import Random
+
+import pytest
+
+from hyperpaths import (
+    Hyperarc,
+    Query,
+    build,
+    enumerate_trees,
+    extract_best_tree,
+    parse_grammar,
+    parse_hypergraph,
+    prune_relatively_useless,
+    reach_from,
+    reach_to,
+    reduce,
+    restrict,
+    serialize_hypergraph,
+    to_hypergraph,
+    viterbi_inside,
+    viterbi_outside,
+)
+from hyperpaths.cli import main
+
+from conftest import F1_GRAMMAR_TEXT
+from support import layered_hypergraph, random_hypergraph, random_sources
+
+
+def stored(g, names: bool = True) -> tuple:
+    """Everything a graph stores or derives, for exact comparison."""
+    return (
+        g.n,
+        g.names if names else None,
+        tuple(g.name_of(v) for v in range(g.n)),
+        g._heads,
+        g._tails,
+        g._lengths,
+        g._dtails,
+        g.forward,
+        g.backward,
+        g.input_size,
+    )
+
+
+def random_named_graph(rng: Random):
+    """A random graph whose names mix unnamed vertices with names that
+    collide with the synthesized ``v<i>`` display names."""
+    g = random_hypergraph(rng)
+    perm = rng.sample(range(g.n), g.n)
+    names = [None if rng.random() < 0.5 else f"v{perm[v]}" for v in range(g.n)]
+    return build(names, g.arcs)
+
+
+def reference_restrict(g, keep, keep_arcs=None):
+    """``restrict`` spelled out through the validating ``build``."""
+    kept = sorted(set(keep))
+    vmap = {v: k for k, v in enumerate(kept)}
+    arcs = [
+        Hyperarc(vmap[a.head], tuple((vmap[v], m) for v, m in a.tails), a.length)
+        for i, a in enumerate(g.arcs, start=1)
+        if (keep_arcs is None or i in keep_arcs)
+        and a.head in vmap
+        and all(v in vmap for v, _ in a.tails)
+    ]
+    return build([g.names[v] for v in kept], arcs)
+
+
+def test_restrict_stores_what_build_stores():
+    rng = Random(41)
+    for _ in range(150):
+        g = random_named_graph(rng) if rng.random() < 0.5 else random_hypergraph(rng)
+        keep = [v for v in range(g.n) if rng.random() < 0.7]
+        keep_arcs = None
+        if rng.random() < 0.3:
+            keep_arcs = {i for i in g.arc_indices if rng.random() < 0.6}
+        res = restrict(g, keep, keep_arcs=keep_arcs)
+        assert stored(res.graph) == stored(reference_restrict(g, keep, keep_arcs))
+        res.graph.validate()
+
+
+def test_parse_of_serialize_stores_the_graph():
+    rng = Random(42)
+    for _ in range(100):
+        g = random_named_graph(rng) if rng.random() < 0.5 else random_hypergraph(rng)
+        parsed = parse_hypergraph(serialize_hypergraph(g)).graph
+        # The text names every vertex, so only the display names must agree.
+        assert stored(parsed, names=False) == stored(g, names=False)
+        parsed.validate()
+
+
+def two_restrict_reduce(g, query: Query, backward_first: bool):
+    """The two-phase reduction as a composition of two restrictions."""
+    target = query.target
+    if backward_first:
+        p1 = reach_to(g, target)
+    else:
+        p1 = reach_from(g, query.source_vertices())
+        if not p1.reached[target]:
+            return restrict(g, ()).graph, {}, {}, set(p1.vertices()), set()
+    r1 = restrict(g, p1.vertices())
+    if backward_first:
+        mids = [r1.vertex_map[v] for v, _ in query.sources if v in r1.vertex_map]
+        p2 = reach_from(r1.graph, mids).vertices() if mids else ()
+    else:
+        p2 = reach_to(r1.graph, r1.vertex_map[target]).vertices()
+    r2 = restrict(r1.graph, p2)
+    vmap = {
+        old: r2.vertex_map[mid] for old, mid in r1.vertex_map.items() if mid in r2.vertex_map
+    }
+    amap = {old: r2.arc_map[mid] for old, mid in r1.arc_map.items() if mid in r2.arc_map}
+    inv1 = {mid: old for old, mid in r1.vertex_map.items()}
+    return r2.graph, vmap, amap, set(p1.vertices()), {inv1[k] for k in p2}
+
+
+@pytest.mark.parametrize("backward_first", [False, True])
+def test_reduce_equals_two_restrictions(backward_first):
+    rng = Random(43 + backward_first)
+    for _ in range(150):
+        g = random_hypergraph(rng)
+        query = Query(random_sources(rng, g), rng.randrange(g.n))
+        red = reduce(g, query, backward_first=backward_first)
+        graph, vmap, amap, pass1, pass2 = two_restrict_reduce(g, query, backward_first)
+        assert stored(red.graph) == stored(graph)
+        assert red.vertex_map == vmap and red.arc_map == amap
+        assert red.pass1_vertices == pass1 and red.pass2_vertices == pass2
+        assert red.sources == tuple((vmap[v], c) for v, c in query.sources if v in vmap)
+        assert red.target == vmap.get(query.target)
+
+
+@pytest.fixture
+def hyperarc_count(monkeypatch):
+    """Counts Hyperarc constructions while the test runs."""
+    count = [0]
+    original = Hyperarc.__post_init__
+
+    def counting(self):
+        count[0] += 1
+        original(self)
+
+    monkeypatch.setattr(Hyperarc, "__post_init__", counting)
+    return count
+
+
+def test_library_paths_build_no_hyperarc(hyperarc_count, tmp_path):
+    g, sources, target = layered_hypergraph(Random(44), 3000, width=20)
+    text = serialize_hypergraph(g, sources, target)
+    grammar = parse_grammar(F1_GRAMMAR_TEXT)
+    path = tmp_path / "layered.hg"
+    path.write_text(text, encoding="utf-8")
+    hyperarc_count[0] = 0
+
+    parsed = parse_hypergraph(text)
+    rf = reach_from(parsed.graph, [v for v, _ in parsed.sources])
+    rr = restrict(parsed.graph, rf.vertices())
+    sources1 = tuple((rr.vertex_map[v], c) for v, c in parsed.sources)
+    target1 = rr.vertex_map[parsed.target]
+    ins = viterbi_inside(rr.graph, sources1)
+    outs = viterbi_outside(rr.graph, ins, target1)
+    pr = prune_relatively_useless(rr.graph, ins, outs, 1.0)
+    serialize_hypergraph(pr.graph)
+    extract_best_tree(rr.graph, ins, target1)
+    assert hyperarc_count[0] == 0, "forward pipeline"
+
+    reduce(parsed.graph, parsed.query())
+    reduce(parsed.graph, parsed.query(), backward_first=True)
+    assert hyperarc_count[0] == 0, "reduce"
+
+    graph, query, _ = to_hypergraph(grammar)
+    enumerate_trees(graph, query.sources, query.target)
+    assert hyperarc_count[0] == 0, "grammar conversion and oracle"
+
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        for report in ("text", "json"):
+            assert main(["prune", "--beam", "1", "--report", report, str(path)]) == 0
+    assert hyperarc_count[0] == 0, "CLI prune report"
+
+
+def test_arc_accessors_build_on_demand(hyperarc_count, f1):
+    hyperarc_count[0] = 0
+    arcs = f1.arcs
+    assert hyperarc_count[0] == f1.num_arcs
+    assert arcs[2] == f1.arc(3) == Hyperarc(3, ((1, 1), (2, 1)), 0.5)
+    assert build(f1.names, arcs) == f1
