@@ -73,6 +73,8 @@ def _check_names(names: Sequence[str | None]) -> None:
 def _distinct_tails(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """One ``(vertex, total multiplicity)`` pair per distinct tail vertex, in
     order of first occurrence; ``pairs`` itself when its vertices are distinct."""
+    if len(pairs) == 1 or (len(pairs) == 2 and pairs[0][0] != pairs[1][0]):
+        return pairs
     total: dict[int, int] = {}
     for v, m in pairs:
         total[v] = total.get(v, 0) + m
@@ -390,12 +392,17 @@ def restrict(
     ``keep``. When ``keep_arcs`` is given, arcs are additionally filtered to
     that index set (used by beam pruning). One pass over the arc arrays
     copies and renumbers the surviving entries; nothing is validated again,
-    since ``g`` already holds checked data.
+    since ``g`` already holds checked data. When ``keep`` holds every vertex
+    and no ``keep_arcs`` is given, nothing is dropped and the result's graph
+    is ``g`` itself, with identity maps; a graph is immutable, so sharing it
+    is safe.
     """
     kept = set(keep)
     for v in kept:
         if not 0 <= v < g.n:
             raise ValidationError(f"vertex {v} out of range (n={g.n})")
+    if keep_arcs is None and len(kept) == g.n:
+        return RestrictResult(g, {v: v for v in range(g.n)}, {i: i for i in g.arc_indices})
     vertex_map = {v: k for k, v in enumerate(sorted(kept))}
     arc_filter = None if keep_arcs is None else set(keep_arcs)
 

@@ -49,9 +49,14 @@ def reach_from(g: Hypergraph, sources: Iterable[int]) -> ReachResult:
     for v in src:
         if not 0 <= v < g.n:
             raise ValidationError(f"source vertex {v} out of range (n={g.n})")
+    return _mark_from(g, src, [len(d) for d in g._dtails])
 
+
+def _mark_from(g: Hypergraph, src: Iterable[int], remaining: list[int]) -> ReachResult:
+    """The marking loop of :func:`reach_from`. ``remaining[i]`` is the
+    countdown of arc ``i``; an arc whose countdown starts below 1 never
+    fires."""
     reached = [False] * g.n
-    remaining = [len(d) for d in g._dtails]
     heads = g._heads
     forward = g.forward
     stack = []
@@ -82,10 +87,17 @@ def reach_to(g: Hypergraph, target: int) -> ReachResult:
     """
     if not 0 <= target < g.n:
         raise ValidationError(f"target vertex {target} out of range (n={g.n})")
+    return _mark_to(g, target, g._dtails)
+
+
+def _mark_to(
+    g: Hypergraph, target: int, dtails: list[tuple[tuple[int, int], ...]]
+) -> ReachResult:
+    """The marking loop of :func:`reach_to`, reading the distinct tails of
+    arc ``i`` from ``dtails[i]``; an arc given no tails marks nothing."""
     reached = [False] * g.n
     reached[target] = True
     stack = [target]
-    dtails = g._dtails
     backward = g.backward
     touches = 0
     while stack:
@@ -140,20 +152,27 @@ def reduce(g: Hypergraph, query: Query, *, backward_first: bool = False) -> Redu
         if backward_first
         else reach_from(g, query.source_vertices())
     )
+    in1 = first_pass.reached
     pass1 = first_pass.vertices()
     pass2: tuple[int, ...] = ()
-    if first_pass.reached[query.target]:
-        r1 = restrict(g, pass1)
+    if in1[query.target]:
+        # The second pass runs on g, seeing only the arcs that restricting g
+        # to pass1 would keep: those whose head and tails all lie in pass1.
+        dtails = g._dtails
+        arc_in1 = [in1[h] and all(in1[v] for v, _ in d) for h, d in zip(g._heads, dtails)]
+        second_pass = None
         if backward_first:
-            mid_sources = [r1.vertex_map[v] for v, _ in query.sources if v in r1.vertex_map]
-            second_pass = reach_from(r1.graph, mid_sources) if mid_sources else None
+            mid_sources = [v for v, _ in query.sources if in1[v]]
+            if mid_sources:
+                remaining = [len(d) if ok else 0 for d, ok in zip(dtails, arc_in1)]
+                second_pass = _mark_from(g, mid_sources, remaining)
         else:
-            second_pass = reach_to(r1.graph, r1.vertex_map[query.target])
+            masked = [d if ok else () for d, ok in zip(dtails, arc_in1)]
+            second_pass = _mark_to(g, query.target, masked)
         if second_pass is not None:
-            # restrict renumbers in order, so vertex k of r1.graph is pass1[k]
-            pass2 = tuple(pass1[k] for k in second_pass.vertices())
+            pass2 = second_pass.vertices()
     # pass2 lies inside pass1, so restricting g to it once gives the same
-    # graph and maps as restricting r1.graph again.
+    # graph and maps as restricting the pass-1 restriction again.
     res = restrict(g, pass2)
     sources = tuple((res.vertex_map[v], c) for v, c in query.sources if v in res.vertex_map)
     target = res.vertex_map.get(query.target)

@@ -69,11 +69,13 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
     order: dict[str, int] = {}
 
     def vid(name: str, line: int) -> int:
-        if not _NAME_RE.match(name) or name == "<-":
-            raise FormatError(f"invalid vertex name {name!r}", line)
-        if name not in order:
-            order[name] = len(order)
-        return order[name]
+        # A name in ``order`` has passed the check, so each name is checked once.
+        v = order.get(name)
+        if v is None:
+            if not _NAME_RE.match(name) or name == "<-":
+                raise FormatError(f"invalid vertex name {name!r}", line)
+            v = order[name] = len(order)
+        return v
 
     heads, tails, lengths = [0], [()], [0.0]
     sources: list[tuple[int, float]] = []
@@ -81,10 +83,11 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
     target: int | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "vertex":
             if len(tokens) != 2:
@@ -107,6 +110,11 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
                 raise FormatError("arc must have at least one tail", lineno)
             pairs: list[tuple[int, int]] = []
             for tok in tail_tokens:
+                v = order.get(tok)
+                if v is not None:
+                    # A known name holds no '*', so the token is the name alone.
+                    pairs.append((v, 1))
+                    continue
                 name, star, mult_text = tok.partition("*")
                 if star:
                     try:

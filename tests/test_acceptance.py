@@ -11,6 +11,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -206,30 +207,41 @@ def test_criterion_6_grammar_correspondence(capsys):
             assert weighted_multisets_equal(mapped, derivations, tol=1e-9)
 
 
-def _best_of(repeats: int, fn) -> float:
-    best = INF
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        gc.enable()
-        best = min(best, elapsed)
-    return best
+def _time_once(fn) -> float:
+    gc.collect()
+    gc.disable()
+    start = time.perf_counter()
+    fn()
+    elapsed = time.perf_counter() - start
+    gc.enable()
+    return elapsed
 
 
 def test_criterion_7_complexity_smoke(capsys):
     with criterion(capsys, 7, "complexity smoke"):
         rng = Random(0xACCE07)
-        rows = []
-        for target_size in (10_000, 100_000, 1_000_000):
+        # Each call is timed best of 15 at t = 1e4, of 5 at 1e5 and of 2 at
+        # 1e6, spread evenly over 15 interleaved rounds: every size is timed
+        # at the start and at the end of the window, so a host slowdown that
+        # begins or ends inside it cannot slow one size alone.
+        rounds = 15
+        cases = []
+        for target_size, repeats in ((10_000, 15), (100_000, 5), (1_000_000, 2)):
             g, sources, target = layered_hypergraph(rng, target_size)
-            source_ids = [v for v, _ in sources]
-            repeats = 3 if target_size < 1_000_000 else 2
-            t_from = _best_of(repeats, lambda: reach_from(g, source_ids))
-            t_to = _best_of(repeats, lambda: reach_to(g, target))
-            t_inside = _best_of(repeats, lambda: viterbi_inside(g, sources))
+            calls = (
+                partial(reach_from, g, [v for v, _ in sources]),
+                partial(reach_to, g, target),
+                partial(viterbi_inside, g, sources),
+            )
+            timed = {round(j * (rounds - 1) / (repeats - 1)) for j in range(repeats)}
+            cases.append((g, calls, timed, [INF] * len(calls)))
+        for r in range(rounds):
+            for _, calls, timed, best in cases:
+                if r in timed:
+                    for k, fn in enumerate(calls):
+                        best[k] = min(best[k], _time_once(fn))
+        rows = []
+        for g, _, _, (t_from, t_to, t_inside) in cases:
             for t in (t_from, t_to, t_inside):
                 assert t < 10.0, f"run exceeded 10 s at size {g.input_size}"
             rows.append((g.input_size, g.n, g.num_arcs, t_from, t_to, t_inside))

@@ -3,7 +3,8 @@
 Only :func:`build` validates arcs; the parser, the grammar conversion and
 :func:`restrict` hand arrays straight to the trusted constructor. These
 tests check that the trusted paths store exactly what the validating path
-stores, and that no library path builds a :class:`Hyperarc`.
+stores, that no library path builds a :class:`Hyperarc`, and how many
+graphs and vertex-name checks the forward pipeline makes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import pytest
 
 from hyperpaths import (
     Hyperarc,
+    Hypergraph,
     Query,
+    ValidationError,
     build,
     enumerate_trees,
     extract_best_tree,
@@ -32,6 +35,7 @@ from hyperpaths import (
     viterbi_inside,
     viterbi_outside,
 )
+from hyperpaths import textio
 from hyperpaths.cli import main
 
 from conftest import F1_GRAMMAR_TEXT
@@ -88,6 +92,28 @@ def test_restrict_stores_what_build_stores():
         res = restrict(g, keep, keep_arcs=keep_arcs)
         assert stored(res.graph) == stored(reference_restrict(g, keep, keep_arcs))
         res.graph.validate()
+
+
+def test_keep_all_restrict_returns_its_input():
+    rng = Random(46)
+    for _ in range(100):
+        g = random_named_graph(rng) if rng.random() < 0.5 else random_hypergraph(rng)
+        everything = rng.sample(range(g.n), g.n)
+        res = restrict(g, everything)
+        assert res.graph is g
+        assert list(res.vertex_map.items()) == [(v, v) for v in range(g.n)]
+        assert list(res.arc_map.items()) == [(i, i) for i in g.arc_indices]
+        assert stored(res.graph) == stored(reference_restrict(g, everything))
+
+        # The range check runs before the shortcut.
+        for bad in (g.n, -1):
+            with pytest.raises(ValidationError, match="out of range"):
+                restrict(g, [bad, *everything[1:]])
+
+        keep_arcs = {i for i in g.arc_indices if rng.random() < 0.5}
+        res = restrict(g, everything, keep_arcs=keep_arcs)
+        assert stored(res.graph) == stored(reference_restrict(g, everything, keep_arcs))
+        assert res.arc_map == {i: k for k, i in enumerate(sorted(keep_arcs), start=1)}
 
 
 def test_parse_of_serialize_stores_the_graph():
@@ -185,6 +211,52 @@ def test_library_paths_build_no_hyperarc(hyperarc_count, tmp_path):
         for report in ("text", "json"):
             assert main(["prune", "--beam", "1", "--report", report, str(path)]) == 0
     assert hyperarc_count[0] == 0, "CLI prune report"
+
+
+@pytest.fixture
+def graph_count(monkeypatch):
+    """Counts Hypergraph constructions while the test runs."""
+    count = [0]
+    original = Hypergraph.__init__
+
+    def counting(self, *args):
+        count[0] += 1
+        original(self, *args)
+
+    monkeypatch.setattr(Hypergraph, "__init__", counting)
+    return count
+
+
+@pytest.fixture
+def name_checks(monkeypatch):
+    """Counts matches of the text format's vertex-name pattern."""
+    count = [0]
+    pattern = textio._NAME_RE
+
+    class Counting:
+        def match(self, name):
+            count[0] += 1
+            return pattern.match(name)
+
+    monkeypatch.setattr(textio, "_NAME_RE", Counting())
+    return count
+
+
+def test_forward_pipeline_work_counts(graph_count, name_checks):
+    g, sources, target = layered_hypergraph(Random(45), 3000, width=20)
+    text = serialize_hypergraph(g, sources, target)
+    graph_count[0] = name_checks[0] = 0
+
+    parsed = parse_hypergraph(text)
+    assert name_checks[0] == parsed.graph.n, "one name check per distinct vertex name"
+    rf = reach_from(parsed.graph, [v for v, _ in parsed.sources])
+    assert all(rf.reached), "every vertex is derivable"
+    rr = restrict(parsed.graph, rf.vertices())
+    ins = viterbi_inside(rr.graph, parsed.sources)
+    outs = viterbi_outside(rr.graph, ins, parsed.target)
+    pr = prune_relatively_useless(rr.graph, ins, outs, 1.0)
+    serialize_hypergraph(pr.graph)
+    assert graph_count[0] == 2, "one graph from the parser, one from the prune"
 
 
 def test_arc_accessors_build_on_demand(hyperarc_count, f1):
