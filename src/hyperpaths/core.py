@@ -182,7 +182,11 @@ class Hypergraph:
     The constructor trusts its arguments: every head and tail must be a
     vertex id below ``len(names)``, every length finite and nonnegative, and
     named vertices distinct. Construct from unchecked data through
-    :func:`build`.
+    :func:`build`. ``dtails``, when given, is taken as the distinct tails of
+    every arc instead of deriving them; each entry must equal what
+    ``_distinct_tails`` derives from the arc's tails, and be the tails
+    tuple itself when those hold no repeated vertex (:meth:`validate`
+    re-derives and compares them).
     """
 
     __slots__ = (
@@ -205,6 +209,7 @@ class Hypergraph:
         heads: list[int],
         tails: list[tuple[tuple[int, int], ...]],
         lengths: list[float],
+        dtails: list[tuple[tuple[int, int], ...]] | None = None,
     ) -> None:
         n = len(names)
         name_to_id = {name: v for v, name in enumerate(names) if name is not None}
@@ -217,7 +222,8 @@ class Hypergraph:
                 name_to_id[candidate] = v
                 display[v] = candidate
 
-        dtails = [_distinct_tails(pairs) for pairs in tails]
+        if dtails is None:
+            dtails = [_distinct_tails(pairs) for pairs in tails]
         forward: list[list[int]] = [[] for _ in range(n)]
         backward: list[list[int]] = [[] for _ in range(n)]
         size = n
@@ -273,9 +279,11 @@ class Hypergraph:
     def arc_total_cost(self, i: int, costs: Sequence[float]) -> float:
         """Arc length plus the multiplicity-weighted costs of its tails.
 
-        Returns ``inf`` as soon as any tail cost is infinite. All call sites
-        (inside relaxation, outside relaxation, utilities) share this exact
-        summation order so their values agree bitwise.
+        Returns ``inf`` as soon as any tail cost is infinite. This is the
+        reference summation: the inside firing step, the outside relaxation
+        and :func:`~hyperpaths.outside.utilities` inline the same sum, length
+        first and then ``mult * cost`` per distinct tail in stored order, so
+        their values agree with it bitwise.
         """
         c = self._lengths[i]
         for t, m in self._dtails[i]:
@@ -395,7 +403,9 @@ def restrict(
     since ``g`` already holds checked data. When ``keep`` holds every vertex
     and no ``keep_arcs`` is given, nothing is dropped and the result's graph
     is ``g`` itself, with identity maps; a graph is immutable, so sharing it
-    is safe.
+    is safe. With ``keep_arcs`` the pass visits only those ids (ids outside
+    1..m and repeats are ignored), which is what makes a tight beam's prune
+    cheap.
     """
     kept = set(keep)
     for v in kept:
@@ -403,20 +413,37 @@ def restrict(
             raise ValidationError(f"vertex {v} out of range (n={g.n})")
     if keep_arcs is None and len(kept) == g.n:
         return RestrictResult(g, {v: v for v in range(g.n)}, {i: i for i in g.arc_indices})
-    vertex_map = {v: k for k, v in enumerate(sorted(kept))}
-    arc_filter = None if keep_arcs is None else set(keep_arcs)
+    order = sorted(kept)
+    vertex_map = dict(zip(order, range(len(order))))
+    new_id = [-1] * g.n
+    for v, k in vertex_map.items():
+        new_id[v] = k
+    if keep_arcs is None:
+        ids: Iterable[int] = g.arc_indices
+    else:
+        last = g.num_arcs
+        ids = sorted({i for i in keep_arcs if 0 < i <= last})
 
+    g_heads, g_tails, g_lengths, g_dtails = g._heads, g._tails, g._lengths, g._dtails
     arc_map: dict[int, int] = {}
-    heads, tails, lengths = [0], [()], [0.0]
-    for i in g.arc_indices:
-        if arc_filter is not None and i not in arc_filter:
+    heads, tails, lengths, dtails = [0], [()], [0.0], [()]
+    for i in ids:
+        head = new_id[g_heads[i]]
+        if head < 0:
             continue
-        head = vertex_map.get(g._heads[i])
-        if head is None or any(v not in vertex_map for v, _ in g._dtails[i]):
-            continue
-        arc_map[i] = len(heads)
-        heads.append(head)
-        tails.append(tuple([(vertex_map[v], m) for v, m in g._tails[i]]))
-        lengths.append(g._lengths[i])
-    names = tuple(g.names[v] for v in vertex_map)
-    return RestrictResult(Hypergraph(names, heads, tails, lengths), vertex_map, arc_map)
+        old_d = g_dtails[i]
+        for v, _ in old_d:
+            if new_id[v] < 0:
+                break
+        else:
+            old_t = g_tails[i]
+            pairs = tuple([(new_id[v], m) for v, m in old_t])
+            arc_map[i] = len(heads)
+            heads.append(head)
+            tails.append(pairs)
+            lengths.append(g_lengths[i])
+            # Renumbering is injective and keeps order, so it maps distinct
+            # tails to the distinct tails of the renumbered pairs.
+            dtails.append(pairs if old_d is old_t else tuple([(new_id[v], m) for v, m in old_d]))
+    names = tuple(g.names[v] for v in order)
+    return RestrictResult(Hypergraph(names, heads, tails, lengths, dtails), vertex_map, arc_map)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 from .core import Hypergraph, Query, ValidationError
@@ -260,7 +260,14 @@ def from_pruned(g: Wrtg, gmap: GrammarHypergraphMap, pruned: Hypergraph) -> Wrtg
         used.add(p.lhs)
         used.update(yield_nonterminals(p.rhs, nts))
     nonterminals = tuple(nt for nt in g.nonterminals if nt in used)
-    return Wrtg(g.alphabet, nonterminals, g.start, productions)
+    # Every field comes from the checked grammar g: the productions are a
+    # subsequence of its own, and the nonterminals keep the start and every
+    # lhs and rhs nonterminal they use. Wrtg's checks cannot fail on them,
+    # so the result is built without running them again.
+    reduced = object.__new__(Wrtg)
+    for f, value in zip(fields(Wrtg), (g.alphabet, nonterminals, g.start, productions)):
+        object.__setattr__(reduced, f.name, value)
+    return reduced
 
 
 @dataclass(frozen=True, slots=True)

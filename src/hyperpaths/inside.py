@@ -131,6 +131,7 @@ def viterbi_inside(
 
     settled = bytearray(n)
     heads = g._heads
+    lengths = g._lengths
     dtails = g._dtails
     forward = g.forward
     push = heapq.heappush
@@ -162,9 +163,11 @@ def viterbi_inside(
                 binds += 1
                 remaining[i] -= 1
                 if remaining[i] == 0:
-                    # All tails settled; recompute in canonical tail order so
-                    # the value agrees bitwise with arc_total_cost elsewhere.
-                    c = g.arc_total_cost(i, inside)
+                    # All tails settled, so finite. Hypergraph.arc_total_cost
+                    # inlined, in its order, so the value agrees with it bitwise.
+                    c = lengths[i]
+                    for t, mm in dtails[i]:
+                        c += mm * inside[t]
                     if c < inside[h]:
                         inside[h] = c
                         pi[h] = i

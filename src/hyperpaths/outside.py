@@ -73,6 +73,7 @@ def viterbi_outside(g: Hypergraph, ins: InsideResult, target: int) -> OutsideRes
     heap: list[tuple[float, int]] = [(0.0, target)]
     settled = bytearray(n)
     backward = g.backward
+    lengths = g._lengths
     dtails = g._dtails
     push = heapq.heappush
     pop = heapq.heappop
@@ -84,11 +85,16 @@ def viterbi_outside(g: Hypergraph, ins: InsideResult, target: int) -> OutsideRes
         settled[x] = 1
         ox = outside[x]
         for i in backward[x]:
-            total = g.arc_total_cost(i, inside)
+            # Hypergraph.arc_total_cost inlined; an infinite tail makes the
+            # sum infinite, which is the value it returns early.
+            d = dtails[i]
+            total = lengths[i]
+            for t, m in d:
+                total += m * inside[t]
             if total == INF:
                 continue
             c = ox + total
-            for t, _ in dtails[i]:
+            for t, _ in d:
                 if settled[t]:
                     continue
                 proposed = c - inside[t]
@@ -113,11 +119,17 @@ def utilities(
     """
     if len(ins.inside) != g.n or len(outs.outside) != g.n:
         raise ValidationError("results do not match this hypergraph")
-    gamma_v = tuple(b + a for b, a in zip(ins.inside, outs.outside))
+    inside, outside = ins.inside, outs.outside
+    gamma_v = tuple(b + a for b, a in zip(inside, outside))
     gamma_e = [INF] * (g.num_arcs + 1)
-    heads = g._heads
+    heads, lengths, dtails = g._heads, g._lengths, g._dtails
     for i in g.arc_indices:
-        gamma_e[i] = outs.outside[heads[i]] + g.arc_total_cost(i, ins.inside)
+        # Hypergraph.arc_total_cost inlined, in its order; an infinite tail
+        # makes the sum infinite, which is the value it returns early.
+        c = lengths[i]
+        for t, m in dtails[i]:
+            c += m * inside[t]
+        gamma_e[i] = outside[heads[i]] + c
     return gamma_v, tuple(gamma_e)
 
 
@@ -172,22 +184,24 @@ def prune_relatively_useless(
     keep_e = [False] * (g.num_arcs + 1)
     retained: list[int] = []
     loose = 1e-9 * max(1.0, abs(threshold) if threshold != INF else 1.0)
+    heads, dtails = g._heads, g._dtails
     for i in g.arc_indices:
         x = gamma_e[i]
-        if not (math.isfinite(x) and x <= cutoff):
+        if x > cutoff or x == INF:
             continue
         keep_e[i] = True
-        endpoints = [g._heads[i]] + [t for t, _ in g._dtails[i]]
-        for v in endpoints:
-            if not keep_v[v]:
-                # A kept arc's endpoints have utility <= the arc's; only
-                # rounding at the exact beam boundary may say otherwise.
-                if not (math.isfinite(gamma_v[v]) and gamma_v[v] <= cutoff + loose):
-                    raise InternalInvariantError(
-                        f"arc {i} kept but endpoint vertex {v} is not"
-                    )
-        if all(keep_v[v] for v in endpoints):
-            retained.append(i)
+        if keep_v[heads[i]]:
+            for t, _ in dtails[i]:
+                if not keep_v[t]:
+                    break
+            else:
+                retained.append(i)
+                continue
+        # A kept arc's endpoints have utility <= the arc's; only rounding at
+        # the exact beam boundary may drop one, and then the arc goes too.
+        for v in (heads[i], *[t for t, _ in dtails[i]]):
+            if not keep_v[v] and not (math.isfinite(gamma_v[v]) and gamma_v[v] <= cutoff + loose):
+                raise InternalInvariantError(f"arc {i} kept but endpoint vertex {v} is not")
 
     kept_vertices = [v for v in range(g.n) if keep_v[v]]
     res: RestrictResult = restrict(g, kept_vertices, keep_arcs=retained)

@@ -197,6 +197,30 @@ def test_from_pruned_after_beam():
     assert reduced.productions == g.productions[:3]
 
 
+def test_from_pruned_equals_a_checked_grammar():
+    # from_pruned builds its result without Wrtg's checks; the result must
+    # be what the checked constructor builds from the same fields.
+    rng = Random(402)
+    checked = 0
+    for _ in range(60):
+        g = random_acyclic_grammar(rng)
+        graph, query, gmap = to_hypergraph(g)
+        ins = viterbi_inside(graph, query.sources)
+        if ins.inside[query.target] == math.inf:
+            continue
+        outs = viterbi_outside(graph, ins, query.target)
+        for beam in (0.0, 0.5, math.inf):
+            pr = prune_relatively_useless(graph, ins, outs, beam)
+            reduced = from_pruned(g, gmap.after_restriction(pr.vertex_map, pr.arc_map), pr.graph)
+            fields = (reduced.alphabet, reduced.nonterminals, reduced.start, reduced.productions)
+            again = Wrtg(*fields)
+            assert type(reduced) is Wrtg
+            assert reduced == again and hash(reduced) == hash(again)
+            assert serialize_grammar(reduced) == serialize_grammar(again)
+            checked += 1
+    assert checked >= 60
+
+
 def test_from_pruned_detects_emptied_language():
     g = _f1_grammar()
     graph, _, gmap = to_hypergraph(g)

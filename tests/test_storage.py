@@ -81,17 +81,47 @@ def reference_restrict(g, keep, keep_arcs=None):
     return build([g.names[v] for v in kept], arcs)
 
 
+def merged_arcs(g) -> list[int]:
+    """Arcs whose distinct tails are a tuple of their own, because a tail
+    vertex repeats."""
+    return [i for i in g.arc_indices if g._dtails[i] is not g._tails[i]]
+
+
+def spread_repeat(pairs) -> bool:
+    """Whether some vertex repeats in tail pairs that are not adjacent."""
+    runs = [v for k, (v, _) in enumerate(pairs) if k == 0 or pairs[k - 1][0] != v]
+    return len(set(runs)) < len(runs)
+
+
 def test_restrict_stores_what_build_stores():
     rng = Random(41)
-    for _ in range(150):
-        g = random_named_graph(rng) if rng.random() < 0.5 else random_hypergraph(rng)
+    spread_kept = 0
+    for _ in range(300):
+        kind = rng.random()
+        if kind < 0.35:
+            g = random_named_graph(rng)
+        elif kind < 0.7:
+            g = random_hypergraph(rng)
+        else:
+            # Few vertices and long tails: a vertex often repeats in pairs
+            # that are not next to each other.
+            g = random_hypergraph(rng, n_range=(2, 4), max_tail=5)
         keep = [v for v in range(g.n) if rng.random() < 0.7]
-        keep_arcs = None
-        if rng.random() < 0.3:
-            keep_arcs = {i for i in g.arc_indices if rng.random() < 0.6}
+        ids = [i for i in g.arc_indices if rng.random() < 0.6]
+        form = rng.randrange(4)
+        if form >= 2:
+            # Ids outside 1..m and repeats are ignored, in any order.
+            ids += [0, -1, g.num_arcs + 1, *ids[::2]]
+            rng.shuffle(ids)
+        # No filter, a set, a list, and a one-shot iterator.
+        keep_arcs = (None, set(ids), ids, iter(ids))[form]
         res = restrict(g, keep, keep_arcs=keep_arcs)
-        assert stored(res.graph) == stored(reference_restrict(g, keep, keep_arcs))
+        expected = reference_restrict(g, keep, None if form == 0 else ids)
+        assert stored(res.graph) == stored(expected)
+        assert merged_arcs(res.graph) == merged_arcs(expected)
+        spread_kept += sum(spread_repeat(t) for t in res.graph._tails)
         res.graph.validate()
+    assert spread_kept >= 50
 
 
 def test_keep_all_restrict_returns_its_input():
