@@ -20,10 +20,8 @@ from .core import (
     Hypergraph,
     InternalInvariantError,
     Query,
-    RestrictResult,
     UnreachableTargetError,
     ValidationError,
-    restrict,
 )
 from .grammar import (
     GrammarError,
@@ -33,7 +31,7 @@ from .grammar import (
     to_hypergraph,
 )
 from .inside import InsideResult, extract_best_tree, format_tree, viterbi_inside
-from .outside import OutsideResult, PruneResult, prune_relatively_useless, viterbi_outside
+from .outside import OutsideResult, prune_relatively_useless, viterbi_outside
 from .reachability import reach_from, reach_to, reduce
 from .textio import ParsedHypergraph, format_float, parse_hypergraph, serialize_hypergraph
 
@@ -143,78 +141,49 @@ def _cmd_best_tree(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _forward_stage(
-    g: Hypergraph, query: Query
-) -> tuple[RestrictResult, tuple[tuple[int, float], ...], int, InsideResult]:
-    """Restrict to source-derivable vertices and run the inside pass.
+def _inside_outside(
+    g: Hypergraph, query: Query, unreachable: str = "target unreachable"
+) -> tuple[InsideResult, OutsideResult]:
+    """Run the inside and outside passes for ``query`` on ``g`` itself.
 
-    The restriction keeps inside costs intact for every surviving vertex and
-    gives the outside pass the graph it is specified on. Returns the
-    restriction, the sources and target in its ids, and the inside result.
+    Vertices that no source derives keep infinite inside and outside costs,
+    and arcs with such a tail never fire or relax, so every value equals the
+    one on ``g`` restricted to the derivable vertices. A target that
+    ``reach_from`` does not reach raises ``unreachable``; a reached target
+    whose inside cost overflowed to ``inf`` raises ``viterbi_outside``'s error.
     """
-    rf = reach_from(g, query.source_vertices())
-    if not rf.reached[query.target]:
-        raise UnreachableTargetError("target unreachable")
-    rr = restrict(g, rf.vertices())
-    sources1 = tuple((rr.vertex_map[v], c) for v, c in query.sources)
-    target1 = rr.vertex_map[query.target]
-    return rr, sources1, target1, viterbi_inside(rr.graph, sources1)
+    if not reach_from(g, query.source_vertices()).reached[query.target]:
+        raise UnreachableTargetError(unreachable)
+    ins = viterbi_inside(g, query.sources)
+    return ins, viterbi_outside(g, ins, query.target)
 
 
 def _cmd_outside(args: argparse.Namespace) -> int:
     parsed = _load(args.file)
     g = parsed.graph
-    rr, _, target1, ins = _forward_stage(g, parsed.query())
-    outs = viterbi_outside(rr.graph, ins, target1)
-    arc_old = {new: old for old, new in rr.arc_map.items()}
+    _, outs = _inside_outside(g, parsed.query())
     for v in range(g.n):
-        mapped = rr.vertex_map.get(v)
-        if mapped is None:
-            print(f"{g.name_of(v)} inf 0")
-        else:
-            psi = outs.psi[mapped]
-            print(f"{g.name_of(v)} {_fmt(outs.outside[mapped])} {arc_old[psi] if psi else 0}")
+        print(f"{g.name_of(v)} {_fmt(outs.outside[v])} {outs.psi[v]}")
     return EXIT_OK
-
-
-def _prune_report_rows(
-    g: Hypergraph, rr: RestrictResult, ins: InsideResult, outs: OutsideResult, pr: PruneResult
-) -> tuple[list[tuple[str, float, float, float, bool]], list[tuple[int, float, bool]]]:
-    """Report rows for every vertex and arc of the input graph ``g``.
-
-    Vertex rows are ``(name, inside, outside, gamma, keep)`` and arc rows
-    ``(index, gamma, keep)``; elements the forward restriction ``rr``
-    dropped get infinite values and are not kept.
-    """
-    vertices = []
-    for v in range(g.n):
-        k = rr.vertex_map.get(v)
-        if k is None:
-            row = (INF, INF, INF, False)
-        else:
-            row = (ins.inside[k], outs.outside[k], pr.gamma_vertices[k], pr.keep_vertices[k])
-        vertices.append((g.name_of(v), *row))
-    arcs = []
-    for i in g.arc_indices:
-        k = rr.arc_map.get(i)
-        arcs.append((i, INF, False) if k is None else (i, pr.gamma_arcs[k], pr.keep_arcs[k]))
-    return vertices, arcs
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
     beam = _parse_beam(args.beam)
     parsed = _load(args.file)
     g = parsed.graph
-    rr, sources1, target1, ins = _forward_stage(g, parsed.query())
-    outs = viterbi_outside(rr.graph, ins, target1)
-    pr = prune_relatively_useless(rr.graph, ins, outs, beam)
+    query = parsed.query()
+    ins, outs = _inside_outside(g, query)
+    pr = prune_relatively_useless(g, ins, outs, beam)
 
-    sources2 = tuple((pr.vertex_map[v], c) for v, c in sources1 if v in pr.vertex_map)
-    target2 = pr.vertex_map[target1]
+    sources2 = tuple((pr.vertex_map[v], c) for v, c in query.sources if v in pr.vertex_map)
+    target2 = pr.vertex_map[query.target]
     sys.stdout.write(serialize_hypergraph(pr.graph, sources2, target2))
 
-    vertices, arcs = _prune_report_rows(g, rr, ins, outs, pr)
-    best = ins.inside[target1]
+    vertices = zip(
+        map(g.name_of, range(g.n)), ins.inside, outs.outside, pr.gamma_vertices, pr.keep_vertices
+    )
+    arcs = zip(g.arc_indices, pr.gamma_arcs[1:], pr.keep_arcs[1:])
+    best = ins.inside[query.target]
     if args.report == "json":
         report = {
             "vertices": [
@@ -285,16 +254,9 @@ def _cmd_prune_grammar(args: argparse.Namespace) -> int:
     grammar = parse_grammar(_read_text(args.file))
     graph, query, gmap = to_hypergraph(grammar)
 
-    try:
-        rr, _, target1, ins = _forward_stage(graph, query)
-    except UnreachableTargetError:
-        raise UnreachableTargetError("target unreachable: the grammar derives nothing") from None
-    outs = viterbi_outside(rr.graph, ins, target1)
-    pr = prune_relatively_useless(rr.graph, ins, outs, beam)
-
-    gmap1 = gmap.after_restriction(rr.vertex_map, rr.arc_map)
-    gmap2 = gmap1.after_restriction(pr.vertex_map, pr.arc_map)
-    reduced = from_pruned(grammar, gmap2, pr.graph)
+    ins, outs = _inside_outside(graph, query, "target unreachable: the grammar derives nothing")
+    pr = prune_relatively_useless(graph, ins, outs, beam)
+    reduced = from_pruned(grammar, gmap.after_restriction(pr.vertex_map, pr.arc_map), pr.graph)
     sys.stdout.write(serialize_grammar(reduced))
     return EXIT_OK
 

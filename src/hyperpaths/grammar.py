@@ -27,7 +27,7 @@ from typing import Iterable, Union
 
 from .core import Hypergraph, Query, ValidationError
 from .inside import HyperpathTree
-from .textio import format_float
+from .textio import _NAME_RE, format_float
 
 SINK_NAME = "_OMEGA_"
 
@@ -144,17 +144,18 @@ def derivation_grammar(g: Wrtg) -> Wrtg:
 
 @dataclass(frozen=True, slots=True)
 class GrammarHypergraphMap:
-    """Bijections between a grammar and its hypergraph image.
+    """Index maps from a grammar's hypergraph image back to the grammar.
 
+    ``production_for_arc`` maps each arc to its production index and
+    ``vertex_for_nonterminal`` each nonterminal to its vertex; ``sink`` is
+    the fictitious source vertex, ``None`` once a restriction dropped it.
     After restricting or pruning the hypergraph, compose with the index maps
-    via :meth:`after_restriction`; the production map then covers exactly
-    the surviving arcs.
+    via :meth:`after_restriction`; both maps then cover exactly the
+    surviving arcs and vertices.
     """
 
     production_for_arc: dict[int, int]
-    arc_for_production: dict[int, int]
     vertex_for_nonterminal: dict[str, int]
-    nonterminal_for_vertex: dict[int, str]
     sink: int | None
     sink_name: str
 
@@ -173,9 +174,7 @@ class GrammarHypergraphMap:
         }
         return GrammarHypergraphMap(
             production_for_arc=pfa,
-            arc_for_production={p: a for a, p in pfa.items()},
             vertex_for_nonterminal=vfn,
-            nonterminal_for_vertex={v: nt for nt, v in vfn.items()},
             sink=vertex_map.get(self.sink) if self.sink is not None else None,
             sink_name=self.sink_name,
         )
@@ -227,9 +226,7 @@ def to_hypergraph(g: Wrtg) -> tuple[Hypergraph, Query, GrammarHypergraphMap]:
     query = Query(((sink, 0.0),), vertex_of[g.start])
     gmap = GrammarHypergraphMap(
         production_for_arc={i: i for i in graph.arc_indices},
-        arc_for_production={i: i for i in graph.arc_indices},
-        vertex_for_nonterminal=dict(vertex_of),
-        nonterminal_for_vertex={v: nt for nt, v in vertex_of.items()},
+        vertex_for_nonterminal=vertex_of,
         sink=sink,
         sink_name=sink_name,
     )
@@ -313,12 +310,12 @@ def format_derivation(g: Wrtg, tree: DerivationTree) -> str:
 
 # -- text format ------------------------------------------------------------
 
-_SYMBOL_RE = re.compile(r"^[^\s#(),:*@]+$")
 _TREE_TOKEN_RE = re.compile(r"[(),]|[^\s(),]+")
 
 
 def _check_symbol(sym: str, line: int | None = None) -> str:
-    if not _SYMBOL_RE.match(sym) or sym == "->":
+    # The hypergraph format's name characters; it reserves '<-', grammars '->'.
+    if not _NAME_RE.match(sym) or sym == "->":
         at = f" at line {line}" if line else ""
         raise GrammarError(f"invalid symbol {sym!r}{at}")
     return sym
@@ -392,10 +389,7 @@ def parse_grammar(text: str) -> Wrtg:
     if not rows:
         raise GrammarError("grammar has no productions")
 
-    nonterminal_order: list[str] = []
-    for _, _, lhs, _ in rows:
-        if lhs not in nonterminal_order:
-            nonterminal_order.append(lhs)
+    nonterminal_order = tuple(dict.fromkeys(lhs for _, _, lhs, _ in rows))
     nts = frozenset(nonterminal_order)
 
     alphabet: set[str] = set()
@@ -422,7 +416,7 @@ def parse_grammar(text: str) -> Wrtg:
         start = rows[0][2]
     elif start not in nts:
         raise GrammarError(f"start symbol {start!r} never appears as a lhs")
-    return Wrtg(frozenset(alphabet), tuple(nonterminal_order), start, tuple(productions))
+    return Wrtg(frozenset(alphabet), nonterminal_order, start, tuple(productions))
 
 
 def _format_rhs(rhs: Rhs) -> str:

@@ -54,8 +54,10 @@ def viterbi_outside(g: Hypergraph, ins: InsideResult, target: int) -> OutsideRes
 
     ``ins`` must come from the same graph and reach the target. Arcs with an
     unreached tail are never relaxed, so vertices that are not derivable
-    from the sources simply keep infinite outside cost; for meaningful
-    per-vertex values run this on a graph restricted to derivable vertices.
+    from the sources keep infinite outside cost and ``psi`` 0. Restricting
+    ``g`` to its derivable vertices first therefore changes nothing: outside
+    costs, ``psi`` (as input arcs) and the utilities and pruning built on
+    them equal those on the restriction, mapped back to ``g``'s ids.
     O(m log n + t) with the lazy binary heap.
     """
     if not 0 <= target < g.n:

@@ -234,6 +234,18 @@ def test_prune_grammar_empty_language_exit_2(capsys, tmp_path):
     assert "derives nothing" in err or "unreachable" in err
 
 
+def test_prune_grammar_overflow_exit_2(capsys, tmp_path):
+    # Every level triples the derivation cost of A0 (about 691), so the start
+    # symbol's cost overflows to inf although the grammar derives it. The
+    # message is outside's, as for `prune` on tests/golden/cli/overflow.hg;
+    # both pin today's behaviour of ROADMAP Open item 1.
+    levels = "".join(f"1: A{k} -> A{k - 1} A{k - 1} A{k - 1}\n" for k in range(1, 700))
+    path = tmp_path / "g.gr"
+    path.write_text(f"1: S -> A699\n{levels}1e-300: A0 -> a\n", encoding="utf-8")
+    code, out, err = run(capsys, "prune-grammar", "--beam", "1", str(path))
+    assert (code, out, err) == (2, "", "target 'S' is unreachable\n")
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("arc S <- w @ 1\nsource w 0\ntarget S\n"))
     code, out, _ = run(capsys, "inside", "-")

@@ -56,8 +56,11 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     **_graph_cases("f1.hg", "S"),
     **_graph_cases("random.hg", "v8"),
     **_graph_cases("unreachable.hg", "S"),
+    **_graph_cases("overflow.hg", "T"),
+    **_graph_cases("sparse.hg", "v12"),
     **_grammar_cases("f1.gr"),
     **_grammar_cases("empty.gr"),
+    **_grammar_cases("sparse.gr"),
     "bad beam": (["prune", "--beam", "soup", "f1.hg"], []),
     "missing file": (["inside", "no-such-file.hg"], []),
 }

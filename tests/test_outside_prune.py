@@ -13,7 +13,9 @@ from hyperpaths import (
     ValidationError,
     build,
     prune_relatively_useless,
+    reach_from,
     reduce,
+    restrict,
     utilities,
     viterbi_inside,
     viterbi_outside,
@@ -22,6 +24,8 @@ from hyperpaths import (
 from support import (
     collect_reduced_instances,
     oracle_gamma_tables,
+    random_hypergraph,
+    random_sources,
     random_weighted_instance,
     tree_elements,
 )
@@ -206,3 +210,51 @@ def test_prune_safety_and_monotonicity(reduced_instances):
             assert again.inside[pr.vertex_map[inst.target]] == pytest.approx(
                 inst.inside.inside[inst.target], abs=1e-12
             )
+
+
+def _read_back(values, index_map, ids, default):
+    """A restriction's ``values`` at the input ``ids``: through ``index_map``,
+    or ``default`` where the restriction dropped the id."""
+    return tuple(values[index_map[i]] if i in index_map else default for i in ids)
+
+
+def test_forward_restriction_changes_no_result():
+    """Inside, outside and prune on g equal the same passes on g restricted to
+    the vertices derivable from the sources, mapped back to g's ids: an
+    underivable vertex keeps infinite costs, and an arc with such a tail
+    never fires inside and is never relaxed outside."""
+    rng = Random(302)
+    dropped = 0
+    for _ in range(300):
+        g = random_hypergraph(rng, n_range=(1, 12), m_range=(0, 24))
+        sources = random_sources(rng, g)[: rng.randint(1, 2)]
+        rf = reach_from(g, [v for v, _ in sources])
+        target = rng.choice(rf.vertices())
+        rr = restrict(g, rf.vertices())
+        dropped += rr.graph.n < g.n
+        vmap, vertices = rr.vertex_map, range(g.n)
+        amap, arcs = {0: 0, **rr.arc_map}, range(g.num_arcs + 1)  # slot 0 is unused
+        arc_old = {new: old for old, new in amap.items()}
+
+        ins = viterbi_inside(g, sources)
+        outs = viterbi_outside(g, ins, target)
+        ins1 = viterbi_inside(rr.graph, tuple((vmap[v], c) for v, c in sources))
+        outs1 = viterbi_outside(rr.graph, ins1, vmap[target])
+        assert ins.inside == _read_back(ins1.inside, vmap, vertices, INF)
+        assert ins.pi == _read_back([arc_old[i] for i in ins1.pi], vmap, vertices, 0)
+        assert outs.outside == _read_back(outs1.outside, vmap, vertices, INF)
+        assert outs.psi == _read_back([arc_old[i] for i in outs1.psi], vmap, vertices, 0)
+        for beam in (0.0, 1.0, math.inf):
+            pr = prune_relatively_useless(g, ins, outs, beam)
+            pr1 = prune_relatively_useless(rr.graph, ins1, outs1, beam)
+            assert pr.gamma_vertices == _read_back(pr1.gamma_vertices, vmap, vertices, INF)
+            assert pr.gamma_arcs == _read_back(pr1.gamma_arcs, amap, arcs, INF)
+            assert pr.keep_vertices == _read_back(pr1.keep_vertices, vmap, vertices, False)
+            assert pr.keep_arcs == _read_back(pr1.keep_arcs, amap, arcs, False)
+            assert (pr.beam, pr.threshold) == (pr1.beam, pr1.threshold)
+            assert pr.graph == pr1.graph
+            composed_v = [(v, pr1.vertex_map[k]) for v, k in vmap.items() if k in pr1.vertex_map]
+            composed_a = [(i, pr1.arc_map[k]) for i, k in rr.arc_map.items() if k in pr1.arc_map]
+            assert list(pr.vertex_map.items()) == composed_v
+            assert list(pr.arc_map.items()) == composed_a
+    assert dropped >= 100, "most instances should have underivable vertices"
