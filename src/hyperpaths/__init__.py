@@ -13,108 +13,53 @@ The package provides, over ordered multi-hypergraphs with additive costs:
   back, mapping pruning results onto reduced grammars (:mod:`.grammar`);
 * brute-force reference implementations for testing (:mod:`.oracle`);
 * a text format (:mod:`.textio`) and a CLI (:mod:`.cli`).
+
+Importing the package loads none of these submodules; each public name
+below loads its submodule on first use.
 """
 
-from .core import (
-    INF,
-    FormatError,
-    Hyperarc,
-    Hypergraph,
-    InternalInvariantError,
-    Query,
-    RestrictResult,
-    UnreachableTargetError,
-    ValidationError,
-    build,
-    restrict,
-)
-from .grammar import (
-    DerivationTree,
-    GrammarError,
-    GrammarHypergraphMap,
-    Production,
-    RhsTree,
-    Wrtg,
-    best_derivation,
-    derivation_grammar,
-    from_pruned,
-    parse_grammar,
-    serialize_grammar,
-    to_hypergraph,
-    yield_nonterminals,
-)
-from .inside import (
-    AdditiveCost,
-    CostFunction,
-    HyperpathTree,
-    InsideResult,
-    extract_best_tree,
-    format_tree,
-    iter_nodes,
-    viterbi_inside,
-)
-from .oracle import Enumeration, EnumerationBudget, enumerate_trees, fixpoint_reach
-from .outside import (
-    OutsideResult,
-    PruneResult,
-    prune_relatively_useless,
-    utilities,
-    viterbi_outside,
-)
-from .reachability import ReachResult, ReduceResult, reach_from, reach_to, reduce
-from .textio import ParsedHypergraph, format_float, parse_hypergraph, serialize_hypergraph
+from importlib import import_module
+
+# Public name -> the submodule defining it. Each submodule is imported on
+# first use of one of its names (PEP 562), so a command that needs only the
+# graph algorithms never loads the grammar layer or the oracle.
+_HOME = {
+    name: module
+    for module, names in {
+        "core": "INF FormatError GrammarError Hyperarc Hypergraph InternalInvariantError "
+        "Query RestrictResult UnreachableTargetError ValidationError build restrict",
+        "grammar": "DerivationTree GrammarHypergraphMap Production RhsTree Wrtg "
+        "best_derivation derivation_grammar from_pruned parse_grammar serialize_grammar "
+        "to_hypergraph yield_nonterminals",
+        "inside": "AdditiveCost CostFunction HyperpathTree InsideResult extract_best_tree "
+        "format_tree iter_nodes viterbi_inside",
+        "oracle": "Enumeration EnumerationBudget enumerate_trees fixpoint_reach",
+        "outside": "OutsideResult PruneResult prune_relatively_useless utilities "
+        "viterbi_outside",
+        "reachability": "ReachResult ReduceResult reach_from reach_to reduce",
+        "textio": "ParsedHypergraph format_float parse_hypergraph serialize_hypergraph",
+    }.items()
+    for name in names.split()
+}
+_SUBMODULES = frozenset(_HOME.values())
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is not None:
+        value = getattr(import_module(f".{module}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INF",
-    "AdditiveCost",
-    "CostFunction",
-    "DerivationTree",
-    "Enumeration",
-    "EnumerationBudget",
-    "FormatError",
-    "GrammarError",
-    "GrammarHypergraphMap",
-    "Hyperarc",
-    "Hypergraph",
-    "HyperpathTree",
-    "InsideResult",
-    "InternalInvariantError",
-    "OutsideResult",
-    "ParsedHypergraph",
-    "Production",
-    "PruneResult",
-    "Query",
-    "ReachResult",
-    "ReduceResult",
-    "RestrictResult",
-    "RhsTree",
-    "UnreachableTargetError",
-    "ValidationError",
-    "Wrtg",
-    "best_derivation",
-    "build",
-    "derivation_grammar",
-    "enumerate_trees",
-    "extract_best_tree",
-    "fixpoint_reach",
-    "format_float",
-    "format_tree",
-    "from_pruned",
-    "iter_nodes",
-    "parse_grammar",
-    "parse_hypergraph",
-    "prune_relatively_useless",
-    "reach_from",
-    "reach_to",
-    "reduce",
-    "restrict",
-    "serialize_grammar",
-    "serialize_hypergraph",
-    "to_hypergraph",
-    "utilities",
-    "viterbi_inside",
-    "viterbi_outside",
-    "yield_nonterminals",
-]
+# ``INF`` first, then every other public name in sorted order.
+__all__ = ["INF", *sorted(_HOME.keys() - {"INF"})]

@@ -9,7 +9,6 @@ report stream to stderr. Exit codes: 0 success, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -17,18 +16,12 @@ from typing import Sequence
 
 from .core import (
     INF,
+    GrammarError,
     Hypergraph,
     InternalInvariantError,
     Query,
     UnreachableTargetError,
     ValidationError,
-)
-from .grammar import (
-    GrammarError,
-    from_pruned,
-    parse_grammar,
-    serialize_grammar,
-    to_hypergraph,
 )
 from .inside import InsideResult, extract_best_tree, format_tree, viterbi_inside
 from .outside import OutsideResult, prune_relatively_useless, viterbi_outside
@@ -75,8 +68,11 @@ def _require_target(parsed: ParsedHypergraph) -> int:
     return parsed.target
 
 
-def _fmt(x: float) -> str:
-    return format_float(x)
+def _rows(row_format: str, *columns) -> str:
+    """One ``row_format % row`` line per row of ``columns``, joined into the
+    one string that a single ``write`` emits. ``%.17g`` in a row format
+    prints what :func:`format_float` does."""
+    return "".join(map(row_format.__mod__, zip(*columns)))
 
 
 def _json_value(x: float) -> float | str:
@@ -96,16 +92,14 @@ def _cmd_reach_from(args: argparse.Namespace) -> int:
     parsed = _load(args.file)
     sources = _require_sources(parsed)
     result = reach_from(parsed.graph, [v for v, _ in sources])
-    for v in result.vertices():
-        print(parsed.graph.name_of(v))
+    sys.stdout.write(_rows("%s\n", map(parsed.graph.name_of, result.vertices())))
     return EXIT_OK
 
 
 def _cmd_reach_to(args: argparse.Namespace) -> int:
     parsed = _load(args.file)
     result = reach_to(parsed.graph, _require_target(parsed))
-    for v in result.vertices():
-        print(parsed.graph.name_of(v))
+    sys.stdout.write(_rows("%s\n", map(parsed.graph.name_of, result.vertices())))
     return EXIT_OK
 
 
@@ -122,8 +116,7 @@ def _cmd_inside(args: argparse.Namespace) -> int:
     parsed = _load(args.file)
     g = parsed.graph
     result = viterbi_inside(g, _require_sources(parsed))
-    for v in range(g.n):
-        print(f"{g.name_of(v)} {_fmt(result.inside[v])} {result.pi[v]}")
+    sys.stdout.write(_rows("%s %.17g %d\n", g._display, result.inside, result.pi))
     if parsed.target is not None and result.inside[parsed.target] == INF:
         print("target unreachable", file=sys.stderr)
         return EXIT_UNREACHABLE
@@ -137,7 +130,7 @@ def _cmd_best_tree(args: argparse.Namespace) -> int:
     result = viterbi_inside(g, _require_sources(parsed))
     tree = extract_best_tree(g, result, vertex)
     print(format_tree(tree, g.name_of))
-    print(_fmt(tree.cost))
+    print(format_float(tree.cost))
     return EXIT_OK
 
 
@@ -162,8 +155,7 @@ def _cmd_outside(args: argparse.Namespace) -> int:
     parsed = _load(args.file)
     g = parsed.graph
     _, outs = _inside_outside(g, parsed.query())
-    for v in range(g.n):
-        print(f"{g.name_of(v)} {_fmt(outs.outside[v])} {outs.psi[v]}")
+    sys.stdout.write(_rows("%s %.17g %d\n", g._display, outs.outside, outs.psi))
     return EXIT_OK
 
 
@@ -179,12 +171,12 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     target2 = pr.vertex_map[query.target]
     sys.stdout.write(serialize_hypergraph(pr.graph, sources2, target2))
 
-    vertices = zip(
-        map(g.name_of, range(g.n)), ins.inside, outs.outside, pr.gamma_vertices, pr.keep_vertices
-    )
-    arcs = zip(g.arc_indices, pr.gamma_arcs[1:], pr.keep_arcs[1:])
+    vertices = (g._display, ins.inside, outs.outside, pr.gamma_vertices, pr.keep_vertices)
+    arcs = (g.arc_indices, pr.gamma_arcs[1:], pr.keep_arcs[1:])
     best = ins.inside[query.target]
     if args.report == "json":
+        import json
+
         report = {
             "vertices": [
                 {
@@ -194,7 +186,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
                     "gamma": _json_value(gamma),
                     "keep": keep,
                 }
-                for name, inside, outside, gamma, keep in vertices
+                for name, inside, outside, gamma, keep in zip(*vertices)
             ],
             "arcs": [
                 {
@@ -205,21 +197,17 @@ def _cmd_prune(args: argparse.Namespace) -> int:
                     "gamma": _json_value(gamma),
                     "keep": keep,
                 }
-                for i, gamma, keep in arcs
+                for i, gamma, keep in zip(*arcs)
             ],
             "best": _json_value(best),
         }
         print(json.dumps(report), file=sys.stderr)
     else:
-        for name, inside, outside, gamma, keep in vertices:
-            print(
-                f"vertex {name} inside {_fmt(inside)} outside {_fmt(outside)} "
-                f"gamma {_fmt(gamma)} keep {int(keep)}",
-                file=sys.stderr,
-            )
-        for i, gamma, keep in arcs:
-            print(f"arc {i} gamma {_fmt(gamma)} keep {int(keep)}", file=sys.stderr)
-        print(f"best {_fmt(best)}", file=sys.stderr)
+        sys.stderr.write(
+            _rows("vertex %s inside %.17g outside %.17g gamma %.17g keep %d\n", *vertices)
+            + _rows("arc %d gamma %.17g keep %d\n", *arcs)
+            + "best %.17g\n" % best
+        )
     return EXIT_OK
 
 
@@ -234,6 +222,8 @@ def _parse_beam(text: str) -> float:
 
 
 def _cmd_from_grammar(args: argparse.Namespace) -> int:
+    from .grammar import parse_grammar, to_hypergraph
+
     grammar = parse_grammar(_read_text(args.file))
     graph, query, gmap = to_hypergraph(grammar)
     map_path = args.map
@@ -250,6 +240,8 @@ def _cmd_from_grammar(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune_grammar(args: argparse.Namespace) -> int:
+    from .grammar import from_pruned, parse_grammar, serialize_grammar, to_hypergraph
+
     beam = _parse_beam(args.beam)
     grammar = parse_grammar(_read_text(args.file))
     graph, query, gmap = to_hypergraph(grammar)

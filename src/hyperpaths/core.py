@@ -40,6 +40,13 @@ class FormatError(ValidationError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+class GrammarError(ValueError):
+    """A grammar violates an invariant or cannot be converted.
+
+    Defined here, with the other error classes, so that the CLI can catch it
+    without importing :mod:`.grammar`, which re-exports it."""
+
+
 class UnreachableTargetError(RuntimeError):
     """The requested vertex cannot be reached, so the operation has no result."""
 
@@ -179,6 +186,11 @@ class Hypergraph:
     indices of arcs in which ``v`` occurs as a tail (each arc at most once),
     ``backward[v]`` the arcs whose head is ``v``.
 
+    Display names (:meth:`name_of`) are ``names`` itself when every vertex is
+    named. The name-to-id map behind :meth:`id_of` is built on its first
+    call, since most graphs never look a name up; filling it is idempotent,
+    so a graph stays safe to share across threads.
+
     The constructor trusts its arguments: every head and tail must be a
     vertex id below ``len(names)``, every length finite and nonnegative, and
     named vertices distinct. Construct from unchecked data through
@@ -212,34 +224,40 @@ class Hypergraph:
         dtails: list[tuple[tuple[int, int], ...]] | None = None,
     ) -> None:
         n = len(names)
-        name_to_id = {name: v for v, name in enumerate(names) if name is not None}
-        display = list(names)
-        for v, name in enumerate(names):
-            if name is None:
-                candidate = f"v{v}"
-                while candidate in name_to_id:
-                    candidate = "_" + candidate
-                name_to_id[candidate] = v
-                display[v] = candidate
+        display = names
+        if None in names:
+            taken = set(names)
+            display = list(names)
+            for v, name in enumerate(names):
+                if name is None:
+                    candidate = f"v{v}"
+                    while candidate in taken:
+                        candidate = "_" + candidate
+                    taken.add(candidate)
+                    display[v] = candidate
+            display = tuple(display)
 
         if dtails is None:
-            dtails = [_distinct_tails(pairs) for pairs in tails]
+            # ``_distinct_tails`` with its shortcut for one pair and for two
+            # pairs on different vertices taken inline.
+            dtails = [
+                p if len(p) == 1 or (len(p) == 2 and p[0][0] != p[1][0]) else _distinct_tails(p)
+                for p in tails
+            ]
         forward: list[list[int]] = [[] for _ in range(n)]
         backward: list[list[int]] = [[] for _ in range(n)]
-        size = n
-        for i in range(1, len(heads)):
-            backward[heads[i]].append(i)
-            for v, _ in dtails[i]:
+        for i, head, pairs in zip(range(1, len(heads)), heads[1:], dtails[1:]):
+            backward[head].append(i)
+            for v, _ in pairs:
                 forward[v].append(i)
-            size += 1 + len(tails[i])
 
         self.n = n
         self.names = names
-        self.forward = tuple(tuple(a) for a in forward)
-        self.backward = tuple(tuple(a) for a in backward)
-        self.input_size = size
-        self._display = tuple(display)
-        self._name_to_id = name_to_id
+        self.forward = tuple(map(tuple, forward))
+        self.backward = tuple(map(tuple, backward))
+        self.input_size = n + len(heads) - 1 + sum(map(len, tails))
+        self._display = display
+        self._name_to_id: dict[str, int] | None = None
         self._heads = heads
         self._tails = tails
         self._lengths = lengths
@@ -271,6 +289,9 @@ class Hypergraph:
         return self._display[v]
 
     def id_of(self, name: str) -> int:
+        """Id of the vertex whose display name is ``name``."""
+        if self._name_to_id is None:
+            self._name_to_id = dict(zip(self._display, range(self.n)))
         try:
             return self._name_to_id[name]
         except KeyError:

@@ -25,15 +25,11 @@ import re
 from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
-from .core import Hypergraph, Query, ValidationError
+from .core import GrammarError, Hypergraph, Query, ValidationError
 from .inside import HyperpathTree
 from .textio import _NAME_RE, format_float
 
 SINK_NAME = "_OMEGA_"
-
-
-class GrammarError(ValueError):
-    """A grammar violates an invariant or cannot be converted."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,8 +310,9 @@ _TREE_TOKEN_RE = re.compile(r"[(),]|[^\s(),]+")
 
 
 def _check_symbol(sym: str, line: int | None = None) -> str:
-    # The hypergraph format's name characters; it reserves '<-', grammars '->'.
-    if not _NAME_RE.match(sym) or sym == "->":
+    # The hypergraph format's name characters and both arrows: grammars
+    # reserve '->', and '<-' could not be written as a vertex name.
+    if not _NAME_RE.match(sym) or sym in ("->", "<-"):
         at = f" at line {line}" if line else ""
         raise GrammarError(f"invalid symbol {sym!r}{at}")
     return sym
@@ -363,7 +360,7 @@ def parse_grammar(text: str) -> Wrtg:
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "start" and ":" not in line:
+        if tokens[0] == "start":
             if len(tokens) != 2:
                 raise GrammarError(f"line {lineno}: expected 'start <name>'")
             if start is not None:

@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .core import FormatError, Hypergraph, Query, ValidationError
+from .core import INF, FormatError, Hypergraph, Query, ValidationError
 
 _NAME_RE = re.compile(r"^[^\s#*@(),:]+$")
 
@@ -64,18 +64,42 @@ class ParsedHypergraph:
         return Query(self.sources, self.target)
 
 
+def _bad_length(token: str, line: int) -> FormatError:
+    """The error for a length token that parses as NaN (checked first), a
+    negative number or an infinite one."""
+    if _parse_number(token, line, "length") < 0:
+        return FormatError(f"negative length {token}", line)
+    return FormatError("length must be finite", line)
+
+
 def parse_hypergraph(text: str) -> ParsedHypergraph:
     """Parse the text format. Errors report 1-based line numbers."""
-    order: dict[str, int] = {}
+    # Vertex name -> its ``(id, 1)`` pair, which every plain mention of the
+    # name as a tail shares. A name in ``known`` has passed the check, so
+    # each name is checked once.
+    known: dict[str, tuple[int, int]] = {}
 
     def vid(name: str, line: int) -> int:
-        # A name in ``order`` has passed the check, so each name is checked once.
-        v = order.get(name)
-        if v is None:
+        pair = known.get(name)
+        if pair is None:
             if not _NAME_RE.match(name) or name == "<-":
                 raise FormatError(f"invalid vertex name {name!r}", line)
-            v = order[name] = len(order)
-        return v
+            pair = known[name] = (len(known), 1)
+        return pair[0]
+
+    def tail(token: str, line: int) -> tuple[int, int]:
+        # ``token`` is not a known name: a new name, or one with a '*'.
+        name, star, mult_text = token.partition("*")
+        if not star:
+            vid(name, line)
+            return known[name]
+        try:
+            mult = int(mult_text)
+        except ValueError:
+            raise FormatError(f"bad multiplicity in {token!r}", line) from None
+        if mult < 1:
+            raise FormatError(f"multiplicity must be >= 1 in {token!r}", line)
+        return (vid(name, line), mult)
 
     heads, tails, lengths = [0], [()], [0.0]
     sources: list[tuple[int, float]] = []
@@ -89,11 +113,7 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
         if not tokens:
             continue
         kind = tokens[0]
-        if kind == "vertex":
-            if len(tokens) != 2:
-                raise FormatError("expected: vertex <name>", lineno)
-            vid(tokens[1], lineno)
-        elif kind == "arc":
+        if kind == "arc":
             if len(tokens) < 6 or tokens[2] != "<-":
                 raise FormatError(
                     "expected: arc <head> <- <tail>[*<mult>] ... @ <length>", lineno
@@ -104,36 +124,25 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
                 raise FormatError("arc line is missing '@ <length>'", lineno) from None
             if at != len(tokens) - 2:
                 raise FormatError("expected a single length after '@'", lineno)
-            head = vid(tokens[1], lineno)
-            tail_tokens = tokens[3:at]
-            if not tail_tokens:
-                raise FormatError("arc must have at least one tail", lineno)
-            pairs: list[tuple[int, int]] = []
-            for tok in tail_tokens:
-                v = order.get(tok)
-                if v is not None:
-                    # A known name holds no '*', so the token is the name alone.
-                    pairs.append((v, 1))
-                    continue
-                name, star, mult_text = tok.partition("*")
-                if star:
-                    try:
-                        mult = int(mult_text)
-                    except ValueError:
-                        raise FormatError(f"bad multiplicity in {tok!r}", lineno) from None
-                    if mult < 1:
-                        raise FormatError(f"multiplicity must be >= 1 in {tok!r}", lineno)
-                else:
-                    mult = 1
-                pairs.append((vid(name, lineno), mult))
-            length = _parse_number(tokens[-1], lineno, "length")
-            if length < 0:
-                raise FormatError(f"negative length {tokens[-1]}", lineno)
-            if length == math.inf:
-                raise FormatError("length must be finite", lineno)
-            heads.append(head)
+            # The checks above leave at least one tail token, before ``at``.
+            pair = known.get(tokens[1])
+            heads.append(pair[0] if pair is not None else vid(tokens[1], lineno))
+            pairs = []
+            for tok in tokens[3:at]:
+                # A known name holds no '*', so such a token is the name alone.
+                pairs.append(known.get(tok) or tail(tok, lineno))
             tails.append(tuple(pairs))
+            try:
+                length = float(tokens[-1])
+            except ValueError:
+                raise FormatError(f"bad length {tokens[-1]!r}", lineno) from None
+            if not 0 <= length < INF:  # NaN fails this test too
+                raise _bad_length(tokens[-1], lineno)
             lengths.append(length)
+        elif kind == "vertex":
+            if len(tokens) != 2:
+                raise FormatError("expected: vertex <name>", lineno)
+            vid(tokens[1], lineno)
         elif kind == "source":
             if len(tokens) not in (2, 3):
                 raise FormatError("expected: source <name> [<initialCost>]", lineno)
@@ -155,7 +164,7 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
             raise FormatError(f"unknown directive {kind!r}", lineno)
 
     # Every token has been checked above, so the graph is built unchecked.
-    graph = Hypergraph(tuple(order), heads, tails, lengths)
+    graph = Hypergraph(tuple(known), heads, tails, lengths)
     return ParsedHypergraph(graph, tuple(sources), target)
 
 
@@ -165,18 +174,14 @@ def serialize_hypergraph(
     target: int | None = None,
 ) -> str:
     """Canonical text form: all vertices, then arcs, sources, target."""
-    lines: list[str] = []
-    for v in range(g.n):
-        lines.append(f"vertex {check_name(g.name_of(v))}")
+    names = g._display
+    lines = [f"vertex {check_name(name)}\n" for name in names]
+    heads, tails, lengths = g._heads, g._tails, g._lengths
     for i in g.arc_indices:
-        tails = " ".join(
-            g.name_of(v) if m == 1 else f"{g.name_of(v)}*{m}" for v, m in g._tails[i]
-        )
-        lines.append(
-            f"arc {g.name_of(g._heads[i])} <- {tails} @ {format_float(g._lengths[i])}"
-        )
+        text = " ".join([names[v] if m == 1 else f"{names[v]}*{m}" for v, m in tails[i]])
+        lines.append("arc %s <- %s @ %.17g\n" % (names[heads[i]], text, lengths[i]))
     for v, cost in sources:
-        lines.append(f"source {g.name_of(v)} {format_float(cost)}")
+        lines.append("source %s %.17g\n" % (names[v], cost))
     if target is not None:
-        lines.append(f"target {g.name_of(target)}")
-    return "".join(line + "\n" for line in lines)
+        lines.append(f"target {names[target]}\n")
+    return "".join(lines)

@@ -58,7 +58,7 @@ CASES: dict[str, str] = {
     "lone )": "0.5: S -> a )\n",
     "nonterminal as an internal node": "0.5: S -> a\n0.5: T -> S(a)\n",
     "nonterminal as a leaf of a tree": "0.5: S -> f(T, a)\n0.5: T -> b\n",
-    # '->' is reserved in grammars, '<-' is not
+    # '->' and '<-' are reserved in grammars
     "-> as a flat rhs symbol": "0.5: S -> a -> b\n",
     "-> as a tree leaf": "0.5: S -> f(->)\n",
     "-> as start": "start ->\n0.5: S -> a\n",

@@ -76,6 +76,25 @@ CASES: dict[str, str] = {
     "source cost -1": "vertex A\nsource A -1\n",
     "source cost -0": "vertex A\nsource A -0\n",
     "duplicate source": "vertex A\nsource A\nsource A 1\n",
+    # '@' among the tails
+    "@ as the only tail": "arc S <- @ @ 1\n",
+    "@ as a later tail": "arc S <- A @ B @ 1\n",
+    "@ twice before the length": "arc S <- A @ @ 1\n",
+    # a name with and without '*1'
+    "A*1 before bare A": "arc S <- A*1 @ 1\narc T <- A @ 2\n",
+    "bare A before A*1": "arc S <- A @ 1\narc T <- A*1 @ 2\n",
+    "A*1 then A in one arc": "arc S <- A*1 A @ 1\n",
+    # heads first seen as tails, and the reverse
+    "head first seen as a tail": "arc S <- A B @ 1\narc B <- A @ 2\narc A <- S @ 3\n",
+    "tail first seen as a head": "arc A <- B @ 1\narc S <- A A*2 @ 2\n",
+    # a vertex repeated in one tail list
+    "repeated tail": "arc S <- A A @ 1\n",
+    "repeated tail apart": "arc S <- A B A @ 1\n",
+    "repeated tail with multiplicities": "arc S <- A*2 B A*3 B @ 1\n",
+    "repeated tail is the head": "arc S <- S A S @ 1\n",
+    # whitespace
+    "tabs between tokens": "vertex\tA\narc\tS\t<-\tA\tB*2\t@\t1.5\nsource\tA\t0.25\ntarget\tS\n",
+    "tabs and spaces mixed": " \tarc S\t <- \tA  @\t\t1 \t\n",
 }
 
 

@@ -1,0 +1,81 @@
+"""What ``import hyperpaths`` and a CLI run load.
+
+The package resolves its public names on first use, so a graph command
+never imports the grammar layer, the brute-force oracle or ``json``; and
+the lazy names still behave like the eager ones did.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hyperpaths
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
+F1 = HERE / "golden" / "cli" / "f1.hg"
+
+# Runs the CLI as ``python -m hyperpaths.cli`` does, then prints its exit
+# code and which of the unwanted modules it left loaded.
+_RUN_CLI = """
+import runpy, sys
+try:
+    runpy.run_module("hyperpaths.cli", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+unwanted = ("hyperpaths.grammar", "hyperpaths.oracle", "json")
+print("exit", code, "loaded", *[m for m in unwanted if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["prune", "--beam", "1", str(F1)],
+        ["inside", str(F1)],
+        ["best-tree", "--vertex", "S", str(F1)],
+    ],
+    ids=["help", "prune", "inside", "best-tree"],
+)
+def test_graph_commands_load_no_grammar_oracle_or_json(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "exit 0 loaded"
+
+
+# In a fresh interpreter: names and submodules resolve on first use.
+_RESOLVE = """
+import sys
+import hyperpaths
+loaded = sorted(m for m in sys.modules if m.startswith("hyperpaths."))
+print(*loaded, hyperpaths.enumerate_trees.__module__, hyperpaths.Wrtg.__module__,
+      hyperpaths.core.__name__, hyperpaths.core.Hypergraph is hyperpaths.Hypergraph)
+"""
+
+
+def test_lazy_names_behave_like_eager_ones():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RESOLVE], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == [
+        "hyperpaths.oracle", "hyperpaths.grammar", "hyperpaths.core", "True"
+    ]
+
+    namespace: dict = {}
+    exec("from hyperpaths import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hyperpaths.__all__)
+    assert set(hyperpaths.__all__) <= set(dir(hyperpaths))
+    assert hyperpaths.GrammarError is hyperpaths.grammar.GrammarError
+    with pytest.raises(AttributeError):
+        hyperpaths.no_such_name

@@ -48,6 +48,7 @@ def stored(g, names: bool = True) -> tuple:
         g.n,
         g.names if names else None,
         tuple(g.name_of(v) for v in range(g.n)),
+        tuple(g.id_of(g.name_of(v)) for v in range(g.n)),
         g._heads,
         g._tails,
         g._lengths,
