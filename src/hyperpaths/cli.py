@@ -141,13 +141,15 @@ def _inside_outside(
 
     Vertices that no source derives keep infinite inside and outside costs,
     and arcs with such a tail never fire or relax, so every value equals the
-    one on ``g`` restricted to the derivable vertices. A target that
-    ``reach_from`` does not reach raises ``unreachable``; a reached target
-    whose inside cost overflowed to ``inf`` raises ``viterbi_outside``'s error.
+    one on ``g`` restricted to the derivable vertices. A target with
+    infinite inside cost raises ``unreachable`` when ``reach_from`` does not
+    reach it, and ``viterbi_outside``'s error when its cost overflowed.
     """
-    if not reach_from(g, query.source_vertices()).reached[query.target]:
-        raise UnreachableTargetError(unreachable)
     ins = viterbi_inside(g, query.sources)
+    if ins.inside[query.target] == INF and not (
+        reach_from(g, query.source_vertices()).reached[query.target]
+    ):
+        raise UnreachableTargetError(unreachable)
     return ins, viterbi_outside(g, ins, query.target)
 
 

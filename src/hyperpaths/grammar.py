@@ -100,6 +100,9 @@ class Wrtg:
     productions: tuple[Production, ...]
 
     def __post_init__(self) -> None:
+        # Every symbol must be writable, so serialize_grammar need not check.
+        for sym in (*self.nonterminals, *sorted(self.alphabet)):
+            _check_symbol(sym)
         nts = set(self.nonterminals)
         if len(nts) != len(self.nonterminals):
             raise GrammarError("duplicate nonterminal")
@@ -115,11 +118,6 @@ class Wrtg:
                     raise GrammarError(
                         f"production {idx}: nonterminal {sym!r} used as an internal node"
                     )
-
-    def production(self, i: int) -> Production:
-        if not 1 <= i <= len(self.productions):
-            raise GrammarError(f"production index {i} out of range")
-        return self.productions[i - 1]
 
     def production_label(self, i: int) -> str:
         return f"p{i}"
@@ -426,10 +424,8 @@ def _format_rhs(rhs: Rhs) -> str:
 
 def serialize_grammar(g: Wrtg) -> str:
     """Emit the grammar in the input format, start directive first."""
-    lines = [f"start {_check_symbol(g.start)}"]
+    lines = [f"start {g.start}"]
     for p in g.productions:
-        for sym, _ in _rhs_symbols(p.rhs):
-            _check_symbol(sym)
         rhs = _format_rhs(p.rhs)
         lines.append(f"{format_float(p.weight)}: {p.lhs} -> {rhs}".rstrip())
     return "".join(line + "\n" for line in lines)

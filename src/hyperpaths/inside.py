@@ -1,11 +1,11 @@
 """Viterbi inside costs: cheapest hyperpath-trees from a source set.
 
 ``viterbi_inside`` generalizes Dijkstra's algorithm to hypergraphs. Vertices
-are settled in nondecreasing cost order; an arc accumulates the costs of its
-distinct tails as they settle (one BIND per distinct tail) and fires once the
-last one does, possibly improving its head. Correctness rests on the cost
-functions being superior: an arc's cost is at least the cost of each bound
-tail, so a fired arc can never improve an already settled vertex.
+are settled in nondecreasing cost order; an arc binds its distinct tails as
+they settle (one BIND per distinct tail) and fires once the last one does,
+possibly improving its head. Correctness rests on the cost functions being
+superior: an arc's cost is at least the cost of each bound tail, so a fired
+arc can never improve an already settled vertex.
 
 The priority queue is a binary heap with decrease-key done by lazy
 re-insertion and a stale-entry skip on extraction, giving O(m log n + t);
@@ -99,12 +99,15 @@ def viterbi_inside(
     the lower vertex id, and ``pi`` keeps the first arc reaching a vertex's
     minimum (improvements are strict), so outputs are deterministic.
 
-    ``use_guard`` keeps the "skip arcs that already cannot improve their
-    head" shortcut; with additive costs it never changes results and exists
-    as a toggle so that can be verified. ``cost_factory`` switches to
-    caller-supplied :class:`CostFunction` state per arc; the default is the
-    additive family on a fast array path. Zero-length arcs, self-loops and
-    cycles are fine: a settled vertex can never be improved again.
+    ``use_guard`` keeps the shortcut that skips an arc, unbound, when the
+    vertex being settled already costs at least its head's current cost; by
+    superiority the arc can then never improve the head. It changes only
+    ``binds``, never ``inside`` or ``pi``, for every superior cost family,
+    and exists as a toggle so that can be verified. ``cost_factory``
+    switches to caller-supplied :class:`CostFunction` state per arc; the
+    default is the additive family, summed inline when an arc fires.
+    Zero-length arcs, self-loops and cycles are fine: a settled vertex can
+    never be improved again.
     """
     sources = check_sources(sources)
     for v, _ in sources:
@@ -118,16 +121,10 @@ def viterbi_inside(
     heap: list[tuple[float, int]] = [(c, v) for v, c in sources]
     heapq.heapify(heap)
 
-    m = g.num_arcs
     remaining = [len(d) for d in g._dtails]
-    acc: list[float] | None = None
-    costs: list[CostFunction | None] | None = None
-    if cost_factory is None:
-        acc = list(g._lengths)
-    else:
-        costs = [None] * (m + 1)
-        for i in range(1, m + 1):
-            costs[i] = cost_factory(g, i)
+    costs: list | None = None  # per-arc CostFunction state, index 0 unused
+    if cost_factory is not None:
+        costs = [None] + [cost_factory(g, i) for i in g.arc_indices]
 
     settled = bytearray(n)
     heads = g._heads
@@ -150,43 +147,30 @@ def viterbi_inside(
         cy = inside[y]
         for i in forward[y]:
             h = heads[i]
-            if acc is not None:
-                a = acc[i]
-                if use_guard and a >= inside[h]:
-                    continue
-                mult = 0
-                for t, mm in dtails[i]:
-                    if t == y:
-                        mult = mm
-                        break
-                acc[i] = a + mult * cy
-                binds += 1
-                remaining[i] -= 1
-                if remaining[i] == 0:
+            # The guard. By superiority the arc costs at least cy; so does the
+            # additive sum below in floats, as its terms are nonnegative and
+            # rounding is monotone, making it at least mult * cy >= cy. As
+            # inside[h] only decreases, once cy >= inside[h] the arc can never
+            # strictly improve h, so it is neither bound nor fired.
+            if use_guard and cy >= inside[h]:
+                continue
+            binds += 1
+            if costs is not None:
+                costs[i].bind(y, cy)
+            remaining[i] -= 1
+            if remaining[i] == 0:
+                if costs is None:
                     # All tails settled, so finite. Hypergraph.arc_total_cost
                     # inlined, in its order, so the value agrees with it bitwise.
                     c = lengths[i]
                     for t, mm in dtails[i]:
                         c += mm * inside[t]
-                    if c < inside[h]:
-                        inside[h] = c
-                        pi[h] = i
-                        push(heap, (c, h))
-            else:
-                assert costs is not None
-                fn = costs[i]
-                assert fn is not None
-                if use_guard and fn.inf() >= inside[h]:
-                    continue
-                fn.bind(y, cy)
-                binds += 1
-                remaining[i] -= 1
-                if remaining[i] == 0:
-                    c = fn.inf()
-                    if c < inside[h]:
-                        inside[h] = c
-                        pi[h] = i
-                        push(heap, (c, h))
+                else:
+                    c = costs[i].inf()
+                if c < inside[h]:
+                    inside[h] = c
+                    pi[h] = i
+                    push(heap, (c, h))
 
     return InsideResult(tuple(inside), tuple(pi), binds)
 

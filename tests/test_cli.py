@@ -9,6 +9,7 @@ from hyperpaths import (
     Query,
     parse_grammar,
     parse_hypergraph,
+    reach_from,
     reduce,
     serialize_hypergraph,
 )
@@ -141,6 +142,22 @@ def test_prune_unreachable_exit_2(capsys, tmp_path):
     path.write_text(UNREACHABLE_TEXT, encoding="utf-8")
     code, _, err = run(capsys, "prune", "--beam", "1", str(path))
     assert code == 2 and "unreachable" in err
+
+
+def test_prune_runs_reach_from_only_for_infinite_target(capsys, monkeypatch, f1_file, tmp_path):
+    calls = []
+
+    def counting_reach_from(*args):
+        calls.append(args)
+        return reach_from(*args)
+
+    monkeypatch.setattr("hyperpaths.cli.reach_from", counting_reach_from)
+    code, _, _ = run(capsys, "prune", "--beam", "1", f1_file)
+    assert code == 0 and len(calls) == 0
+    path = tmp_path / "u.hg"
+    path.write_text(UNREACHABLE_TEXT, encoding="utf-8")
+    code, _, err = run(capsys, "prune", "--beam", "1", str(path))
+    assert code == 2 and err == "target unreachable\n" and len(calls) == 1
 
 
 def test_prune_json_report(capsys, f1_file):

@@ -146,6 +146,13 @@ def test_to_hypergraph_preserves_interleaved_occurrences():
     assert graph2.arc(1).occurrences() == (1, 1)
 
 
+def test_wrtg_rejects_unwritable_symbols_when_built():
+    with pytest.raises(GrammarError, match="invalid symbol 'a b'"):
+        Wrtg(frozenset({"a b"}), ("S",), "S", (Production("S", ("a b",), 0.5),))
+    with pytest.raises(GrammarError, match="invalid symbol 'a b'"):
+        Wrtg(frozenset({"a"}), ("a b",), "a b", (Production("a b", ("a",), 0.5),))
+
+
 def test_to_hypergraph_rejects_superunit_weight():
     g = Wrtg(frozenset({"a"}), ("S",), "S", (Production("S", ("a",), 1.5),))
     with pytest.raises(GrammarError, match="production 1.*above 1"):

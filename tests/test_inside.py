@@ -92,12 +92,13 @@ def test_pi_consistency_random():
             assert result.inside[v] == g.arc_total_cost(i, result.inside)
 
 
-def test_guard_is_pure_optimization():
+@pytest.mark.parametrize("cost_factory", [None, AdditiveCost], ids=["default", "AdditiveCost"])
+def test_guard_is_pure_optimization(cost_factory):
     rng = Random(202)
     for _ in range(80):
         g, sources = random_weighted_instance(rng)
-        with_guard = viterbi_inside(g, sources, use_guard=True)
-        without = viterbi_inside(g, sources, use_guard=False)
+        with_guard = viterbi_inside(g, sources, cost_factory=cost_factory, use_guard=True)
+        without = viterbi_inside(g, sources, cost_factory=cost_factory, use_guard=False)
         assert with_guard.inside == without.inside
         assert with_guard.pi == without.pi
         assert with_guard.binds <= without.binds
@@ -110,6 +111,19 @@ def test_bind_counts(f1, f2):
     # the guard skips the self-loop bind entirely
     assert viterbi_inside(f2, [(0, 0.0)]).binds == 1
     assert viterbi_inside(f2, [(0, 0.0)], use_guard=False).binds == 2
+    # S settles first and fires H <- S (1), A <- S (2) and B <- S (3). When A
+    # settles at 2 >= inside[H] = 1, A alone rules out H <- A B (length 0),
+    # so neither of its tails is bound.
+    arcs = (
+        Hyperarc(3, ((0, 1),), 1.0),
+        Hyperarc(1, ((0, 1),), 2.0),
+        Hyperarc(3, ((1, 1), (2, 1)), 0.0),
+        Hyperarc(2, ((0, 1),), 3.0),
+    )
+    g = build(4, arcs)
+    for factory in (None, AdditiveCost):
+        assert viterbi_inside(g, [(0, 0.0)], cost_factory=factory).binds == 3
+        assert viterbi_inside(g, [(0, 0.0)], cost_factory=factory, use_guard=False).binds == 5
 
 
 def test_non_superior_cost_function_trips_monotonicity_check():
