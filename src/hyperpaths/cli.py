@@ -44,11 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -233,11 +233,15 @@ def _cmd_from_grammar(args: argparse.Namespace) -> int:
         if args.file == "-":
             raise _UsageError("--map is required when the grammar comes from stdin")
         map_path = args.file + ".map"
-    sys.stdout.write(serialize_hypergraph(graph, query.sources, query.target))
     lines = "".join(
         f"{arc} {production}\n" for arc, production in sorted(gmap.production_for_arc.items())
     )
-    Path(map_path).write_text(lines, encoding="utf-8")
+    # The map first, so that a map that cannot be written leaves stdout empty.
+    try:
+        Path(map_path).write_text(lines, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {map_path}: {exc}") from exc
+    sys.stdout.write(serialize_hypergraph(graph, query.sources, query.target))
     return EXIT_OK
 
 
@@ -266,10 +270,9 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, needs_file: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        if needs_file:
-            p.add_argument("file", help="input file, or - for stdin")
+        p.add_argument("file", help="input file, or - for stdin")
         p.set_defaults(func=func)
         return p
 

@@ -80,8 +80,6 @@ def _check_names(names: Sequence[str | None]) -> None:
 def _distinct_tails(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """One ``(vertex, total multiplicity)`` pair per distinct tail vertex, in
     order of first occurrence; ``pairs`` itself when its vertices are distinct."""
-    if len(pairs) == 1 or (len(pairs) == 2 and pairs[0][0] != pairs[1][0]):
-        return pairs
     total: dict[int, int] = {}
     for v, m in pairs:
         total[v] = total.get(v, 0) + m
@@ -238,8 +236,7 @@ class Hypergraph:
             display = tuple(display)
 
         if dtails is None:
-            # ``_distinct_tails`` with its shortcut for one pair and for two
-            # pairs on different vertices taken inline.
+            # One pair, or two on different vertices, are distinct already.
             dtails = [
                 p if len(p) == 1 or (len(p) == 2 and p[0][0] != p[1][0]) else _distinct_tails(p)
                 for p in tails

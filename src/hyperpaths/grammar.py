@@ -274,32 +274,34 @@ def best_derivation(
 ) -> tuple[DerivationTree, float]:
     """Relabel a hyperpath-tree from the converted hypergraph into the
     corresponding derivation tree; the weight is exp(-cost), equal to the
-    product of the used production weights."""
+    product of the used production weights.
 
-    def convert(node: HyperpathTree) -> DerivationTree:
+    A subtree shared between repeated tails, as :func:`extract_best_tree`
+    builds them, is converted once and shared in the result too."""
+    if tree.arc == 0:
+        raise ValidationError("a bare source leaf corresponds to no derivation")
+    # Post-order over distinct nodes, keyed by identity: a node is looked up
+    # on its first visit and built, after its children, on its second.
+    built: dict[int, DerivationTree] = {}
+    stack: list[tuple[HyperpathTree, int]] = [(tree, 0)]
+    while stack:
+        node, production = stack.pop()
+        if id(node) in built:
+            continue
+        if production:
+            kids = tuple(built[id(c)] for c in node.children if c.arc)
+            built[id(node)] = DerivationTree(production, kids)
+            continue
         production = gmap.production_for_arc.get(node.arc)
         if production is None:
             raise ValidationError(f"arc {node.arc} maps to no production")
-        kids = []
+        stack.append((node, production))
         for child in node.children:
-            if child.arc == 0:
-                if child.vertex != gmap.sink:
-                    raise ValidationError("tree leaf is not the grammar sink")
-                continue
-            kids.append(convert(child))
-        return DerivationTree(production, tuple(kids))
-
-    if tree.arc == 0:
-        raise ValidationError("a bare source leaf corresponds to no derivation")
-    return convert(tree), math.exp(-tree.cost)
-
-
-def format_derivation(g: Wrtg, tree: DerivationTree) -> str:
-    """Render as nested production labels, e.g. ``p3(p1, p2)``."""
-    label = g.production_label(tree.production)
-    if not tree.children:
-        return label
-    return f"{label}({', '.join(format_derivation(g, c) for c in tree.children)})"
+            if child.arc:
+                stack.append((child, 0))
+            elif child.vertex != gmap.sink:
+                raise ValidationError("tree leaf is not the grammar sink")
+    return built[id(tree)], math.exp(-tree.cost)
 
 
 # -- text format ------------------------------------------------------------
@@ -318,35 +320,38 @@ def _check_symbol(sym: str, line: int | None = None) -> str:
 
 def _parse_rhs_tree(text: str, line: int) -> RhsTree:
     tokens = _TREE_TOKEN_RE.findall(text)
+    end = len(tokens)
     pos = 0
-
-    def node() -> RhsTree:
-        nonlocal pos
-        if pos >= len(tokens):
+    # The nodes whose '(' is open, outermost first: label and children so far.
+    open_nodes: list[tuple[str, list[RhsTree]]] = []
+    while True:
+        if pos >= end:
             raise GrammarError(f"line {line}: unexpected end of rhs tree")
         label = tokens[pos]
         _check_symbol(label, line)
         pos += 1
-        children: list[RhsTree] = []
-        if pos < len(tokens) and tokens[pos] == "(":
+        if pos < end and tokens[pos] == "(":
             pos += 1
-            while True:
-                children.append(node())
-                if pos >= len(tokens):
-                    raise GrammarError(f"line {line}: missing ')' in rhs tree")
-                if tokens[pos] == ",":
-                    pos += 1
-                    continue
-                if tokens[pos] == ")":
-                    pos += 1
-                    break
+            open_nodes.append((label, []))
+            continue
+        done = RhsTree(label)
+        # Attach the finished node; close every parent that ')' ends with it.
+        while open_nodes:
+            open_nodes[-1][1].append(done)
+            if pos >= end:
+                raise GrammarError(f"line {line}: missing ')' in rhs tree")
+            token = tokens[pos]
+            pos += 1
+            if token == ",":
+                break
+            if token != ")":
                 raise GrammarError(f"line {line}: expected ',' or ')' in rhs tree")
-        return RhsTree(label, tuple(children))
-
-    result = node()
-    if pos != len(tokens):
-        raise GrammarError(f"line {line}: trailing tokens after rhs tree")
-    return result
+            label, children = open_nodes.pop()
+            done = RhsTree(label, tuple(children))
+        if not open_nodes:
+            if pos != end:
+                raise GrammarError(f"line {line}: trailing tokens after rhs tree")
+            return done
 
 
 def parse_grammar(text: str) -> Wrtg:
@@ -419,7 +424,21 @@ def _format_rhs(rhs: Rhs) -> str:
         return " ".join(rhs)
     if not rhs.children:
         return rhs.label
-    return f"{rhs.label}({', '.join(_format_rhs(c) for c in rhs.children)})"
+    # The open nodes: label, finished children's text, the children left.
+    stack = [(rhs.label, [], iter(rhs.children))]
+    while True:
+        label, done, rest = stack[-1]
+        child = next(rest, None)
+        if child is None:
+            stack.pop()
+            text = f"{label}({', '.join(done)})"
+            if not stack:
+                return text
+            stack[-1][1].append(text)
+        elif child.children:
+            stack.append((child.label, [], iter(child.children)))
+        else:
+            done.append(child.label)
 
 
 def serialize_grammar(g: Wrtg) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -51,20 +52,23 @@ class AdditiveCost(CostFunction):
     """Arc length plus multiplicity-weighted tail costs.
 
     Superior because lengths, multiplicities, and tail costs are all
-    nonnegative.
+    nonnegative. ``inf`` sums the bound costs with
+    :meth:`Hypergraph.arc_total_cost`, so the value agrees bitwise with the
+    default path; an unbound tail counts 0, which keeps it a lower bound.
     """
 
-    __slots__ = ("value", "_mult")
+    __slots__ = ("_g", "_i", "_bound")
 
     def __init__(self, g: Hypergraph, arc_index: int) -> None:
-        self.value = g._lengths[arc_index]
-        self._mult = dict(g._dtails[arc_index])
+        self._g = g
+        self._i = arc_index
+        self._bound: defaultdict[int, float] = defaultdict(float)
 
     def bind(self, tail: int, cost: float) -> None:
-        self.value += self._mult[tail] * cost
+        self._bound[tail] = cost
 
     def inf(self) -> float:
-        return self.value
+        return self._g.arc_total_cost(self._i, self._bound)
 
 
 CostFactory = Callable[[Hypergraph, int], CostFunction]

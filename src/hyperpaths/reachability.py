@@ -49,16 +49,10 @@ def reach_from(g: Hypergraph, sources: Iterable[int]) -> ReachResult:
     for v in src:
         if not 0 <= v < g.n:
             raise ValidationError(f"source vertex {v} out of range (n={g.n})")
-    return _mark_from(g, src, [len(d) for d in g._dtails])
-
-
-def _mark_from(g: Hypergraph, src: Iterable[int], remaining: list[int]) -> ReachResult:
-    """The marking loop of :func:`reach_from`. ``remaining[i]`` is the
-    countdown of arc ``i``; an arc whose countdown starts below 1 never
-    fires."""
     reached = [False] * g.n
     heads = g._heads
     forward = g.forward
+    remaining = [len(d) for d in g._dtails]
     stack = []
     for v in src:
         reached[v] = True
@@ -132,7 +126,7 @@ class ReduceResult:
     pass2_vertices: frozenset[int]
 
 
-def reduce(g: Hypergraph, query: Query, *, backward_first: bool = False) -> ReduceResult:
+def reduce(g: Hypergraph, query: Query) -> ReduceResult:
     """Drop every vertex and arc not derivable from the sources or not able
     to participate in reaching the target.
 
@@ -140,37 +134,19 @@ def reduce(g: Hypergraph, query: Query, *, backward_first: bool = False) -> Redu
     restriction; the resulting graph has exactly the same hyperpath-trees
     from the sources to the target as ``g``. If the target is not derivable
     the result is the empty hypergraph, flagged via ``target_reachable``.
-
-    ``backward_first=True`` swaps the phases (backward pass on the raw
-    graph). That order is unsound, it can mark vertices as useful whose
-    supporting arcs need underivable tails, and exists only so tests and
-    demos can exhibit the difference.
     """
     g.check_query(query)
-    first_pass = (
-        reach_to(g, query.target)
-        if backward_first
-        else reach_from(g, query.source_vertices())
-    )
-    in1 = first_pass.reached
-    pass1 = first_pass.vertices()
+    forward = reach_from(g, query.source_vertices())
+    in1 = forward.reached
     pass2: tuple[int, ...] = ()
     if in1[query.target]:
         # The second pass runs on g, seeing only the arcs that restricting g
         # to pass1 would keep: those whose head and tails all lie in pass1.
-        dtails = g._dtails
-        arc_in1 = [in1[h] and all(in1[v] for v, _ in d) for h, d in zip(g._heads, dtails)]
-        second_pass = None
-        if backward_first:
-            mid_sources = [v for v, _ in query.sources if in1[v]]
-            if mid_sources:
-                remaining = [len(d) if ok else 0 for d, ok in zip(dtails, arc_in1)]
-                second_pass = _mark_from(g, mid_sources, remaining)
-        else:
-            masked = [d if ok else () for d, ok in zip(dtails, arc_in1)]
-            second_pass = _mark_to(g, query.target, masked)
-        if second_pass is not None:
-            pass2 = second_pass.vertices()
+        masked = [
+            d if in1[h] and all(in1[v] for v, _ in d) else ()
+            for h, d in zip(g._heads, g._dtails)
+        ]
+        pass2 = _mark_to(g, query.target, masked).vertices()
     # pass2 lies inside pass1, so restricting g to it once gives the same
     # graph and maps as restricting the pass-1 restriction again.
     res = restrict(g, pass2)
@@ -183,6 +159,6 @@ def reduce(g: Hypergraph, query: Query, *, backward_first: bool = False) -> Redu
         sources=sources,
         target=target,
         target_reachable=target is not None,
-        pass1_vertices=frozenset(pass1),
+        pass1_vertices=frozenset(forward.vertices()),
         pass2_vertices=frozenset(pass2),
     )

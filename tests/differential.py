@@ -1,0 +1,309 @@
+"""Differential check of this checkout's library against an earlier revision.
+
+Usage, from the repository root::
+
+    python tests/differential.py REV
+
+``src/`` at git revision ``REV`` is extracted with ``git archive`` into a
+temporary directory. The same seeded inputs then run through that tree and
+through this checkout's ``src/``, in one subprocess each, and every result is
+compared by ``repr`` (so floats bitwise):
+
+- ``reduce`` on random graphs from ``tests/support.py`` and on every
+  benchmark instance of seeds 13 and 31 (the charts, each horn query, the
+  grammar's hypergraph);
+- ``viterbi_inside`` with ``use_guard`` on and off on random and tie-heavy
+  graphs, and with the guard on for every benchmark instance, each run both
+  by default and with ``cost_factory=AdditiveCost``. ``AdditiveCost`` must
+  agree bitwise with the default path, so its results are compared with
+  REV's default path;
+- the benchmark grammar through prune, ``serialize_grammar`` and
+  ``best_derivation`` at the benchmark's beams;
+- every graph and grammar CLI command, run in process, on the golden CLI
+  inputs, benchmark inputs and random graphs.
+
+Prints the number of differing results per group and exits 1 if any differ.
+This is a script, not a pytest module.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from random import Random
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (13, 31)
+GRAMMAR_BEAMS = (0.0625, 0.125, 0.25, 0.5, 1.0, 16.0, float("inf"))
+PRUNE_BEAMS = ("0", "0.5", "inf")
+
+
+# -- worker: runs jobs on whichever hyperpaths is on sys.path ------------------
+
+
+def _derivation_table(deriv) -> list:
+    """The derivation tree as a table of distinct subtrees in post-order, so
+    that shared and unshared forms of the same tree compare equal."""
+    index: dict[tuple, int] = {}
+    key_of: dict[int, tuple] = {}
+    stack = [(deriv, False)]
+    while stack:
+        node, done = stack.pop()
+        if id(node) in key_of:
+            continue
+        if done:
+            key = (node.production, tuple(index[key_of[id(c)]] for c in node.children))
+            index.setdefault(key, len(index))
+            key_of[id(node)] = key
+            continue
+        stack.append((node, True))
+        stack.extend((c, False) for c in node.children)
+    return [list(index), index[key_of[id(deriv)]]]
+
+
+def _run_job(hp, texts: list[str], graphs: dict, job: list):
+    kind = job[0]
+    if kind == "cli":
+        from hyperpaths.cli import main
+
+        _, argv, files = job
+        for name, text in files.items():
+            Path(name).write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        written = {
+            name: Path(name).read_text(encoding="utf-8")
+            for name in sorted(os.listdir("."))
+            if name.endswith(".map")
+        }
+        for name in written:
+            os.remove(name)
+        return code, out.getvalue(), err.getvalue(), written
+    if kind == "grammar":
+        g = hp.parse_grammar(texts[job[1]])
+        graph, query, gmap = hp.to_hypergraph(g)
+        ins = hp.viterbi_inside(graph, query.sources)
+        outs = hp.viterbi_outside(graph, ins, query.target)
+        pruned = []
+        for beam in GRAMMAR_BEAMS:
+            pr = hp.prune_relatively_useless(graph, ins, outs, beam)
+            gmap2 = gmap.after_restriction(pr.vertex_map, pr.arc_map)
+            pruned.append(hp.serialize_grammar(hp.from_pruned(g, gmap2, pr.graph)))
+        tree = hp.extract_best_tree(graph, ins, query.target)
+        deriv, weight = hp.best_derivation(g, tree, gmap)
+        return pruned, _derivation_table(deriv), weight
+    if job[1] not in graphs:
+        graphs[job[1]] = hp.parse_hypergraph(texts[job[1]])
+    parsed = graphs[job[1]]
+    g = parsed.graph
+    sources = tuple((g.id_of(name), cost) for name, cost in job[2])
+    if kind == "reduce":
+        red = hp.reduce(g, hp.Query(sources, g.id_of(job[3])))
+        return (
+            hp.serialize_hypergraph(red.graph, red.sources, red.target),
+            sorted(red.vertex_map.items()),
+            sorted(red.arc_map.items()),
+            red.target_reachable,
+            sorted(red.pass1_vertices),
+            sorted(red.pass2_vertices),
+        )
+    if kind == "inside":
+        factory = hp.AdditiveCost if job[3] else None
+        res = hp.viterbi_inside(g, sources, cost_factory=factory, use_guard=job[4])
+        return res.inside, res.pi, res.binds
+    raise ValueError(f"unknown job kind {kind!r}")
+
+
+def worker(src: str, jobs_path: str, out_path: str) -> None:
+    """Run every job of ``jobs_path`` in the current directory, which the
+    CLI jobs fill with their files, and write the results' reprs."""
+    import hyperpaths as hp
+
+    if not Path(hp.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"imported {hp.__file__}, not the tree under {src}")
+    with open(jobs_path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    texts, graphs, results = data["texts"], {}, []
+    for job in data["jobs"]:
+        try:
+            result = _run_job(hp, texts, graphs, job)
+        except Exception as exc:  # a crash is a result to compare too
+            result = f"{type(exc).__name__}: {exc}"
+        results.append(repr(result))
+    with open(out_path, "w", encoding="utf-8") as handle:
+        json.dump(results, handle)
+
+
+# -- driver: builds the jobs, runs both trees, compares ------------------------
+
+
+def _tie_heavy(rng: Random, hp):
+    n = rng.randint(1, 40)
+    arcs = []
+    for _ in range(rng.randint(0, 120)):
+        pairs = tuple((rng.randrange(n), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
+        length = rng.choice((0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0))
+        arcs.append(hp.Hyperarc(rng.randrange(n), pairs, length))
+    return hp.build(n, arcs)
+
+
+def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
+    """The job file, plus one ``(group, side, job, reference)`` entry per
+    comparison: the result of ``job`` on ``side`` is expected to equal the
+    result of job ``reference`` on REV."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    import gen
+    import hyperpaths as hp
+    from support import random_hypergraph, random_sources, random_weighted_instance
+
+    texts: list[str] = []
+    jobs: list[list] = []
+    compare: list[tuple[str, str, int, int]] = []
+
+    def add_text(text: str) -> int:
+        texts.append(text)
+        return len(texts) - 1
+
+    def add(group: str, job: list, reference: int | None = None) -> int:
+        jobs.append(job)
+        j = len(jobs) - 1
+        compare.append((group, "checkout", j, j if reference is None else reference))
+        return j
+
+    def named(g, pairs):
+        return [[g.name_of(v), c] for v, c in pairs]
+
+    def inside_both(group: str, ti: int, sources: list, guard: bool) -> None:
+        default = add(f"inside default {group}", ["inside", ti, sources, False, guard])
+        j = add(f"inside AdditiveCost {group}", ["inside", ti, sources, True, guard], default)
+        compare.append((f"REV's own AdditiveCost vs its default path, {group}", "REV", j, default))
+
+    rng = Random(8)
+    for _ in range(400):
+        g = random_hypergraph(rng)
+        sources, target = random_sources(rng, g), rng.randrange(g.n)
+        ti = add_text(hp.serialize_hypergraph(g))
+        add("reduce random", ["reduce", ti, named(g, sources), g.name_of(target)])
+    for seed in range(4):
+        rng = Random(800 + seed)
+        for k in range(400):
+            if k % 2:
+                g = _tie_heavy(rng, hp)
+                sources = random_sources(rng, g)
+            else:
+                g, sources = random_weighted_instance(rng)
+            ti = add_text(hp.serialize_hypergraph(g))
+            for guard in (True, False):
+                inside_both("random", ti, named(g, sources), guard)
+
+    for seed in SEEDS:
+        instances = [(inst, [(inst.sources, inst.target)]) for inst in gen.charts(seed)]
+        horn, queries = gen.horn(seed)
+        instances.append((horn, [(q.sources, q.target) for q in queries]))
+        grammar = gen.grammar(seed)
+        instances.append((grammar.hypergraph, [(grammar.hypergraph.sources, grammar.hypergraph.target)]))
+        for inst, inst_queries in instances:
+            ti = add_text(gen.hypergraph_text(inst))
+            for sources, target in inst_queries:
+                srcs = [[inst.names[v], c] for v, c in sources]
+                add("reduce benchmark", ["reduce", ti, srcs, inst.names[target]])
+                inside_both("benchmark", ti, srcs, True)
+        add("grammar pipeline benchmark", ["grammar", add_text(grammar.text)])
+
+    # CLI: golden inputs, one chart, the horn graph and grammar of each seed,
+    # and random graphs.
+    graph_inputs = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests/golden/cli").glob("*.hg"))]
+    grammar_inputs = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests/golden/cli").glob("*.gr"))]
+    for seed in SEEDS:
+        graph_inputs.append(gen.hypergraph_text(gen.charts(seed)[0]))
+        graph_inputs.append(gen.hypergraph_text(gen.horn(seed)[0]))
+        grammar_inputs.append(gen.grammar(seed).text)
+    rng = Random(9)
+    for _ in range(60):
+        g = random_hypergraph(rng)
+        graph_inputs.append(hp.serialize_hypergraph(g, random_sources(rng, g), rng.randrange(g.n)))
+    for text in graph_inputs:
+        parsed = hp.parse_hypergraph(text)
+        target = parsed.graph.name_of(parsed.target) if parsed.target is not None else "v0"
+        commands = [["validate"], ["reach-from"], ["reach-to"], ["reduce"], ["inside"],
+                    ["best-tree", "--vertex", target], ["outside"]]
+        commands += [["prune", "--beam", b, "--report", r] for b in PRUNE_BEAMS for r in ("text", "json")]
+        for argv in commands:
+            add("cli graph", ["cli", argv + ["in.hg"], {"in.hg": text}])
+    for text in grammar_inputs:
+        add("cli grammar", ["cli", ["from-grammar", "in.gr"], {"in.gr": text}])
+        add("cli grammar", ["cli", ["from-grammar", "--map", "out.map", "in.gr"], {"in.gr": text}])
+        for beam in ("0.0625", "1", "inf"):
+            add("cli grammar", ["cli", ["prune-grammar", "--beam", beam, "in.gr"], {"in.gr": text}])
+    return {"texts": texts, "jobs": jobs}, compare
+
+
+def extract(rev: str, dest: Path) -> Path:
+    data = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return dest / "src"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[0] == "--worker":
+        worker(*argv[1:])
+        return 0
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
+        tmp_dir = Path(tmp)
+        trees = {"REV": extract(argv[0], tmp_dir / "rev"), "checkout": ROOT / "src"}
+        data, compare = build_jobs()
+        jobs_path = tmp_dir / "jobs.json"
+        jobs_path.write_text(json.dumps(data), encoding="utf-8")
+        procs = {}
+        for side, src in trees.items():
+            env = dict(os.environ, PYTHONPATH=str(src))
+            out = tmp_dir / f"{side}.json"
+            cwd = tmp_dir / f"{side}-cwd"
+            cwd.mkdir()
+            cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src),
+                   str(jobs_path), str(out)]
+            procs[side] = (subprocess.Popen(cmd, env=env, cwd=cwd), out)
+        for side, (proc, _) in procs.items():
+            if proc.wait() != 0:
+                print(f"worker for {side} failed", file=sys.stderr)
+                return 2
+        results = {side: json.loads(out.read_text(encoding="utf-8")) for side, (_, out) in procs.items()}
+    rev = results["REV"]
+    counts: dict[str, list[int]] = {}
+    shown = 0
+    for group, side, j, ref in compare:
+        got = results[side][j]
+        differs = got != rev[ref]
+        counts.setdefault(group, [0, 0])
+        counts[group][0] += differs
+        counts[group][1] += 1
+        if differs and side != "REV" and shown < 5:
+            shown += 1
+            print(f"differs: {group} job {data['jobs'][j][:2]}\n  REV: {rev[ref][:300]}\n"
+                  f"  now: {got[:300]}")
+    total = 0
+    for group, (bad, runs) in counts.items():
+        print(f"{group}: {bad} of {runs} differ")
+        if not group.startswith("REV's"):  # REV against itself: shown, not counted
+            total += bad
+    print(f"total: {total} differences against {argv[0]}")
+    return 1 if total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

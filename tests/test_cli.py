@@ -274,3 +274,18 @@ def test_stdin_grammar_requires_map(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0.5: S -> a\n"))
     code, _, err = run(capsys, "from-grammar", "-")
     assert code == 1 and "--map" in err
+
+
+def test_non_utf8_file_is_a_read_error(capsys, tmp_path):
+    path = tmp_path / "latin1.hg"
+    path.write_bytes(b"vertex \xff\xfe\n")
+    code, out, err = run(capsys, "inside", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: ") and "decode" in err
+
+
+def test_unwritable_map_is_a_write_error_with_empty_stdout(capsys, f1_grammar_file, tmp_path):
+    map_path = tmp_path / "missing" / "x.map"
+    code, out, err = run(capsys, "from-grammar", "--map", str(map_path), f1_grammar_file)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {map_path}: ")

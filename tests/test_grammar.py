@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperpaths import (
+    DerivationTree,
     EnumerationBudget,
     GrammarError,
     Production,
@@ -26,7 +27,7 @@ from hyperpaths import (
     viterbi_outside,
     yield_nonterminals,
 )
-from hyperpaths.grammar import format_derivation
+from hyperpaths.cli import main
 
 from support import (
     enumerate_derivations,
@@ -249,7 +250,7 @@ def test_best_derivation_f1():
     assert deriv.production == 3
     assert tuple(c.production for c in deriv.children) == (1, 2)
     assert weight == pytest.approx(math.exp(-3.5), rel=1e-9)
-    assert format_derivation(g, deriv) == "p3(p1, p2)"
+    assert all(c.children == () for c in deriv.children)
     # weight equals the product of the production weights used
     product = g.productions[2].weight * g.productions[0].weight * g.productions[1].weight
     assert weight == pytest.approx(product, rel=1e-9)
@@ -263,6 +264,38 @@ def test_best_derivation_single_terminal_production():
     deriv, weight = best_derivation(g, tree, gmap)
     assert deriv.production == 1 and deriv.children == ()
     assert weight == pytest.approx(0.25, rel=1e-9)
+
+
+def test_best_derivation_converts_each_shared_subtree_once(monkeypatch):
+    # N<i> -> f(N<i+1>, N<i+1>): the derivation unfolds to 2**13 - 1 nodes,
+    # but extract_best_tree shares one subtree per level.
+    levels = 12
+    text = "".join(f"0.99: N{i} -> f(N{i + 1}, N{i + 1})\n" for i in range(levels))
+    g = parse_grammar(text + f"1: N{levels} -> a\n")
+    graph, query, gmap = to_hypergraph(g)
+    tree = extract_best_tree(graph, viterbi_inside(graph, query.sources), query.target)
+    built = [0]
+    original = DerivationTree.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        original(self, *args)
+
+    monkeypatch.setattr(DerivationTree, "__init__", counting)
+    d, weight = best_derivation(g, tree, gmap)
+    assert built[0] == levels + 1
+    assert d.production == 1 and d.children[0] is d.children[1]
+    assert weight == pytest.approx(0.99 ** (2**levels - 1), rel=1e-9)
+
+
+def test_deep_rhs_tree_round_trips_and_prunes(tmp_path, capsys):
+    depth = 5000
+    text = f"start S\n0.5: S -> {'f(' * depth}a{')' * depth}\n"
+    assert serialize_grammar(parse_grammar(text)) == text
+    path = tmp_path / "deep.gr"
+    path.write_text(text, encoding="utf-8")
+    assert main(["prune-grammar", "--beam", "inf", str(path)]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_grammar_file_roundtrip(f1_grammar_file):

@@ -147,15 +147,11 @@ def test_non_superior_cost_function_trips_monotonicity_check():
 
 def test_generic_cost_function_path_matches_fast_path():
     rng = Random(203)
-    for _ in range(30):
+    for _ in range(300):
         g, sources = random_weighted_instance(rng)
         fast = viterbi_inside(g, sources)
         generic = viterbi_inside(g, sources, cost_factory=AdditiveCost)
-        for a, b in zip(fast.inside, generic.inside):
-            if a == INF or b == INF:
-                assert a == b
-            else:
-                assert a == pytest.approx(b, abs=1e-12)
+        assert generic.inside == fast.inside and generic.pi == fast.pi
 
 
 def test_extract_best_tree_f1(f1):

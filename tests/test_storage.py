@@ -157,21 +157,14 @@ def test_parse_of_serialize_stores_the_graph():
         parsed.validate()
 
 
-def two_restrict_reduce(g, query: Query, backward_first: bool):
+def two_restrict_reduce(g, query: Query):
     """The two-phase reduction as a composition of two restrictions."""
     target = query.target
-    if backward_first:
-        p1 = reach_to(g, target)
-    else:
-        p1 = reach_from(g, query.source_vertices())
-        if not p1.reached[target]:
-            return restrict(g, ()).graph, {}, {}, set(p1.vertices()), set()
+    p1 = reach_from(g, query.source_vertices())
+    if not p1.reached[target]:
+        return restrict(g, ()).graph, {}, {}, set(p1.vertices()), set()
     r1 = restrict(g, p1.vertices())
-    if backward_first:
-        mids = [r1.vertex_map[v] for v, _ in query.sources if v in r1.vertex_map]
-        p2 = reach_from(r1.graph, mids).vertices() if mids else ()
-    else:
-        p2 = reach_to(r1.graph, r1.vertex_map[target]).vertices()
+    p2 = reach_to(r1.graph, r1.vertex_map[target]).vertices()
     r2 = restrict(r1.graph, p2)
     vmap = {
         old: r2.vertex_map[mid] for old, mid in r1.vertex_map.items() if mid in r2.vertex_map
@@ -181,14 +174,13 @@ def two_restrict_reduce(g, query: Query, backward_first: bool):
     return r2.graph, vmap, amap, set(p1.vertices()), {inv1[k] for k in p2}
 
 
-@pytest.mark.parametrize("backward_first", [False, True])
-def test_reduce_equals_two_restrictions(backward_first):
-    rng = Random(43 + backward_first)
+def test_reduce_equals_two_restrictions():
+    rng = Random(43)
     for _ in range(150):
         g = random_hypergraph(rng)
         query = Query(random_sources(rng, g), rng.randrange(g.n))
-        red = reduce(g, query, backward_first=backward_first)
-        graph, vmap, amap, pass1, pass2 = two_restrict_reduce(g, query, backward_first)
+        red = reduce(g, query)
+        graph, vmap, amap, pass1, pass2 = two_restrict_reduce(g, query)
         assert stored(red.graph) == stored(graph)
         assert red.vertex_map == vmap and red.arc_map == amap
         assert red.pass1_vertices == pass1 and red.pass2_vertices == pass2
@@ -231,7 +223,6 @@ def test_library_paths_build_no_hyperarc(hyperarc_count, tmp_path):
     assert hyperarc_count[0] == 0, "forward pipeline"
 
     reduce(parsed.graph, parsed.query())
-    reduce(parsed.graph, parsed.query(), backward_first=True)
     assert hyperarc_count[0] == 0, "reduce"
 
     graph, query, _ = to_hypergraph(grammar)
