@@ -302,10 +302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValidationError, GrammarError) as exc:
+    except (_UsageError, ValidationError, GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnreachableTargetError as exc:

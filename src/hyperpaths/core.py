@@ -339,13 +339,6 @@ class Hypergraph:
             raise InternalInvariantError("backward adjacency disagrees with arcs")
         _check_names(self.names)
 
-    def check_query(self, query: Query) -> None:
-        for v, _ in query.sources:
-            if v >= self.n:
-                raise ValidationError(f"source vertex {v} out of range (n={self.n})")
-        if query.target >= self.n:
-            raise ValidationError(f"target vertex {query.target} out of range (n={self.n})")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented

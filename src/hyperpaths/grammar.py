@@ -123,6 +123,14 @@ class Wrtg:
         return f"p{i}"
 
 
+def _trusted_wrtg(*values) -> Wrtg:
+    """A Wrtg of fields that cannot fail its checks, built without them."""
+    g = object.__new__(Wrtg)
+    for f, value in zip(fields(Wrtg), values):
+        object.__setattr__(g, f.name, value)
+    return g
+
+
 def derivation_grammar(g: Wrtg) -> Wrtg:
     """The grammar over production labels whose trees are the derivation
     trees of ``g``: each production's rhs becomes its label applied to the
@@ -253,12 +261,8 @@ def from_pruned(g: Wrtg, gmap: GrammarHypergraphMap, pruned: Hypergraph) -> Wrtg
     nonterminals = tuple(nt for nt in g.nonterminals if nt in used)
     # Every field comes from the checked grammar g: the productions are a
     # subsequence of its own, and the nonterminals keep the start and every
-    # lhs and rhs nonterminal they use. Wrtg's checks cannot fail on them,
-    # so the result is built without running them again.
-    reduced = object.__new__(Wrtg)
-    for f, value in zip(fields(Wrtg), (g.alphabet, nonterminals, g.start, productions)):
-        object.__setattr__(reduced, f.name, value)
-    return reduced
+    # lhs and rhs nonterminal they use.
+    return _trusted_wrtg(g.alphabet, nonterminals, g.start, productions)
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,9 +314,8 @@ _TREE_TOKEN_RE = re.compile(r"[(),]|[^\s(),]+")
 
 
 def _check_symbol(sym: str, line: int | None = None) -> str:
-    # The hypergraph format's name characters and both arrows: grammars
-    # reserve '->', and '<-' could not be written as a vertex name.
-    if not _NAME_RE.match(sym) or sym in ("->", "<-"):
+    # A hypergraph vertex name other than '->', the grammar arrow.
+    if not _NAME_RE.fullmatch(sym) or sym == "->":
         at = f" at line {line}" if line else ""
         raise GrammarError(f"invalid symbol {sym!r}{at}")
     return sym
@@ -416,7 +419,8 @@ def parse_grammar(text: str) -> Wrtg:
         start = rows[0][2]
     elif start not in nts:
         raise GrammarError(f"start symbol {start!r} never appears as a lhs")
-    return Wrtg(frozenset(alphabet), nonterminal_order, start, tuple(productions))
+    # Wrtg's checks, with line numbers, are all done above.
+    return _trusted_wrtg(frozenset(alphabet), nonterminal_order, start, tuple(productions))
 
 
 def _format_rhs(rhs: Rhs) -> str:

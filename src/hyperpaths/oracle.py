@@ -72,6 +72,8 @@ class _Enumerator:
         self.produced = 0
         self.hit_depth = False
         self.hit_trees = False
+        # (u, depth_left, cap) -> the trees and emit count of a finished call.
+        self.done: dict[tuple[int, int, float], tuple[tuple[HyperpathTree, ...], int]] = {}
 
     def _emit(self, tree: HyperpathTree) -> HyperpathTree:
         self.produced += 1
@@ -81,6 +83,18 @@ class _Enumerator:
         return tree
 
     def expand(self, u: int, depth_left: int, cap: float) -> list[HyperpathTree]:
+        key = (u, depth_left, cap)
+        done = self.done.get(key)
+        if done is not None:
+            # A repeat counts the first call's emits, so the budget aborts as
+            # it would; any depth hit of that call already set hit_depth.
+            trees, emits = done
+            self.produced += emits
+            if self.produced > self.budget.max_trees:
+                self.hit_trees = True
+                raise _Abort
+            return list(trees)
+        start = self.produced
         g = self.g
         out: list[HyperpathTree] = []
         leaf_cost = self.src.get(u)
@@ -105,6 +119,7 @@ class _Enumerator:
                 child_lists.append(subtrees)
             if feasible:
                 self._combine(i, u, length, child_lists, cap, out)
+        self.done[key] = (tuple(out), self.produced - start)
         return out
 
     def _combine(
@@ -116,6 +131,19 @@ class _Enumerator:
         cap: float,
         out: list[HyperpathTree],
     ) -> None:
+        # The cap cuts no combination short if it cuts none of the costliest
+        # one's partial sums. Then all are emitted, and if they overrun the
+        # budget, the abort comes before any other event: raise it now.
+        partial, count = length, 1
+        for trees in child_lists:
+            partial += trees[-1].cost
+            count *= len(trees)
+            if partial > cap:
+                break
+        else:
+            if self.produced + count > self.budget.max_trees:
+                self.hit_trees = True
+                raise _Abort
         chosen: list[HyperpathTree] = []
 
         def rec(k: int, cost: float) -> None:

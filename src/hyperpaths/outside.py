@@ -23,7 +23,6 @@ from .core import (
     INF,
     Hypergraph,
     InternalInvariantError,
-    RestrictResult,
     UnreachableTargetError,
     ValidationError,
     restrict,
@@ -139,10 +138,11 @@ def utilities(
 class PruneResult:
     """Utilities, keep flags, and the pruned hypergraph for a beam.
 
-    ``keep`` flags are true exactly for elements whose utility is within the
-    beam of the best cost (finite utility required). ``threshold`` is
-    ``inside[target] + beam``. Index maps relate the input graph to
-    ``graph``.
+    ``keep`` flags are true exactly for elements whose utility is finite and
+    within the beam of the best cost; ``threshold`` is ``inside[target] +
+    beam``. ``graph`` restricts the input graph to the kept elements, so it
+    also lacks a kept arc whose endpoint rounding left unkept. Index maps
+    relate the input graph to ``graph``.
     """
 
     gamma_vertices: tuple[float, ...]
@@ -177,36 +177,31 @@ def prune_relatively_useless(
 
     gamma_v, gamma_e = utilities(g, ins, outs)
     threshold = best + beam
-    if threshold == INF:
-        cutoff = INF
-    else:
-        cutoff = threshold + _BEAM_RELATIVE_SLACK * max(1.0, abs(threshold))
-
+    cutoff = threshold + _BEAM_RELATIVE_SLACK * max(1.0, abs(threshold))
     keep_v = tuple(math.isfinite(x) and x <= cutoff for x in gamma_v)
+    # A kept arc's endpoints have utility <= the arc's, but rounding may put
+    # one just above the cutoff; restrict then drops the arc. Farther is a bug,
+    # as is an infinite utility: the limit is at most the largest float.
+    limit = min(cutoff + 1e-9 * max(1.0, abs(threshold)), math.nextafter(INF, 0.0))
     keep_e = [False] * (g.num_arcs + 1)
-    retained: list[int] = []
-    loose = 1e-9 * max(1.0, abs(threshold) if threshold != INF else 1.0)
+    kept_arcs: list[int] = []
     heads, dtails = g._heads, g._dtails
     for i in g.arc_indices:
         x = gamma_e[i]
         if x > cutoff or x == INF:
             continue
         keep_e[i] = True
-        if keep_v[heads[i]]:
-            for t, _ in dtails[i]:
-                if not keep_v[t]:
+        kept_arcs.append(i)
+        v = heads[i]
+        if gamma_v[v] <= limit:
+            for v, _ in dtails[i]:
+                if not gamma_v[v] <= limit:
                     break
             else:
-                retained.append(i)
                 continue
-        # A kept arc's endpoints have utility <= the arc's; only rounding at
-        # the exact beam boundary may drop one, and then the arc goes too.
-        for v in (heads[i], *[t for t, _ in dtails[i]]):
-            if not keep_v[v] and not (math.isfinite(gamma_v[v]) and gamma_v[v] <= cutoff + loose):
-                raise InternalInvariantError(f"arc {i} kept but endpoint vertex {v} is not")
+        raise InternalInvariantError(f"arc {i} kept but endpoint vertex {v} is not")
 
-    kept_vertices = [v for v in range(g.n) if keep_v[v]]
-    res: RestrictResult = restrict(g, kept_vertices, keep_arcs=retained)
+    res = restrict(g, [v for v in range(g.n) if keep_v[v]], keep_arcs=kept_arcs)
     return PruneResult(
         gamma_vertices=gamma_v,
         gamma_arcs=gamma_e,

@@ -43,20 +43,17 @@ def reach_from(g: Hypergraph, sources: Iterable[int]) -> ReachResult:
     fires when it hits zero, so every (arc, distinct tail) slot is handled
     once: O(t) in the total input size.
     """
-    src = set(sources)
-    if not src:
+    reached = [False] * g.n
+    stack = list(dict.fromkeys(sources))  # checked in the caller's order
+    if not stack:
         raise ValidationError("source set must be nonempty")
-    for v in src:
+    for v in stack:
         if not 0 <= v < g.n:
             raise ValidationError(f"source vertex {v} out of range (n={g.n})")
-    reached = [False] * g.n
+        reached[v] = True
     heads = g._heads
     forward = g.forward
     remaining = [len(d) for d in g._dtails]
-    stack = []
-    for v in src:
-        reached[v] = True
-        stack.append(v)
     touches = 0
     while stack:
         y = stack.pop()
@@ -135,8 +132,9 @@ def reduce(g: Hypergraph, query: Query) -> ReduceResult:
     from the sources to the target as ``g``. If the target is not derivable
     the result is the empty hypergraph, flagged via ``target_reachable``.
     """
-    g.check_query(query)
     forward = reach_from(g, query.source_vertices())
+    if query.target >= g.n:
+        raise ValidationError(f"target vertex {query.target} out of range (n={g.n})")
     in1 = forward.reached
     pass2: tuple[int, ...] = ()
     if in1[query.target]:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .core import INF, FormatError, Hypergraph, Query, ValidationError
 
-_NAME_RE = re.compile(r"^[^\s#*@(),:]+$")
+# A vertex name, applied with fullmatch; '<-' alone would read as an arrow.
+_NAME_RE = re.compile(r"(?!<-\Z)[^\s#*@(),:]+")
 
 
 def format_float(x: float) -> str:
@@ -30,7 +31,7 @@ def format_float(x: float) -> str:
 
 
 def check_name(name: str) -> str:
-    if not _NAME_RE.match(name) or name == "<-":
+    if not _NAME_RE.fullmatch(name):
         raise ValidationError(
             f"name {name!r} is not representable in the text format "
             "(whitespace and #*@(),: are reserved)"
@@ -82,7 +83,7 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
     def vid(name: str, line: int) -> int:
         pair = known.get(name)
         if pair is None:
-            if not _NAME_RE.match(name) or name == "<-":
+            if not _NAME_RE.fullmatch(name):
                 raise FormatError(f"invalid vertex name {name!r}", line)
             pair = known[name] = (len(known), 1)
         return pair[0]

@@ -7,7 +7,7 @@ Usage, from the repository root::
 ``src/`` at git revision ``REV`` is extracted with ``git archive`` into a
 temporary directory. The same seeded inputs then run through that tree and
 through this checkout's ``src/``, in one subprocess each, and every result is
-compared by ``repr`` (so floats bitwise):
+compared by ``repr`` (so floats bitwise; an error by its type and message):
 
 - ``reduce`` on random graphs from ``tests/support.py`` and on every
   benchmark instance of seeds 13 and 31 (the charts, each horn query, the
@@ -17,8 +17,14 @@ compared by ``repr`` (so floats bitwise):
   by default and with ``cost_factory=AdditiveCost``. ``AdditiveCost`` must
   agree bitwise with the default path, so its results are compared with
   REV's default path;
+- ``reduce`` with sources or a target out of range, in several orders;
+- ``prune_relatively_useless`` on random graphs at beams 0, 0.5 and inf and
+  at each arc's boundary beam (the least beam that keeps the arc) and the
+  float just below it, and on every benchmark chart at the benchmark's beam;
 - the benchmark grammar through prune, ``serialize_grammar`` and
   ``best_derivation`` at the benchmark's beams;
+- ``parse_grammar`` then ``serialize_grammar`` on every input of
+  ``tests/golden/grammar_parse_cases.json``;
 - every graph and grammar CLI command, run in process, on the golden CLI
   inputs, benchmark inputs and random graphs.
 
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (13, 31)
 GRAMMAR_BEAMS = (0.0625, 0.125, 0.25, 0.5, 1.0, 16.0, float("inf"))
 PRUNE_BEAMS = ("0", "0.5", "inf")
+CHART_BEAM = 0.1
 
 
 # -- worker: runs jobs on whichever hyperpaths is on sys.path ------------------
@@ -100,11 +108,25 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         tree = hp.extract_best_tree(graph, ins, query.target)
         deriv, weight = hp.best_derivation(g, tree, gmap)
         return pruned, _derivation_table(deriv), weight
+    if kind == "grammar text":
+        return hp.serialize_grammar(hp.parse_grammar(texts[job[1]]))
     if job[1] not in graphs:
         graphs[job[1]] = hp.parse_hypergraph(texts[job[1]])
     parsed = graphs[job[1]]
     g = parsed.graph
+    if kind == "reduce ids":  # vertex ids, which may be out of range
+        red = hp.reduce(g, hp.Query(tuple(map(tuple, job[2])), job[3]))
+        return hp.serialize_hypergraph(red.graph, red.sources, red.target), sorted(red.arc_map.items())
     sources = tuple((g.id_of(name), cost) for name, cost in job[2])
+    if kind == "prune":
+        ins = hp.viterbi_inside(g, sources)
+        outs = hp.viterbi_outside(g, ins, g.id_of(job[3]))
+        pr = hp.prune_relatively_useless(g, ins, outs, job[4])
+        return (
+            pr.gamma_vertices, pr.gamma_arcs, pr.keep_vertices, pr.keep_arcs, pr.beam,
+            pr.threshold, hp.serialize_hypergraph(pr.graph),
+            sorted(pr.vertex_map.items()), sorted(pr.arc_map.items()),
+        )
     if kind == "reduce":
         red = hp.reduce(g, hp.Query(sources, g.id_of(job[3])))
         return (
@@ -155,6 +177,23 @@ def _tie_heavy(rng: Random, hp):
     return hp.build(n, arcs)
 
 
+def _boundary_beams(hp, best: float, x: float) -> tuple[float, float]:
+    """The least beam whose cutoff keeps utility ``x`` (see
+    ``prune_relatively_useless``), and the float just below it."""
+    slack = hp.outside._BEAM_RELATIVE_SLACK
+
+    def cutoff(beam: float) -> float:
+        threshold = best + beam
+        return threshold + slack * max(1.0, abs(threshold))
+
+    beam = max(0.0, (x - best) - slack * max(1.0, abs(x)))
+    while beam > 0 and cutoff(beam) >= x:
+        beam = math.nextafter(beam, 0.0)
+    while cutoff(beam) < x:
+        beam = math.nextafter(beam, math.inf)
+    return beam, math.nextafter(beam, -math.inf)
+
+
 def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
     """The job file, plus one ``(group, side, job, reference)`` entry per
     comparison: the result of ``job`` on ``side`` is expected to equal the
@@ -163,6 +202,7 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
     import gen
     import hyperpaths as hp
     from support import random_hypergraph, random_sources, random_weighted_instance
+    from test_grammar_parse_table import CASES as GRAMMAR_PARSE_CASES
 
     texts: list[str] = []
     jobs: list[list] = []
@@ -204,6 +244,35 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
             for guard in (True, False):
                 inside_both("random", ti, named(g, sources), guard)
 
+    rng = Random(10)
+    for _ in range(150):
+        g = random_hypergraph(rng)
+        n = g.n
+        ti = add_text(hp.serialize_hypergraph(g))
+        for _ in range(3):
+            pairs = [[v, 0.0] for v in rng.sample(range(n + 3), rng.randint(1, 3))]
+            add("reduce out of range", ["reduce ids", ti, pairs, rng.randrange(n + 2)])
+
+    rng = Random(11)
+    pruned = 0
+    while pruned < 300:
+        g, sources = random_weighted_instance(rng)
+        ins = hp.viterbi_inside(g, sources)
+        targets = [v for v in range(g.n) if ins.inside[v] < math.inf]
+        if not targets:
+            continue
+        pruned += 1
+        target = rng.choice(targets)
+        ti = add_text(hp.serialize_hypergraph(g))
+        best = ins.inside[target]
+        _, gamma_e = hp.utilities(g, ins, hp.viterbi_outside(g, ins, target))
+        beams = [0.0, 0.5, math.inf]
+        for x in gamma_e[1:]:
+            if x < math.inf:
+                beams.extend(b for b in _boundary_beams(hp, best, x) if b >= 0)
+        for beam in beams:
+            add("prune random", ["prune", ti, named(g, sources), g.name_of(target), beam])
+
     for seed in SEEDS:
         instances = [(inst, [(inst.sources, inst.target)]) for inst in gen.charts(seed)]
         horn, queries = gen.horn(seed)
@@ -216,7 +285,10 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
                 srcs = [[inst.names[v], c] for v, c in sources]
                 add("reduce benchmark", ["reduce", ti, srcs, inst.names[target]])
                 inside_both("benchmark", ti, srcs, True)
+                add("prune benchmark", ["prune", ti, srcs, inst.names[target], CHART_BEAM])
         add("grammar pipeline benchmark", ["grammar", add_text(grammar.text)])
+    for text in GRAMMAR_PARSE_CASES.values():
+        add("grammar parse cases", ["grammar text", add_text(text)])
 
     # CLI: golden inputs, one chart, the horn graph and grammar of each seed,
     # and random graphs.

@@ -6,6 +6,7 @@ data); they never consult the algorithms they are used to check.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from random import Random
@@ -128,6 +129,29 @@ def recompute_tree_cost(g: Hypergraph, tree: HyperpathTree, sources: dict[int, f
     for child in tree.children:
         total += recompute_tree_cost(g, child, sources)
     return total
+
+
+def tree_values(trees) -> tuple[list[tuple], list[int]]:
+    """The trees by value: a table of distinct subtrees ``(arc, vertex, cost,
+    child numbers)``, numbered in post-order of first sight, and the number
+    of each tree. Shared and unshared forms of equal trees give equal tables."""
+    number: dict[tuple, int] = {}
+    by_id: dict[int, int] = {}
+
+    def visit(node: HyperpathTree) -> int:
+        k = by_id.get(id(node))
+        if k is None:
+            key = (node.arc, node.vertex, node.cost, tuple([visit(c) for c in node.children]))
+            k = by_id[id(node)] = number.setdefault(key, len(number))
+        return k
+
+    roots = [visit(tree) for tree in trees]
+    return list(number), roots
+
+
+def digest(value: object) -> str:
+    """A short fingerprint of ``value``'s repr, so floats count bitwise."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 # -- reduced instances for utility / pruning tests ----------------------------

@@ -37,6 +37,7 @@ from hyperpaths import (
 
 from support import (
     collect_reduced_instances,
+    digest,
     enumerate_derivations,
     hyperpath_shape,
     layered_hypergraph,
@@ -47,6 +48,7 @@ from support import (
     random_weighted_instance,
     recompute_tree_cost,
     tree_elements,
+    tree_values,
     weighted_multisets_equal,
 )
 
@@ -80,11 +82,13 @@ def test_criterion_2_inside_oracle(capsys):
         rng = Random(0xACCE02)
         checked = 0
         attempts = 0
+        tables = []
         while checked < 300:
             attempts += 1
             assert attempts < 300 * 40, "generator kept hitting enumeration budgets"
             g, sources = random_weighted_instance(rng)
             mins = oracle_inside_table(g, sources)
+            tables.append((attempts, g.n, g.num_arcs, mins))
             if mins is None:
                 continue
             checked += 1
@@ -100,6 +104,9 @@ def test_criterion_2_inside_oracle(capsys):
                     assert abs(
                         recompute_tree_cost(g, tree, src) - result.inside[v]
                     ) <= 1e-12
+        # The oracle's accepted and skipped attempts, and its minima, as
+        # recorded from an enumerator that built every tree it counted.
+        assert (attempts, digest(tables)) == (455, "4c16aed1e5703f28")
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +117,14 @@ def reduced_instances():
 def test_criterion_3_utilities_oracle(capsys, reduced_instances):
     with criterion(capsys, 3, "oracle equivalence: utilities"):
         assert len(reduced_instances) == 200
+        # The instances and their 184,133 trees, as recorded from an
+        # enumerator that built every tree it counted.
+        instances = [
+            (inst.graph.n, inst.graph.num_arcs, inst.target, tree_values(inst.trees))
+            for inst in reduced_instances
+        ]
+        assert sum(len(inst.trees) for inst in reduced_instances) == 184_133
+        assert digest(instances) == "f0319461fb84851c"
         for inst in reduced_instances:
             gv_oracle = [INF] * inst.graph.n
             ge_oracle = [INF] * (inst.graph.num_arcs + 1)

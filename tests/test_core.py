@@ -179,6 +179,13 @@ def test_serializer_rejects_unsafe_names():
         serialize_hypergraph(g)
 
 
+def test_serializer_rejects_a_name_ending_in_a_newline():
+    # Written out, such a name would split its arc line in two.
+    g = build(["a\n", "b"], (Hyperarc(1, ((0, 1),), 1.0),))
+    with pytest.raises(ValidationError, match="not representable"):
+        serialize_hypergraph(g)
+
+
 @given(st.floats(min_value=0.0, max_value=1e12, allow_nan=False))
 def test_float_format_roundtrips_exactly(x):
     assert float(format_float(x)) == x

@@ -154,6 +154,12 @@ def test_wrtg_rejects_unwritable_symbols_when_built():
         Wrtg(frozenset({"a"}), ("a b",), "a b", (Production("a b", ("a",), 0.5),))
 
 
+def test_wrtg_rejects_a_symbol_ending_in_a_newline():
+    # Written out and read back, it would silently become the symbol 'x'.
+    with pytest.raises(GrammarError, match=r"invalid symbol 'x\\n'"):
+        Wrtg(frozenset({"x\n"}), ("S",), "S", (Production("S", ("x\n",), 0.5),))
+
+
 def test_to_hypergraph_rejects_superunit_weight():
     g = Wrtg(frozenset({"a"}), ("S",), "S", (Production("S", ("a",), 1.5),))
     with pytest.raises(GrammarError, match="production 1.*above 1"):

@@ -8,6 +8,8 @@ import pytest
 from hyperpaths import (
     INF,
     Hyperarc,
+    InternalInvariantError,
+    OutsideResult,
     Query,
     UnreachableTargetError,
     ValidationError,
@@ -125,6 +127,47 @@ def test_prune_rejects_negative_beam(f1):
         prune_relatively_useless(f1, ins, outs, -0.5)
     with pytest.raises(ValidationError, match="nonnegative"):
         prune_relatively_useless(f1, ins, outs, float("nan"))
+
+
+def test_prune_drops_a_kept_arc_whose_endpoint_rounding_left_unkept():
+    # Instance 50 of support.random_weighted_instance(Random(5)). At this beam
+    # the cutoff equals arc 7's utility, and its tail 4's utility, equal in
+    # exact arithmetic, rounds one ulp above it.
+    g = build(5, [
+        Hyperarc(2, ((0, 2),), 0.6230490576236689),
+        Hyperarc(3, ((2, 1), (0, 2), (2, 1)), 0.6439931296723019),
+        Hyperarc(2, ((1, 2), (3, 1)), 1.0527348586416516),
+        Hyperarc(2, ((1, 1), (3, 1)), 3.2626689870901897),
+        Hyperarc(4, ((2, 2), (0, 1), (2, 2)), 0.6912021763081698),
+        Hyperarc(3, ((0, 2),), 3.035281533894236),
+        Hyperarc(2, ((4, 2),), 1.6245624507851628),
+        Hyperarc(0, ((2, 2),), 3.54519068462541),
+        Hyperarc(0, ((1, 1),), 0.4184660484579561),
+    ])
+    ins = viterbi_inside(g, [(2, 0.0)])
+    outs = viterbi_outside(g, ins, 0)
+    pr = prune_relatively_useless(g, ins, outs, 10.09734817263868)
+    assert pr.gamma_arcs[7] < pr.gamma_vertices[4]
+    assert pr.keep_arcs[7] and not pr.keep_vertices[4]
+    assert 7 not in pr.arc_map
+    for i in pr.arc_map:
+        assert pr.keep_arcs[i]
+        assert all(pr.keep_vertices[v] for v in (g.arc(i).head, *g.arc(i).occurrences()))
+
+
+def test_prune_rejects_a_kept_arc_with_an_endpoint_far_above_the_cutoff():
+    g = build(["s", "A", "B", "T"], [
+        Hyperarc(1, ((0, 1),), 1.0),
+        Hyperarc(2, ((0, 1),), 1.0),
+        Hyperarc(3, ((1, 1), (2, 1)), 1.0),
+    ])
+    ins = viterbi_inside(g, [(0, 0.0)])
+    outs = viterbi_outside(g, ins, 3)
+    # A's completion cost raised far above its true value: the arc T <- A B
+    # stays within the beam, but its tail A no longer does.
+    wrong = OutsideResult(outs.outside[:1] + (100.0,) + outs.outside[2:], outs.psi, 3)
+    with pytest.raises(InternalInvariantError, match="arc 3 kept but endpoint vertex 1"):
+        prune_relatively_useless(g, ins, wrong, 0.5)
 
 
 # -- randomized properties on reduced instances --------------------------------

@@ -256,9 +256,9 @@ def name_checks(monkeypatch):
     pattern = textio._NAME_RE
 
     class Counting:
-        def match(self, name):
+        def fullmatch(self, name):
             count[0] += 1
-            return pattern.match(name)
+            return pattern.fullmatch(name)
 
     monkeypatch.setattr(textio, "_NAME_RE", Counting())
     return count
