@@ -116,7 +116,7 @@ def _cmd_inside(args: argparse.Namespace) -> int:
     parsed = _load(args.file)
     g = parsed.graph
     result = viterbi_inside(g, _require_sources(parsed))
-    sys.stdout.write(_rows("%s %.17g %d\n", g._display, result.inside, result.pi))
+    sys.stdout.write(_rows("%s %.17g %d\n", g.names, result.inside, result.pi))
     if parsed.target is not None and result.inside[parsed.target] == INF:
         print("target unreachable", file=sys.stderr)
         return EXIT_UNREACHABLE
@@ -157,7 +157,7 @@ def _cmd_outside(args: argparse.Namespace) -> int:
     parsed = _load(args.file)
     g = parsed.graph
     _, outs = _inside_outside(g, parsed.query())
-    sys.stdout.write(_rows("%s %.17g %d\n", g._display, outs.outside, outs.psi))
+    sys.stdout.write(_rows("%s %.17g %d\n", g.names, outs.outside, outs.psi))
     return EXIT_OK
 
 
@@ -173,7 +173,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     target2 = pr.vertex_map[query.target]
     sys.stdout.write(serialize_hypergraph(pr.graph, sources2, target2))
 
-    vertices = (g._display, ins.inside, outs.outside, pr.gamma_vertices, pr.keep_vertices)
+    vertices = (g.names, ins.inside, outs.outside, pr.gamma_vertices, pr.keep_vertices)
     arcs = (g.arc_indices, pr.gamma_arcs[1:], pr.keep_arcs[1:])
     best = ins.inside[query.target]
     if args.report == "json":

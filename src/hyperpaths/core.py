@@ -1,7 +1,7 @@
 """Hypergraph data model: vertices, weighted hyperarcs, restriction, validation.
 
-Vertices are dense 0-based integer ids with optional display names. Hyperarcs
-are indexed 1..m; index 0 is reserved as the "no arc" sentinel used by the
+Vertices are dense 0-based integer ids, each with a name. Hyperarcs are
+indexed 1..m; index 0 is reserved as the "no arc" sentinel used by the
 algorithm outputs (predecessor and parent pointers). Costs are 64-bit floats
 with ``math.inf`` as the explicit "unreached" value; arc lengths must be
 finite and nonnegative, and NaN is rejected everywhere.
@@ -67,11 +67,9 @@ def _check_vertex(v: object) -> int:
     return v
 
 
-def _check_names(names: Sequence[str | None]) -> None:
+def _check_names(names: Sequence[str]) -> None:
     seen: set[str] = set()
     for name in names:
-        if name is None:
-            continue
         if name in seen:
             raise ValidationError(f"duplicate vertex name {name!r}")
         seen.add(name)
@@ -182,16 +180,18 @@ class Hypergraph:
     ``_dtails[i]`` (one pair per distinct tail vertex, multiplicities
     summed); slot 0 of each array is unused. ``forward[v]`` lists the
     indices of arcs in which ``v`` occurs as a tail (each arc at most once),
-    ``backward[v]`` the arcs whose head is ``v``.
+    ``backward[v]`` the arcs whose head is ``v``. Both are the lists the
+    constructor builds, shared with every reader: they must not be mutated.
 
-    Display names (:meth:`name_of`) are ``names`` itself when every vertex is
-    named. The name-to-id map behind :meth:`id_of` is built on its first
-    call, since most graphs never look a name up; filling it is idempotent,
-    so a graph stays safe to share across threads.
+    ``names`` holds one string per vertex, and is what :meth:`name_of`
+    returns; :func:`build` names unnamed vertices, and :func:`restrict`
+    keeps each kept vertex's name. The name-to-id map behind :meth:`id_of`
+    is built on its first call, since most graphs never look a name up;
+    filling it is idempotent, so a graph stays safe to share across threads.
 
     The constructor trusts its arguments: every head and tail must be a
     vertex id below ``len(names)``, every length finite and nonnegative, and
-    named vertices distinct. Construct from unchecked data through
+    the names distinct strings. Construct from unchecked data through
     :func:`build`. ``dtails``, when given, is taken as the distinct tails of
     every arc instead of deriving them; each entry must equal what
     ``_distinct_tails`` derives from the arc's tails, and be the tails
@@ -205,7 +205,6 @@ class Hypergraph:
         "forward",
         "backward",
         "input_size",
-        "_display",
         "_name_to_id",
         "_heads",
         "_tails",
@@ -215,26 +214,13 @@ class Hypergraph:
 
     def __init__(
         self,
-        names: tuple[str | None, ...],
+        names: tuple[str, ...],
         heads: list[int],
         tails: list[tuple[tuple[int, int], ...]],
         lengths: list[float],
         dtails: list[tuple[tuple[int, int], ...]] | None = None,
     ) -> None:
         n = len(names)
-        display = names
-        if None in names:
-            taken = set(names)
-            display = list(names)
-            for v, name in enumerate(names):
-                if name is None:
-                    candidate = f"v{v}"
-                    while candidate in taken:
-                        candidate = "_" + candidate
-                    taken.add(candidate)
-                    display[v] = candidate
-            display = tuple(display)
-
         if dtails is None:
             # One pair, or two on different vertices, are distinct already.
             dtails = [
@@ -250,10 +236,9 @@ class Hypergraph:
 
         self.n = n
         self.names = names
-        self.forward = tuple(map(tuple, forward))
-        self.backward = tuple(map(tuple, backward))
+        self.forward = forward
+        self.backward = backward
         self.input_size = n + len(heads) - 1 + sum(map(len, tails))
-        self._display = display
         self._name_to_id: dict[str, int] | None = None
         self._heads = heads
         self._tails = tails
@@ -282,13 +267,13 @@ class Hypergraph:
         return Hyperarc(self._heads[i], self._tails[i], self._lengths[i])
 
     def name_of(self, v: int) -> str:
-        """Display name of vertex ``v`` (synthesized ``v<i>`` if unnamed)."""
-        return self._display[v]
+        """Name of vertex ``v``."""
+        return self.names[v]
 
     def id_of(self, name: str) -> int:
-        """Id of the vertex whose display name is ``name``."""
+        """Id of the vertex named ``name``."""
         if self._name_to_id is None:
-            self._name_to_id = dict(zip(self._display, range(self.n)))
+            self._name_to_id = dict(zip(self.names, range(self.n)))
         try:
             return self._name_to_id[name]
         except KeyError:
@@ -333,9 +318,9 @@ class Hypergraph:
                 if not 0 <= v < self.n:
                     raise ValidationError(f"arc {i}: tail vertex {v} out of range")
                 fwd[v].append(i)
-        if tuple(tuple(a) for a in fwd) != self.forward:
+        if fwd != self.forward:
             raise InternalInvariantError("forward adjacency disagrees with arcs")
-        if tuple(tuple(a) for a in bwd) != self.backward:
+        if bwd != self.backward:
             raise InternalInvariantError("backward adjacency disagrees with arcs")
         _check_names(self.names)
 
@@ -357,19 +342,29 @@ def build(vertices: int | Sequence[str | None], arcs: Iterable[Hyperarc]) -> Hyp
     """Build and validate a hypergraph.
 
     ``vertices`` is either a vertex count (all unnamed) or a sequence of
-    optional names; ids are assigned by position. Arc order is preserved and
-    arcs keep their stable 1-based indices. This is the validating entry
-    point: each :class:`Hyperarc` has checked its own fields, and ``build``
-    checks that names are distinct and every endpoint is in range before
-    unpacking the arcs into the graph's arrays.
+    optional names; ids are assigned by position. An unnamed vertex ``i`` is
+    named ``v<i>``, prefixed with ``_`` until the name is unused, and keeps
+    that name in every graph :func:`restrict` makes from this one. Arc order
+    is preserved and arcs keep their stable 1-based indices. This is the
+    validating entry point: each :class:`Hyperarc` has checked its own
+    fields, and ``build`` checks that names are distinct and every endpoint
+    is in range before unpacking the arcs into the graph's arrays. The
+    graph's ``forward`` and ``backward`` adjacency lists must not be mutated.
     """
     if isinstance(vertices, int):
         if vertices < 0:
             raise ValidationError("vertex count must be nonnegative")
-        names: tuple[str | None, ...] = (None,) * vertices
-    else:
-        names = tuple(vertices)
-        _check_names(names)
+        vertices = (None,) * vertices
+    names = list(vertices)
+    taken = set(names)
+    for v, name in enumerate(names):
+        if name is None:
+            name = f"v{v}"
+            while name in taken:
+                name = "_" + name
+            taken.add(name)
+            names[v] = name
+    _check_names(names)
     n = len(names)
     heads, tails, lengths = [0], [()], [0.0]
     for i, arc in enumerate(arcs, start=1):
@@ -383,7 +378,7 @@ def build(vertices: int | Sequence[str | None], arcs: Iterable[Hyperarc]) -> Hyp
         heads.append(arc.head)
         tails.append(arc.tails)
         lengths.append(arc.length)
-    return Hypergraph(names, heads, tails, lengths)
+    return Hypergraph(tuple(names), heads, tails, lengths)
 
 
 @dataclass(frozen=True, slots=True)

@@ -274,7 +274,7 @@ def format_tree(tree: HyperpathTree, name_of: Callable[[int], str] | None = None
         if phase:
             out.append(")")
             continue
-        if out and out[-1] != "(":
+        if out:
             out.append(" ")
         out.append(f"({node.arc}")
         stack.append((node, 1))

@@ -32,10 +32,11 @@ def format_float(x: float) -> str:
 
 def check_name(name: str) -> str:
     if not _NAME_RE.fullmatch(name):
-        raise ValidationError(
-            f"name {name!r} is not representable in the text format "
-            "(whitespace and #*@(),: are reserved)"
-        )
+        if name == "<-":
+            reason = "'<-' is reserved as the arc arrow"
+        else:
+            reason = "whitespace and #*@(),: are reserved"
+        raise ValidationError(f"name {name!r} is not representable in the text format ({reason})")
     return name
 
 
@@ -175,7 +176,7 @@ def serialize_hypergraph(
     target: int | None = None,
 ) -> str:
     """Canonical text form: all vertices, then arcs, sources, target."""
-    names = g._display
+    names = g.names
     lines = [f"vertex {check_name(name)}\n" for name in names]
     heads, tails, lengths = g._heads, g._tails, g._lengths
     for i in g.arc_indices:

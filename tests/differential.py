@@ -21,6 +21,10 @@ compared by ``repr`` (so floats bitwise; an error by its type and message):
 - ``prune_relatively_useless`` on random graphs at beams 0, 0.5 and inf and
   at each arc's boundary beam (the least beam that keeps the arc) and the
   float just below it, and on every benchmark chart at the benchmark's beam;
+- ``reduce``, and ``prune_relatively_useless`` at beams 0, 0.5 and inf, on
+  random graphs made by ``build`` with unnamed vertices (every other group
+  parses its graph from text, which names every vertex), compared by the
+  serialized result;
 - the benchmark grammar through prune, ``serialize_grammar`` and
   ``best_derivation`` at the benchmark's beams;
 - ``parse_grammar`` then ``serialize_grammar`` on every input of
@@ -110,6 +114,16 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         return pruned, _derivation_table(deriv), weight
     if kind == "grammar text":
         return hp.serialize_grammar(hp.parse_grammar(texts[job[1]]))
+    if kind in ("unnamed reduce", "unnamed prune"):
+        names, arcs, sources, target = job[1:5]
+        g = hp.build(names, [hp.Hyperarc(h, tuple(map(tuple, t)), x) for h, t, x in arcs])
+        sources = tuple(map(tuple, sources))
+        if kind == "unnamed reduce":
+            red = hp.reduce(g, hp.Query(sources, target))
+            return hp.serialize_hypergraph(red.graph, red.sources, red.target)
+        ins = hp.viterbi_inside(g, sources)
+        pr = hp.prune_relatively_useless(g, ins, hp.viterbi_outside(g, ins, target), job[5])
+        return hp.serialize_hypergraph(pr.graph)
     if job[1] not in graphs:
         graphs[job[1]] = hp.parse_hypergraph(texts[job[1]])
     parsed = graphs[job[1]]
@@ -272,6 +286,20 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
                 beams.extend(b for b in _boundary_beams(hp, best, x) if b >= 0)
         for beam in beams:
             add("prune random", ["prune", ti, named(g, sources), g.name_of(target), beam])
+
+    rng = Random(12)
+    for _ in range(300):
+        g, sources = random_weighted_instance(rng)
+        perm = rng.sample(range(g.n), g.n)
+        names = [None if rng.random() < 0.5 else f"v{perm[v]}" for v in range(g.n)]
+        spec = [names, [[a.head, a.tails, a.length] for a in g.arcs], sources]
+        add("unnamed reduce", ["unnamed reduce", *spec, rng.randrange(g.n)])
+        ins = hp.viterbi_inside(g, sources)
+        targets = [v for v in range(g.n) if ins.inside[v] < math.inf]
+        if targets:
+            target = rng.choice(targets)
+            for beam in (0.0, 0.5, math.inf):
+                add("unnamed prune", ["unnamed prune", *spec, target, beam])
 
     for seed in SEEDS:
         instances = [(inst, [(inst.sources, inst.target)]) for inst in gen.charts(seed)]

@@ -32,10 +32,10 @@ def test_build_f1(f1):
         bwd[arc.head].append(i)
         for v, _ in arc.distinct_tails():
             fwd[v].append(i)
-    assert f1.forward == tuple(tuple(a) for a in fwd)
-    assert f1.backward == tuple(tuple(a) for a in bwd)
+    assert f1.forward == fwd
+    assert f1.backward == bwd
     # e4's doubled tail appears once in the adjacency
-    assert f1.forward[1] == (3, 4)
+    assert f1.forward[1] == [3, 4]
     # n plus, per arc, the head and each tail pair
     assert f1.input_size == 4 + 2 + 2 + 3 + 2
 
@@ -44,7 +44,7 @@ def test_build_trivial():
     g = build(1, ())
     g.validate()
     assert g.n == 1 and g.num_arcs == 0
-    assert g.forward == ((),)
+    assert g.forward == [[]]
 
 
 def test_negative_length_rejected():
@@ -177,6 +177,8 @@ def test_serializer_rejects_unsafe_names():
     g = build(("a b",), ())
     with pytest.raises(ValidationError, match="not representable"):
         serialize_hypergraph(g)
+    with pytest.raises(ValidationError, match="'<-' is reserved as the arc arrow"):
+        serialize_hypergraph(build(["<-"], ()))
 
 
 def test_serializer_rejects_a_name_ending_in_a_newline():

@@ -188,6 +188,31 @@ def test_reduce_equals_two_restrictions():
         assert red.target == vmap.get(query.target)
 
 
+def test_restriction_keeps_the_names_build_gives():
+    assert build(3, ()).names == ("v0", "v1", "v2")
+    assert build([None, "v0", None], ()).names == ("_v0", "v0", "v2")
+    # The input calls the target v2, and so does the reduced graph.
+    red = reduce(build(3, [Hyperarc(2, ((0, 1),), 1.0)]), Query(((0, 0.0),), 2))
+    text = serialize_hypergraph(red.graph, red.sources, red.target)
+    assert text == "vertex v0\nvertex v2\narc v2 <- v0 @ 1\nsource v0 0\ntarget v2\n"
+
+    def check_names_kept(res) -> None:
+        old = sorted(res.vertex_map, key=res.vertex_map.get)
+        assert [res.graph.name_of(k) for k in range(res.graph.n)] == [g.name_of(v) for v in old]
+
+    rng = Random(47)
+    for _ in range(150):
+        g = random_named_graph(rng) if rng.random() < 0.5 else random_hypergraph(rng)
+        sources, target = random_sources(rng, g), rng.randrange(g.n)
+        check_names_kept(restrict(g, [v for v in range(g.n) if rng.random() < 0.6]))
+        check_names_kept(reduce(g, Query(sources, target)))
+        ins = viterbi_inside(g, sources)
+        if ins.inside[target] < float("inf"):
+            outs = viterbi_outside(g, ins, target)
+            for beam in (0.0, 0.5, float("inf")):
+                check_names_kept(prune_relatively_useless(g, ins, outs, beam))
+
+
 @pytest.fixture
 def hyperarc_count(monkeypatch):
     """Counts Hyperarc constructions while the test runs."""
