@@ -22,7 +22,7 @@ across threads; all algorithm state lives in per-call arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 INF = math.inf
@@ -53,6 +53,110 @@ class UnreachableTargetError(RuntimeError):
 
 class InternalInvariantError(RuntimeError):
     """An internal consistency check failed. This is a bug, not bad input."""
+
+
+class _Record:
+    """Base of the frozen value classes, whose fields are their ``__slots__``.
+
+    It gives a positional or keyword constructor, fields that cannot be set
+    again, ``==`` and ``hash`` over the fields of instances of one class, the
+    ``repr`` ``Name(field=value, ...)``, and pickling through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        values = args + tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
+        if kwargs or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class _Tree(_Record):
+    """Base of the tree node classes: records with a ``children`` field, a
+    tuple of nodes of the same class. ``==`` and ``repr`` give what
+    :class:`_Record`'s would, and ``hash`` agrees with ``==``, but all three
+    walk the nodes with a stack, so they work at any depth."""
+
+    __slots__ = ()
+
+    def _preorder(self) -> tuple:
+        """One entry per node, each node before its children (last child
+        first): the node's other fields and its number of children, or
+        ``(value,)`` for a child of another class. Equal trees, and only
+        those, give equal tuples."""
+        cls = self.__class__
+        fields = attrgetter(*[name for name in self.__slots__ if name != "children"])
+        out: list[tuple] = []
+        append = out.append
+        stack = [self]
+        pop, extend = stack.pop, stack.extend
+        while stack:
+            node = pop()
+            if node.__class__ is cls:
+                children = node.children
+                append((fields(node), len(children)))
+                extend(children)
+            else:
+                append((node,))
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
+
+    def __repr__(self) -> str:
+        cls = self.__class__
+        out: list[str] = []
+        stack: list[object] = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is not cls:
+                out.append(item)  # text
+                continue
+            parts: list[object] = []
+            for name in self.__slots__:
+                if name != "children":
+                    parts.append(f", {name}={getattr(item, name)!r}")
+                    continue
+                parts.append(", children=(")
+                for k, child in enumerate(item.children):
+                    parts += [", " if k else "", child if child.__class__ is cls else repr(child)]
+                parts.append(",)" if len(item.children) == 1 else ")")
+            parts[0] = f"{cls.__qualname__}({parts[0][2:]}"
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
 
 
 def _check_multiplicity(m: object) -> int:
@@ -108,8 +212,7 @@ def check_sources(sources: Iterable[tuple[int, float]]) -> tuple[tuple[int, floa
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Hyperarc:
+class Hyperarc(_Record):
     """One weighted hyperarc ``head <- tails`` with additive cost ``length``.
 
     ``tails`` is a nonempty sequence of ``(vertex, multiplicity)`` pairs. Pair
@@ -118,22 +221,20 @@ class Hyperarc:
     purposes multiplicities of a vertex are summed.
     """
 
-    head: int
-    tails: tuple[tuple[int, int], ...]
-    length: float
+    __slots__ = ("head", "tails", "length")
 
-    def __post_init__(self) -> None:
-        _check_vertex(self.head)
+    def __init__(self, head: int, tails: tuple[tuple[int, int], ...], length: float) -> None:
+        object.__setattr__(self, "head", _check_vertex(head))
         try:
-            pairs = tuple((_check_vertex(v), _check_multiplicity(m)) for v, m in self.tails)
+            pairs = tuple((_check_vertex(v), _check_multiplicity(m)) for v, m in tails)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ValidationError):
                 raise
-            raise ValidationError(f"tails must be (vertex, multiplicity) pairs, got {self.tails!r}")
+            raise ValidationError(f"tails must be (vertex, multiplicity) pairs, got {tails!r}")
         if not pairs:
             raise ValidationError("hyperarc must have at least one tail")
         object.__setattr__(self, "tails", pairs)
-        length = float(self.length)
+        length = float(length)
         if math.isnan(length):
             raise ValidationError("arc length may not be NaN")
         if length < 0:
@@ -157,16 +258,14 @@ class Hyperarc:
         return _distinct_tails(self.tails)
 
 
-@dataclass(frozen=True, slots=True)
-class Query:
+class Query(_Record):
     """A source set with initial costs, plus a single target vertex."""
 
-    sources: tuple[tuple[int, float], ...]
-    target: int
+    __slots__ = ("sources", "target")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sources", check_sources(self.sources))
-        _check_vertex(self.target)
+    def __init__(self, sources: tuple[tuple[int, float], ...], target: int) -> None:
+        object.__setattr__(self, "sources", check_sources(sources))
+        object.__setattr__(self, "target", _check_vertex(target))
 
     def source_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.sources)
@@ -381,14 +480,14 @@ def build(vertices: int | Sequence[str | None], arcs: Iterable[Hyperarc]) -> Hyp
     return Hypergraph(tuple(names), heads, tails, lengths)
 
 
-@dataclass(frozen=True, slots=True)
-class RestrictResult:
+class RestrictResult(_Record):
     """A restricted hypergraph plus old-to-new index maps.
 
     ``vertex_map`` and ``arc_map`` contain entries only for surviving
     vertices/arcs; both renumberings preserve relative order.
     """
 
+    __slots__ = ("graph", "vertex_map", "arc_map")
     graph: Hypergraph
     vertex_map: dict[int, int]
     arc_map: dict[int, int]

@@ -22,39 +22,39 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
-from .core import GrammarError, Hypergraph, Query, ValidationError
+from .core import GrammarError, Hypergraph, Query, ValidationError, _Record, _Tree
 from .inside import HyperpathTree
 from .textio import _NAME_RE, format_float
 
 SINK_NAME = "_OMEGA_"
 
 
-@dataclass(frozen=True, slots=True)
-class RhsTree:
+class RhsTree(_Tree):
     """A rhs tree node: terminal-labeled internal nodes, any-label leaves."""
 
-    label: str
-    children: tuple["RhsTree", ...] = ()
+    __slots__ = ("label", "children")
+
+    def __init__(self, label: str, children: tuple[RhsTree, ...] = ()) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "children", children)
 
 
 Rhs = Union[RhsTree, tuple[str, ...]]
 
 
-@dataclass(frozen=True, slots=True)
-class Production:
+class Production(_Record):
     """One weighted production ``lhs -> rhs`` with weight > 0."""
 
-    lhs: str
-    rhs: Rhs
-    weight: float
+    __slots__ = ("lhs", "rhs", "weight")
 
-    def __post_init__(self) -> None:
-        w = float(self.weight)
+    def __init__(self, lhs: str, rhs: Rhs, weight: float) -> None:
+        w = float(weight)
         if not (w > 0) or w == math.inf:
-            raise GrammarError(f"production {self.lhs!r}: weight must be finite and > 0, got {w!r}")
+            raise GrammarError(f"production {lhs!r}: weight must be finite and > 0, got {w!r}")
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "weight", w)
 
 
@@ -86,20 +86,21 @@ def _rhs_symbols(rhs: Rhs) -> Iterable[tuple[str, bool]]:
         stack.extend(node.children)
 
 
-@dataclass(frozen=True)
-class Wrtg:
+class Wrtg(_Record):
     """A weighted regular tree grammar (CFG productions are depth-one).
 
     Productions are indexed 1..len(productions) by position and keep that
     order everywhere.
     """
 
+    __slots__ = ("alphabet", "nonterminals", "start", "productions")
     alphabet: frozenset[str]
     nonterminals: tuple[str, ...]
     start: str
     productions: tuple[Production, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         # Every symbol must be writable, so serialize_grammar need not check.
         for sym in (*self.nonterminals, *sorted(self.alphabet)):
             _check_symbol(sym)
@@ -126,8 +127,7 @@ class Wrtg:
 def _trusted_wrtg(*values) -> Wrtg:
     """A Wrtg of fields that cannot fail its checks, built without them."""
     g = object.__new__(Wrtg)
-    for f, value in zip(fields(Wrtg), values):
-        object.__setattr__(g, f.name, value)
+    _Record.__init__(g, *values)
     return g
 
 
@@ -144,8 +144,7 @@ def derivation_grammar(g: Wrtg) -> Wrtg:
     return Wrtg(frozenset(labels), g.nonterminals, g.start, tuple(productions))
 
 
-@dataclass(frozen=True, slots=True)
-class GrammarHypergraphMap:
+class GrammarHypergraphMap(_Record):
     """Index maps from a grammar's hypergraph image back to the grammar.
 
     ``production_for_arc`` maps each arc to its production index and
@@ -156,6 +155,7 @@ class GrammarHypergraphMap:
     surviving arcs and vertices.
     """
 
+    __slots__ = ("production_for_arc", "vertex_for_nonterminal", "sink", "sink_name")
     production_for_arc: dict[int, int]
     vertex_for_nonterminal: dict[str, int]
     sink: int | None
@@ -265,12 +265,14 @@ def from_pruned(g: Wrtg, gmap: GrammarHypergraphMap, pruned: Hypergraph) -> Wrtg
     return _trusted_wrtg(g.alphabet, nonterminals, g.start, productions)
 
 
-@dataclass(frozen=True, slots=True)
-class DerivationTree:
+class DerivationTree(_Tree):
     """A derivation tree node: a production index and its sub-derivations."""
 
-    production: int
-    children: tuple["DerivationTree", ...]
+    __slots__ = ("production", "children")
+
+    def __init__(self, production: int, children: tuple[DerivationTree, ...]) -> None:
+        object.__setattr__(self, "production", production)
+        object.__setattr__(self, "children", children)
 
 
 def best_derivation(

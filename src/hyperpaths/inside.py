@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -27,6 +26,8 @@ from .core import (
     InternalInvariantError,
     UnreachableTargetError,
     ValidationError,
+    _Record,
+    _Tree,
     check_sources,
 )
 
@@ -74,8 +75,7 @@ class AdditiveCost(CostFunction):
 CostFactory = Callable[[Hypergraph, int], CostFunction]
 
 
-@dataclass(frozen=True, slots=True)
-class InsideResult:
+class InsideResult(_Record):
     """Minimum inside cost and predecessor arc per vertex.
 
     ``inside[v]`` is the cheapest hyperpath-tree cost from the sources to
@@ -84,6 +84,7 @@ class InsideResult:
     BIND operations (instrumentation; at most one per arc and distinct tail).
     """
 
+    __slots__ = ("inside", "pi", "binds")
     inside: tuple[float, ...]
     pi: tuple[int, ...]
     binds: int
@@ -179,8 +180,7 @@ def viterbi_inside(
     return InsideResult(tuple(inside), tuple(pi), binds)
 
 
-@dataclass(frozen=True, slots=True)
-class HyperpathTree:
+class HyperpathTree(_Tree):
     """A hyperpath-tree node.
 
     ``arc`` is the 1-based arc index, or 0 for a source leaf. An arc node has
@@ -189,10 +189,13 @@ class HyperpathTree:
     node's is its length plus the children's costs.
     """
 
-    arc: int
-    vertex: int
-    children: tuple["HyperpathTree", ...]
-    cost: float
+    __slots__ = ("arc", "vertex", "children", "cost")
+
+    def __init__(self, arc: int, vertex: int, children: tuple[HyperpathTree, ...], cost: float):
+        object.__setattr__(self, "arc", arc)
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "cost", cost)
 
 
 def iter_nodes(tree: HyperpathTree) -> Iterator[HyperpathTree]:

@@ -9,15 +9,13 @@ count, and cost budgets. Intended for small instances only.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import INF, Hypergraph, ValidationError
+from .core import INF, Hypergraph, ValidationError, _Record
 from .inside import HyperpathTree
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationBudget:
+class EnumerationBudget(_Record):
     """Bounds for tree enumeration. All bounds are finite.
 
     ``max_depth`` limits arc nodes along any root-to-leaf path; ``max_trees``
@@ -26,19 +24,17 @@ class EnumerationBudget:
     requested set, not an abort).
     """
 
-    max_depth: int = 12
-    max_trees: int = 100_000
-    max_cost: float = 1e18
+    __slots__ = ("max_depth", "max_trees", "max_cost")
 
-    def __post_init__(self) -> None:
-        if self.max_depth < 1 or self.max_trees < 1:
+    def __init__(self, max_depth: int = 12, max_trees: int = 100_000, max_cost: float = 1e18):
+        if max_depth < 1 or max_trees < 1:
             raise ValidationError("enumeration bounds must be positive")
-        if not self.max_cost < INF:
+        if not max_cost < INF:
             raise ValidationError("max_cost must be finite")
+        super().__init__(max_depth, max_trees, max_cost)
 
 
-@dataclass(frozen=True, slots=True)
-class Enumeration:
+class Enumeration(_Record):
     """Enumerated trees plus which budget, if any, cut the search short.
 
     ``complete`` is true iff the result provably contains every
@@ -48,6 +44,7 @@ class Enumeration:
     are known to be shallow.
     """
 
+    __slots__ = ("trees", "hit_depth", "hit_trees")
     trees: tuple[HyperpathTree, ...]
     hit_depth: bool
     hit_trees: bool

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .core import (
     INF,
@@ -25,6 +24,7 @@ from .core import (
     InternalInvariantError,
     UnreachableTargetError,
     ValidationError,
+    _Record,
     restrict,
 )
 from .inside import InsideResult
@@ -34,8 +34,7 @@ from .inside import InsideResult
 _BEAM_RELATIVE_SLACK = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class OutsideResult:
+class OutsideResult(_Record):
     """Minimum completion cost and parent arc per vertex.
 
     ``outside[v]`` is ``inf`` when no hyperpath-tree through ``v`` reaches
@@ -43,6 +42,7 @@ class OutsideResult:
     leaves ``v`` upward, 0 for the target and for incompletable vertices.
     """
 
+    __slots__ = ("outside", "psi", "target")
     outside: tuple[float, ...]
     psi: tuple[int, ...]
     target: int
@@ -134,8 +134,7 @@ def utilities(
     return gamma_v, tuple(gamma_e)
 
 
-@dataclass(frozen=True, slots=True)
-class PruneResult:
+class PruneResult(_Record):
     """Utilities, keep flags, and the pruned hypergraph for a beam.
 
     ``keep`` flags are true exactly for elements whose utility is finite and
@@ -145,6 +144,17 @@ class PruneResult:
     relate the input graph to ``graph``.
     """
 
+    __slots__ = (
+        "gamma_vertices",
+        "gamma_arcs",
+        "keep_vertices",
+        "keep_arcs",
+        "beam",
+        "threshold",
+        "graph",
+        "vertex_map",
+        "arc_map",
+    )
     gamma_vertices: tuple[float, ...]
     gamma_arcs: tuple[float, ...]
     keep_vertices: tuple[bool, ...]

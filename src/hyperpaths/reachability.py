@@ -15,20 +15,19 @@ traversal order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Hypergraph, Query, ValidationError, restrict
+from .core import Hypergraph, Query, ValidationError, _Record, restrict
 
 
-@dataclass(frozen=True, slots=True)
-class ReachResult:
+class ReachResult(_Record):
     """Per-vertex reachability flags plus a tail-slot touch counter.
 
     ``touches`` counts adjacency visits in the marking loop; it is bounded by
     the total input size, which is the linear-time claim in checkable form.
     """
 
+    __slots__ = ("reached", "touches")
     reached: tuple[bool, ...]
     touches: int
 
@@ -102,8 +101,7 @@ def _mark_to(
     return ReachResult(tuple(reached), touches)
 
 
-@dataclass(frozen=True, slots=True)
-class ReduceResult:
+class ReduceResult(_Record):
     """Result of the two-phase reduction.
 
     Index maps are old id -> new id over the restriction of the input graph
@@ -113,6 +111,16 @@ class ReduceResult:
     vertex sets surviving each phase (pass2 is the final set).
     """
 
+    __slots__ = (
+        "graph",
+        "vertex_map",
+        "arc_map",
+        "sources",
+        "target",
+        "target_reachable",
+        "pass1_vertices",
+        "pass2_vertices",
+    )
     graph: Hypergraph
     vertex_map: dict[int, int]
     arc_map: dict[int, int]

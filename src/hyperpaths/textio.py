@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
-from .core import INF, FormatError, Hypergraph, Query, ValidationError
+from .core import INF, FormatError, Hypergraph, Query, ValidationError, _Record
 
 # A vertex name, applied with fullmatch; '<-' alone would read as an arrow.
 _NAME_RE = re.compile(r"(?!<-\Z)[^\s#*@(),:]+")
@@ -50,10 +49,10 @@ def _parse_number(token: str, line: int, what: str) -> float:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedHypergraph:
+class ParsedHypergraph(_Record):
     """A parsed hypergraph file: graph plus whatever query parts were present."""
 
+    __slots__ = ("graph", "sources", "target")
     graph: Hypergraph
     sources: tuple[tuple[int, float], ...]
     target: int | None

@@ -298,6 +298,12 @@ def test_deep_rhs_tree_round_trips_and_prunes(tmp_path, capsys):
     depth = 5000
     text = f"start S\n0.5: S -> {'f(' * depth}a{')' * depth}\n"
     assert serialize_grammar(parse_grammar(text)) == text
+    first, second = parse_grammar(text), parse_grammar(text)
+    assert first == second and hash(first) == hash(second)
+    rhs = first.productions[0].rhs
+    assert rhs == second.productions[0].rhs and hash(rhs) == hash(second.productions[0].rhs)
+    nested = "RhsTree(label='f', children=(" * depth + "RhsTree(label='a', children=())"
+    assert repr(rhs) == nested + ",))" * depth
     path = tmp_path / "deep.gr"
     path.write_text(text, encoding="utf-8")
     assert main(["prune-grammar", "--beam", "inf", str(path)]) == 0

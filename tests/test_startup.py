@@ -1,8 +1,9 @@
 """What ``import hyperpaths`` and a CLI run load.
 
 The package resolves its public names on first use, so a graph command
-never imports the grammar layer, the brute-force oracle or ``json``; and
-the lazy names still behave like the eager ones did.
+never imports the grammar layer, the brute-force oracle or ``json``; no
+command imports ``dataclasses``; and the lazy names still behave like the
+eager ones did.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hyperpaths
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 F1 = HERE / "golden" / "cli" / "f1.hg"
+F1_GRAMMAR = HERE / "golden" / "cli" / "f1.gr"
 
 # Runs the CLI as ``python -m hyperpaths.cli`` does, then prints its exit
 # code and which of the unwanted modules it left loaded.
@@ -29,7 +31,7 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
-unwanted = ("hyperpaths.grammar", "hyperpaths.oracle", "json")
+unwanted = ("hyperpaths.grammar", "hyperpaths.oracle", "json", "dataclasses")
 print("exit", code, "loaded", *[m for m in unwanted if m in sys.modules])
 """
 
@@ -45,12 +47,22 @@ print("exit", code, "loaded", *[m for m in unwanted if m in sys.modules])
     ids=["help", "prune", "inside", "best-tree"],
 )
 def test_graph_commands_load_no_grammar_oracle_or_json(argv):
+    assert _run_cli(argv) == "exit 0 loaded"
+
+
+@pytest.mark.parametrize("command", ["from-grammar", "prune-grammar"])
+def test_grammar_commands_load_no_oracle_json_or_dataclasses(command, tmp_path):
+    extra = ["--map", str(tmp_path / "f1.map")] if command == "from-grammar" else ["--beam", "1"]
+    assert _run_cli([command, *extra, str(F1_GRAMMAR)]) == "exit 0 loaded hyperpaths.grammar"
+
+
+def _run_cli(argv: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_CLI, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "exit 0 loaded"
+    return proc.stdout.splitlines()[-1]
 
 
 # In a fresh interpreter: names and submodules resolve on first use.
