@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 INF = math.inf
 
@@ -102,38 +102,71 @@ class _Tree(_Record):
     """Base of the tree node classes: records with a ``children`` field, a
     tuple of nodes of the same class. ``==`` and ``repr`` give what
     :class:`_Record`'s would, and ``hash`` agrees with ``==``, but all three
-    walk the nodes with a stack, so they work at any depth."""
+    walk the nodes with a stack, so they work at any depth. ``==``, ``hash``
+    and pickling visit a node shared by several parents once, so their cost
+    grows with the distinct nodes, not with the unfolded tree."""
 
     __slots__ = ()
 
-    def _preorder(self) -> tuple:
-        """One entry per node, each node before its children (last child
-        first): the node's other fields and its number of children, or
-        ``(value,)`` for a child of another class. Equal trees, and only
-        those, give equal tuples."""
-        cls = self.__class__
-        fields = attrgetter(*[name for name in self.__slots__ if name != "children"])
-        out: list[tuple] = []
-        append = out.append
-        stack = [self]
-        pop, extend = stack.pop, stack.extend
+    def _fold(self, visit: Callable[[_Tree, dict[int, Any]], Any]) -> Any:
+        """``visit(node, done)`` once per distinct node (by identity),
+        children first, where ``done`` maps the ``id`` of every node visited
+        so far to what its visit returned. Returns the root's result."""
+        done: dict[int, Any] = {}
+        stack: list[_Tree | None] = [self]
+        pop = stack.pop
         while stack:
             node = pop()
-            if node.__class__ is cls:
-                children = node.children
-                append((fields(node), len(children)))
-                extend(children)
-            else:
-                append((node,))
-        return tuple(out)
+            if node is None:  # every child of the next node is done
+                node = pop()
+                done[id(node)] = visit(node, done)
+            elif id(node) not in done:
+                stack += (node, None)
+                stack += node.children
+        return done[id(self)]
+
+    def _fields(self) -> attrgetter:
+        """Reads a node's fields other than ``children``, as one value."""
+        return attrgetter(*[name for name in self.__slots__ if name != "children"])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._preorder() == other._preorder()
+        fields = self._fields()
+        compared: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            pair = (id(a), id(b))
+            if pair in compared:
+                continue
+            compared.add(pair)
+            if len(a.children) != len(b.children) or fields(a) != fields(b):
+                return False
+            stack += zip(a.children, b.children)
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._preorder())
+        fields = self._fields()
+        return self._fold(
+            lambda node, done: hash((fields(node), *[done[id(c)] for c in node.children]))
+        )
+
+    def __reduce__(self) -> tuple:
+        """Pickle as a flat table with one row per distinct node, children
+        first: its field values, with ``children`` as row numbers."""
+        table: list[tuple] = []
+
+        def row(node: _Tree, done: dict[int, int]) -> int:
+            kids = tuple([done[id(c)] for c in node.children])
+            table.append(tuple([kids if name == "children" else getattr(node, name)
+                                for name in node.__slots__]))
+            return len(table) - 1
+
+        self._fold(row)
+        return _rebuild_tree, (self.__class__, table)
 
     def __repr__(self) -> str:
         cls = self.__class__
@@ -157,6 +190,17 @@ class _Tree(_Record):
             parts.append(")")
             stack.extend(reversed(parts))
         return "".join(out)
+
+
+def _rebuild_tree(cls: type, table: list[tuple]) -> _Tree:
+    """The tree that :meth:`_Tree.__reduce__` flattened into ``table``."""
+    k = cls.__slots__.index("children")
+    nodes: list[_Tree] = []
+    for row in table:
+        values = list(row)
+        values[k] = tuple([nodes[j] for j in row[k]])
+        nodes.append(cls(*values))
+    return nodes[-1]
 
 
 def _check_multiplicity(m: object) -> int:
@@ -192,24 +236,23 @@ def check_sources(sources: Iterable[tuple[int, float]]) -> tuple[tuple[int, floa
     """Validate a source set: at least one ``(vertex, initial cost)`` pair,
     distinct vertices, finite nonnegative costs. Returns the pairs with the
     costs as floats. Vertex ranges are the caller's to check."""
-    out: list[tuple[int, float]] = []
-    seen: set[int] = set()
+    out: dict[int, float] = {}
     for v, c in sources:
-        _check_vertex(v)
-        if v in seen:
+        if v.__class__ is not int or v < 0:
+            _check_vertex(v)
+        if v in out:
             raise ValidationError(f"duplicate source vertex {v}")
-        seen.add(v)
         c = float(c)
-        if math.isnan(c) or c == INF:
-            raise ValidationError(f"source {v}: initial cost must be finite and nonnegative")
-        if c < 0:
+        if not 0 <= c < INF:
+            if math.isnan(c) or c == INF:
+                raise ValidationError(f"source {v}: initial cost must be finite and nonnegative")
             raise ValidationError(
                 f"negative initial cost {c!r} for source {v}; it must be nonnegative"
             )
-        out.append((v, c))
+        out[v] = c
     if not out:
         raise ValidationError("need at least one source vertex")
-    return tuple(out)
+    return tuple(out.items())
 
 
 class Hyperarc(_Record):
@@ -277,10 +320,10 @@ class Hypergraph:
     Arc ``i`` (1..m) is stored as ``_heads[i]``, ``_tails[i]`` (its
     ``(vertex, multiplicity)`` pairs in input order), ``_lengths[i]`` and
     ``_dtails[i]`` (one pair per distinct tail vertex, multiplicities
-    summed); slot 0 of each array is unused. ``forward[v]`` lists the
-    indices of arcs in which ``v`` occurs as a tail (each arc at most once),
-    ``backward[v]`` the arcs whose head is ``v``. Both are the lists the
-    constructor builds, shared with every reader: they must not be mutated.
+    summed), and ``_arity[i]`` the number of those pairs; slot 0 of each
+    array is unused. ``forward[v]`` holds the indices of arcs in which ``v``
+    occurs as a tail (each arc at most once), ``backward[v]`` the arcs whose
+    head is ``v``; both are tuples of tuples, shared with every reader.
 
     ``names`` holds one string per vertex, and is what :meth:`name_of`
     returns; :func:`build` names unnamed vertices, and :func:`restrict`
@@ -309,6 +352,7 @@ class Hypergraph:
         "_tails",
         "_lengths",
         "_dtails",
+        "_arity",
     )
 
     def __init__(
@@ -335,14 +379,15 @@ class Hypergraph:
 
         self.n = n
         self.names = names
-        self.forward = forward
-        self.backward = backward
+        self.forward = tuple(map(tuple, forward))
+        self.backward = tuple(map(tuple, backward))
         self.input_size = n + len(heads) - 1 + sum(map(len, tails))
         self._name_to_id: dict[str, int] | None = None
         self._heads = heads
         self._tails = tails
         self._lengths = lengths
         self._dtails = dtails
+        self._arity = list(map(len, dtails))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -417,9 +462,9 @@ class Hypergraph:
                 if not 0 <= v < self.n:
                     raise ValidationError(f"arc {i}: tail vertex {v} out of range")
                 fwd[v].append(i)
-        if fwd != self.forward:
+        if tuple(map(tuple, fwd)) != self.forward:
             raise InternalInvariantError("forward adjacency disagrees with arcs")
-        if bwd != self.backward:
+        if tuple(map(tuple, bwd)) != self.backward:
             raise InternalInvariantError("backward adjacency disagrees with arcs")
         _check_names(self.names)
 
@@ -447,8 +492,7 @@ def build(vertices: int | Sequence[str | None], arcs: Iterable[Hyperarc]) -> Hyp
     is preserved and arcs keep their stable 1-based indices. This is the
     validating entry point: each :class:`Hyperarc` has checked its own
     fields, and ``build`` checks that names are distinct and every endpoint
-    is in range before unpacking the arcs into the graph's arrays. The
-    graph's ``forward`` and ``backward`` adjacency lists must not be mutated.
+    is in range before unpacking the arcs into the graph's arrays.
     """
     if isinstance(vertices, int):
         if vertices < 0:

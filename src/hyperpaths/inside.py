@@ -111,34 +111,35 @@ def viterbi_inside(
     and exists as a toggle so that can be verified. ``cost_factory``
     switches to caller-supplied :class:`CostFunction` state per arc; the
     default is the additive family, summed inline when an arc fires.
-    Zero-length arcs, self-loops and cycles are fine: a settled vertex can
-    never be improved again.
+    Zero-length arcs, self-loops and cycles are fine. No vertex settles
+    twice, with no flag to mark it: pushes strictly lower a cost, so only a
+    vertex's last entry escapes the stale test ``key > inside[y]``, and
+    re-opening a settled vertex needs an arc cheaper than a tail settled
+    after it, which superiority rules out; any other cost function trips the
+    extraction order check. ``binds`` is the countdowns' total fall.
     """
     sources = check_sources(sources)
-    for v, _ in sources:
-        if v >= g.n:
-            raise ValidationError(f"source vertex {v} out of range (n={g.n})")
     n = g.n
     inside = [INF] * n
     pi = [0] * n
     for v, c in sources:
+        if v >= n:
+            raise ValidationError(f"source vertex {v} out of range (n={n})")
         inside[v] = c
     heap: list[tuple[float, int]] = [(c, v) for v, c in sources]
     heapq.heapify(heap)
 
-    remaining = [len(d) for d in g._dtails]
+    remaining = g._arity.copy()
     costs: list | None = None  # per-arc CostFunction state, index 0 unused
     if cost_factory is not None:
         costs = [None] + [cost_factory(g, i) for i in g.arc_indices]
 
-    settled = bytearray(n)
     heads = g._heads
     lengths = g._lengths
     dtails = g._dtails
     forward = g.forward
     push = heapq.heappush
     pop = heapq.heappop
-    binds = 0
     last_key = -INF
 
     while heap:
@@ -146,24 +147,23 @@ def viterbi_inside(
         if key < last_key:
             raise InternalInvariantError("extraction keys decreased: cost function not superior")
         last_key = key
-        if settled[y] or key > inside[y]:
+        if key > inside[y]:
             continue
-        settled[y] = 1
-        cy = inside[y]
+        skip_at = key if use_guard else -INF
         for i in forward[y]:
             h = heads[i]
-            # The guard. By superiority the arc costs at least cy; so does the
-            # additive sum below in floats, as its terms are nonnegative and
-            # rounding is monotone, making it at least mult * cy >= cy. As
-            # inside[h] only decreases, once cy >= inside[h] the arc can never
-            # strictly improve h, so it is neither bound nor fired.
-            if use_guard and cy >= inside[h]:
+            # The guard. y settles at key == inside[y]. By superiority the arc
+            # costs at least key; so does the additive sum below in floats, as
+            # its terms are nonnegative and rounding is monotone, making it at
+            # least mult * key >= key. As inside[h] only decreases, once key >=
+            # inside[h] the arc can never strictly improve h: skip it, unbound.
+            if skip_at >= inside[h]:
                 continue
-            binds += 1
             if costs is not None:
-                costs[i].bind(y, cy)
-            remaining[i] -= 1
-            if remaining[i] == 0:
+                costs[i].bind(y, key)
+            r = remaining[i] - 1
+            remaining[i] = r
+            if r == 0:
                 if costs is None:
                     # All tails settled, so finite. Hypergraph.arc_total_cost
                     # inlined, in its order, so the value agrees with it bitwise.
@@ -177,7 +177,7 @@ def viterbi_inside(
                     pi[h] = i
                     push(heap, (c, h))
 
-    return InsideResult(tuple(inside), tuple(pi), binds)
+    return InsideResult(tuple(inside), tuple(pi), sum(g._arity) - sum(remaining))
 
 
 class HyperpathTree(_Tree):

@@ -52,7 +52,7 @@ def reach_from(g: Hypergraph, sources: Iterable[int]) -> ReachResult:
         reached[v] = True
     heads = g._heads
     forward = g.forward
-    remaining = [len(d) for d in g._dtails]
+    remaining = g._arity.copy()
     touches = 0
     while stack:
         y = stack.pop()

@@ -32,10 +32,10 @@ def test_build_f1(f1):
         bwd[arc.head].append(i)
         for v, _ in arc.distinct_tails():
             fwd[v].append(i)
-    assert f1.forward == fwd
-    assert f1.backward == bwd
+    assert f1.forward == tuple(map(tuple, fwd))
+    assert f1.backward == tuple(map(tuple, bwd))
     # e4's doubled tail appears once in the adjacency
-    assert f1.forward[1] == [3, 4]
+    assert f1.forward[1] == (3, 4)
     # n plus, per arc, the head and each tail pair
     assert f1.input_size == 4 + 2 + 2 + 3 + 2
 
@@ -44,7 +44,7 @@ def test_build_trivial():
     g = build(1, ())
     g.validate()
     assert g.n == 1 and g.num_arcs == 0
-    assert g.forward == [[]]
+    assert g.forward == ((),)
 
 
 def test_negative_length_rejected():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from random import Random
 
 import pytest
@@ -304,6 +306,8 @@ def test_deep_rhs_tree_round_trips_and_prunes(tmp_path, capsys):
     assert rhs == second.productions[0].rhs and hash(rhs) == hash(second.productions[0].rhs)
     nested = "RhsTree(label='f', children=(" * depth + "RhsTree(label='a', children=())"
     assert repr(rhs) == nested + ",))" * depth
+    for restored in (pickle.loads(pickle.dumps(first)), copy.deepcopy(first)):
+        assert restored == first and restored.productions[0].rhs == rhs
     path = tmp_path / "deep.gr"
     path.write_text(text, encoding="utf-8")
     assert main(["prune-grammar", "--beam", "inf", str(path)]) == 0

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import copy
+import heapq
+import math
+import pickle
+import time
+from enum import IntEnum
 from random import Random
 
 import pytest
@@ -14,8 +20,10 @@ from hyperpaths import (
     extract_best_tree,
     format_tree,
     iter_nodes,
+    restrict,
     viterbi_inside,
 )
+from hyperpaths.core import check_sources
 
 from support import oracle_inside_table, random_weighted_instance, recompute_tree_cost
 
@@ -59,6 +67,113 @@ def test_inside_rejects_bad_sources(f1):
         viterbi_inside(f1, [(0, -0.5)])
     with pytest.raises(ValidationError, match="duplicate"):
         viterbi_inside(f1, [(0, 0.0), (0, 1.0)])
+
+
+def test_check_sources_precedence_and_messages():
+    # Pairs are checked in order, each vertex before its cost, and a repeated
+    # vertex before the cost that comes with it.
+    with pytest.raises(ValidationError, match="duplicate source vertex 1"):
+        check_sources([(1, 0.0), (1, -1.0)])
+    with pytest.raises(ValidationError, match="vertex id must be a nonnegative integer"):
+        check_sources([(0, 0.0), (-1, math.nan)])
+    with pytest.raises(ValidationError, match="got True"):
+        check_sources([(True, 0.0)])
+    with pytest.raises(ValidationError, match="got 1.0"):
+        check_sources([(1.0, 0.0)])
+
+    class Vertex(IntEnum):
+        B = 2
+
+    ((v, c),) = check_sources([(Vertex.B, 1)])
+    assert v is Vertex.B and c == 1.0 and type(c) is float
+    ((_, zero),) = check_sources([(0, -0.0)])
+    assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+    with pytest.raises(ValidationError, match="negative initial cost -inf for source 0"):
+        check_sources([(0, -INF)])
+    with pytest.raises(ValidationError, match="negative initial cost -0.5 for source 3"):
+        check_sources([(3, -0.5)])
+    for bad in (math.nan, INF):
+        with pytest.raises(ValidationError, match="source 0: initial cost must be finite"):
+            check_sources([(0, bad)])
+    with pytest.raises(ValidationError, match="at least one source"):
+        check_sources(iter(()))
+    assert check_sources([(2, 1), (0, 0.5)]) == ((2, 1.0), (0, 0.5))
+
+
+def test_adjacency_is_tuples(f1):
+    for g in (f1, restrict(f1, [0, 1, 3]).graph, build(0, ())):
+        for adjacency in (g.forward, g.backward):
+            assert type(adjacency) is tuple and len(adjacency) == g.n
+            assert all(type(arcs) is tuple for arcs in adjacency)
+
+
+def reference_inside(g, sources, use_guard=True):
+    """A plainer form of the default inside loop, kept to compare against:
+    one settled flag per vertex, one count per bind, and the firing sum
+    taken from ``arc_total_cost``."""
+    inside = [INF] * g.n
+    pi = [0] * g.n
+    for v, c in sources:
+        inside[v] = float(c)
+    heap = [(inside[v], v) for v, _ in sources]
+    heapq.heapify(heap)
+    remaining = [len(g.arc(i).distinct_tails()) if i else 0 for i in range(g.num_arcs + 1)]
+    settled = [False] * g.n
+    binds = 0
+    while heap:
+        key, y = heapq.heappop(heap)
+        if settled[y] or key > inside[y]:
+            continue
+        settled[y] = True
+        for i in g.forward[y]:
+            h = g.arc(i).head
+            if use_guard and inside[y] >= inside[h]:
+                continue
+            binds += 1
+            remaining[i] -= 1
+            if remaining[i] == 0:
+                c = g.arc_total_cost(i, inside)
+                if c < inside[h]:
+                    inside[h], pi[h] = c, i
+                    heapq.heappush(heap, (c, h))
+    return tuple(inside), tuple(pi), binds
+
+
+def tie_heavy_instance(rng):
+    """A random cyclic graph of a few hundred vertices, with hundreds of
+    sources whose costs arcs often undercut, and few distinct lengths."""
+    n = rng.randint(300, 600)
+    arcs = [
+        Hyperarc(
+            rng.randrange(n),
+            tuple((rng.randrange(n), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))),
+            rng.choice((0.0, 0.0, 0.25, 0.5, 1.0)),
+        )
+        for _ in range(rng.randint(n, 4 * n))
+    ]
+    chosen = rng.sample(range(n), rng.randint(100, n // 2))
+    return build(n, arcs), [(v, rng.choice((0.0, 0.5, 1.0, 2.0, 8.0))) for v in chosen]
+
+
+def test_inside_loop_matches_reference_with_many_sources():
+    rng = Random(206)
+    undercut_sources = ties = 0
+    for _ in range(25):
+        g, sources = tie_heavy_instance(rng)
+        for use_guard in (True, False):
+            inside, pi, binds = reference_inside(g, sources, use_guard)
+            for factory in (None, AdditiveCost):
+                result = viterbi_inside(g, sources, cost_factory=factory, use_guard=use_guard)
+                # Bitwise: float.hex tells -0.0 from 0.0.
+                assert list(map(float.hex, result.inside)) == list(map(float.hex, inside))
+                assert result.pi == pi
+                assert result.binds == binds
+        # Sources improved by an arc were pushed twice: their first entry
+        # goes stale. Costs tie often, so heap order leans on vertex ids.
+        undercut_sources += sum(1 for v, _ in sources if pi[v])
+        finite = [c for c in inside if c < INF]
+        ties += len(finite) - len(set(finite))
+    assert undercut_sources > 100 and ties > 1000
 
 
 def test_inside_matches_oracle_random():
@@ -215,6 +330,9 @@ def test_doubled_tail_children_share_structure(f1):
     assert tree.arc == 4
     assert len(tree.children) == 2
     assert tree.children[0] is tree.children[1]
+    for restored in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert restored == tree and restored is not tree
+        assert restored.children[0] is restored.children[1]
     assert format_tree(tree, f1.name_of) == "(4)"
     assert tree.cost == pytest.approx(3.0)
 
@@ -230,3 +348,20 @@ def test_source_improvable_by_arc():
     result = viterbi_inside(g, [(0, 0.0), (1, 5.0)])
     assert result.inside[1] == 0.25
     assert result.pi[1] == 1
+
+
+def test_shared_chain_tree_compares_hashes_and_pickles_in_linear_time():
+    # v_i <- v_{i-1} * 2: one node per level, 2**40 leaves once unfolded.
+    levels = 40
+
+    def best_tree(source_cost):
+        arcs = [Hyperarc(i, ((i - 1, 2),), 1.0) for i in range(1, levels + 1)]
+        g = build(levels + 1, arcs)
+        return extract_best_tree(g, viterbi_inside(g, [(0, source_cost)]), levels)
+
+    a, b, other = best_tree(0.0), best_tree(0.0), best_tree(0.5)
+    start = time.perf_counter()
+    assert a == b and hash(a) == hash(b) and a != other
+    restored = pickle.loads(pickle.dumps(a))
+    assert restored == a and restored.children[0] is restored.children[1]
+    assert time.perf_counter() - start < 1.0

@@ -6,8 +6,8 @@ equal hashes for equal values (or the same ``TypeError`` when a field is a
 dict), and ``AttributeError`` on assignment and deletion. Instances also
 survive a pickle round trip and ``copy.copy``/``copy.deepcopy``, which a
 slotted class whose ``__setattr__`` refuses every field does not by itself.
-The tree classes compare, hash and print at a depth the interpreter's
-recursion limit would not allow.
+The tree classes compare, hash, print, pickle and copy at a depth the
+interpreter's recursion limit would not allow.
 """
 
 from __future__ import annotations
@@ -186,5 +186,7 @@ def test_deep_trees_compare_hash_and_print(cls):
 
     a, b = chain(DEPTH, x), chain(DEPTH, x)
     assert a == b and not a != b and hash(a) == hash(b)
+    for restored in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert type(restored) is cls and restored == a
     assert repr(a) == opening * DEPTH + leaf_text.format(x) + closing * DEPTH
     assert a != chain(DEPTH, y) and a != chain(DEPTH - 1, x)
