@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     INF,
@@ -23,10 +23,14 @@ from .core import (
     UnreachableTargetError,
     ValidationError,
 )
-from .inside import InsideResult, extract_best_tree, format_tree, viterbi_inside
-from .outside import OutsideResult, prune_relatively_useless, viterbi_outside
-from .reachability import reach_from, reach_to, reduce
 from .textio import ParsedHypergraph, format_float, parse_hypergraph, serialize_hypergraph
+
+if TYPE_CHECKING:
+    from .inside import InsideResult
+    from .outside import OutsideResult
+
+# Each command imports the modules it runs, when it runs them, so a command
+# loads no more than it needs.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,8 +79,36 @@ def _rows(row_format: str, *columns) -> str:
     return "".join(map(row_format.__mod__, zip(*columns)))
 
 
-def _json_value(x: float) -> float | str:
-    return "inf" if x == INF else x
+_JSON_BOOL = ("false", "true")
+
+
+def _json_number(x: float) -> str:
+    return '"inf"' if x == INF else repr(x)
+
+
+def _json_report(g: Hypergraph, vertices: tuple, arcs: tuple, best: float) -> str:
+    """The prune report's JSON, byte for byte what ``json.dumps`` writes for
+    it, built as row strings: names escaped by ``json``'s own ASCII escaper,
+    floats by ``repr``, and ``inf`` as the string ``"inf"``."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    names = list(map(quote, g.names))
+    _, *costs, keep = vertices
+    vertex_rows = map(
+        '{"name": %s, "inside": %s, "outside": %s, "gamma": %s, "keep": %s}'.__mod__,
+        zip(names, *[map(_json_number, c) for c in costs], map(_JSON_BOOL.__getitem__, keep)),
+    )
+    heads, tails, lengths = g._heads, g._tails, g._lengths
+    arc_rows = [
+        '{"index": %d, "head": %s, "tails": [%s], "length": %r, "gamma": %s, "keep": %s}' % (
+            i, names[heads[i]], ", ".join(["[%s, %d]" % (names[v], m) for v, m in tails[i]]),
+            lengths[i], _json_number(gamma), _JSON_BOOL[keep],
+        )
+        for i, gamma, keep in zip(*arcs)
+    ]
+    return '{"vertices": [%s], "arcs": [%s], "best": %s}\n' % (
+        ", ".join(vertex_rows), ", ".join(arc_rows), _json_number(best)
+    )
 
 
 # -- subcommands -------------------------------------------------------------
@@ -89,6 +121,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reach_from(args: argparse.Namespace) -> int:
+    from .reachability import reach_from
+
     parsed = _load(args.file)
     sources = _require_sources(parsed)
     result = reach_from(parsed.graph, [v for v, _ in sources])
@@ -97,6 +131,8 @@ def _cmd_reach_from(args: argparse.Namespace) -> int:
 
 
 def _cmd_reach_to(args: argparse.Namespace) -> int:
+    from .reachability import reach_to
+
     parsed = _load(args.file)
     result = reach_to(parsed.graph, _require_target(parsed))
     sys.stdout.write(_rows("%s\n", map(parsed.graph.name_of, result.vertices())))
@@ -104,6 +140,8 @@ def _cmd_reach_to(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from .reachability import reduce
+
     parsed = _load(args.file)
     red = reduce(parsed.graph, parsed.query())
     sys.stdout.write(serialize_hypergraph(red.graph, red.sources, red.target))
@@ -113,6 +151,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_inside(args: argparse.Namespace) -> int:
+    from .inside import viterbi_inside
+
     parsed = _load(args.file)
     g = parsed.graph
     result = viterbi_inside(g, _require_sources(parsed))
@@ -124,10 +164,13 @@ def _cmd_inside(args: argparse.Namespace) -> int:
 
 
 def _cmd_best_tree(args: argparse.Namespace) -> int:
+    from .inside import extract_best_tree, format_tree, viterbi_inside
+
     parsed = _load(args.file)
     g = parsed.graph
     vertex = g.id_of(args.vertex)
-    result = viterbi_inside(g, _require_sources(parsed))
+    # The tree's vertices all settle before ``vertex``, so the pass can stop.
+    result = viterbi_inside(g, _require_sources(parsed), stop=(vertex, 0.0))
     tree = extract_best_tree(g, result, vertex)
     print(format_tree(tree, g.name_of))
     print(format_float(tree.cost))
@@ -135,7 +178,7 @@ def _cmd_best_tree(args: argparse.Namespace) -> int:
 
 
 def _inside_outside(
-    g: Hypergraph, query: Query, unreachable: str = "target unreachable"
+    g: Hypergraph, query: Query, unreachable: str = "target unreachable", beam: float = INF
 ) -> tuple[InsideResult, OutsideResult]:
     """Run the inside and outside passes for ``query`` on ``g`` itself.
 
@@ -143,14 +186,20 @@ def _inside_outside(
     and arcs with such a tail never fire or relax, so every value equals the
     one on ``g`` restricted to the derivable vertices. A target with
     infinite inside cost raises ``unreachable`` when ``reach_from`` does not
-    reach it, and ``viterbi_outside``'s error when its cost overflowed.
+    reach it, and ``viterbi_outside``'s error when its cost overflowed. A
+    finite ``beam`` stops both passes where a prune at that beam needs no
+    more values; ``inf`` runs them in full.
     """
-    ins = viterbi_inside(g, query.sources)
-    if ins.inside[query.target] == INF and not (
-        reach_from(g, query.source_vertices()).reached[query.target]
-    ):
-        raise UnreachableTargetError(unreachable)
-    return ins, viterbi_outside(g, ins, query.target)
+    from .inside import viterbi_inside
+    from .outside import viterbi_outside
+
+    ins = viterbi_inside(g, query.sources, stop=(query.target, beam))
+    if ins.inside[query.target] == INF:
+        from .reachability import reach_from
+
+        if not reach_from(g, query.source_vertices()).reached[query.target]:
+            raise UnreachableTargetError(unreachable)
+    return ins, viterbi_outside(g, ins, query.target, beam=beam)
 
 
 def _cmd_outside(args: argparse.Namespace) -> int:
@@ -162,6 +211,8 @@ def _cmd_outside(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
+    from .outside import prune_relatively_useless
+
     beam = _parse_beam(args.beam)
     parsed = _load(args.file)
     g = parsed.graph
@@ -177,33 +228,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     arcs = (g.arc_indices, pr.gamma_arcs[1:], pr.keep_arcs[1:])
     best = ins.inside[query.target]
     if args.report == "json":
-        import json
-
-        report = {
-            "vertices": [
-                {
-                    "name": name,
-                    "inside": _json_value(inside),
-                    "outside": _json_value(outside),
-                    "gamma": _json_value(gamma),
-                    "keep": keep,
-                }
-                for name, inside, outside, gamma, keep in zip(*vertices)
-            ],
-            "arcs": [
-                {
-                    "index": i,
-                    "head": g.name_of(g._heads[i]),
-                    "tails": [[g.name_of(v), m] for v, m in g._tails[i]],
-                    "length": g._lengths[i],
-                    "gamma": _json_value(gamma),
-                    "keep": keep,
-                }
-                for i, gamma, keep in zip(*arcs)
-            ],
-            "best": _json_value(best),
-        }
-        print(json.dumps(report), file=sys.stderr)
+        sys.stderr.write(_json_report(g, vertices, arcs, best))
     else:
         sys.stderr.write(
             _rows("vertex %s inside %.17g outside %.17g gamma %.17g keep %d\n", *vertices)
@@ -246,16 +271,21 @@ def _cmd_from_grammar(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune_grammar(args: argparse.Namespace) -> int:
-    from .grammar import from_pruned, parse_grammar, serialize_grammar, to_hypergraph
+    from .grammar import _subgrammar, parse_grammar, serialize_grammar, to_hypergraph
+    from .outside import _keep_flags
 
     beam = _parse_beam(args.beam)
     grammar = parse_grammar(_read_text(args.file))
-    graph, query, gmap = to_hypergraph(grammar)
+    graph, query, _ = to_hypergraph(grammar)
 
-    ins, outs = _inside_outside(graph, query, "target unreachable: the grammar derives nothing")
-    pr = prune_relatively_useless(graph, ins, outs, beam)
-    reduced = from_pruned(grammar, gmap.after_restriction(pr.vertex_map, pr.arc_map), pr.graph)
-    sys.stdout.write(serialize_grammar(reduced))
+    # Only the kept productions are printed, so the passes stop at the beam
+    # and the productions are read off the keep flags (arc i is production
+    # i), with no pruned graph or index maps.
+    ins, outs = _inside_outside(
+        graph, query, "target unreachable: the grammar derives nothing", beam
+    )
+    kept = _keep_flags(graph, ins, outs, beam)[4]
+    sys.stdout.write(serialize_grammar(_subgrammar(grammar, kept)))
     return EXIT_OK
 
 

@@ -27,6 +27,20 @@ from typing import Any, Callable, Iterable, Sequence
 
 INF = math.inf
 
+# Absorbs float jitter between the inside, outside, and utility summations so
+# that beam boundaries never drop elements of the best tree itself.
+_BEAM_RELATIVE_SLACK = 1e-12
+
+
+def _beam_bounds(threshold: float) -> tuple[float, float]:
+    """Pruning's bounds for ``threshold``, the best cost plus the beam: the
+    cutoff, the largest utility a kept element has, and the limit, the
+    largest utility rounding can give an endpoint of a kept arc (at most the
+    largest float, so an infinite one is above it)."""
+    scale = max(1.0, abs(threshold))
+    cutoff = threshold + _BEAM_RELATIVE_SLACK * scale
+    return cutoff, min(cutoff + 1e-9 * scale, math.nextafter(INF, 0.0))
+
 
 class ValidationError(ValueError):
     """A hypergraph, arc, or query violates a structural invariant."""

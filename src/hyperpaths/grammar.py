@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .core import GrammarError, Hypergraph, Query, ValidationError, _Record, _Tree
-from .inside import HyperpathTree
 from .textio import _NAME_RE, format_float
+
+if TYPE_CHECKING:
+    from .inside import HyperpathTree
 
 SINK_NAME = "_OMEGA_"
 
@@ -200,27 +202,32 @@ def to_hypergraph(g: Wrtg) -> tuple[Hypergraph, Query, GrammarHypergraphMap]:
     names = tuple(g.nonterminals) + (sink_name,)
     vertex_of = {nt: i for i, nt in enumerate(g.nonterminals)}
     sink = len(g.nonterminals)
+    # Each nonterminal's (vertex, 1) tail pair, which every single occurrence shares.
+    pair_of = {nt: (i, 1) for nt, i in vertex_of.items()}
+    sink_tails = ((sink, 1),)
 
     heads, tails, lengths = [0], [()], [0.0]
+    log = math.log
     for i, p in enumerate(g.productions, start=1):
-        if p.weight > 1:
+        weight = p.weight
+        if weight > 1:
             raise GrammarError(
-                f"production {i} ({p.lhs}): weight {format_float(p.weight)} is above 1; "
+                f"production {i} ({p.lhs}): weight {format_float(weight)} is above 1; "
                 "only weights in (0, 1] convert to nonnegative lengths"
             )
-        length = -math.log(p.weight)
-        if length == 0:
-            length = 0.0  # normalize -0.0
+        rhs = p.rhs
         pairs: list[tuple[int, int]] = []
-        for nt in yield_nonterminals(p.rhs, nts):
-            v = vertex_of[nt]
-            if pairs and pairs[-1][0] == v:
-                pairs[-1] = (v, pairs[-1][1] + 1)
+        for sym in rhs if rhs.__class__ is tuple else yield_nonterminals(rhs, nts):
+            pair = pair_of.get(sym)
+            if pair is None:
+                continue
+            if pairs and pairs[-1][0] == pair[0]:  # a run of one nonterminal is one pair
+                pairs[-1] = (pair[0], pairs[-1][1] + 1)
             else:
-                pairs.append((v, 1))
+                pairs.append(pair)
         heads.append(vertex_of[p.lhs])
-        tails.append(tuple(pairs) if pairs else ((sink, 1),))
-        lengths.append(length)
+        tails.append(tuple(pairs) if pairs else sink_tails)
+        lengths.append(0.0 - log(weight))  # 0.0 for a weight of 1, not -0.0
 
     # Names are distinct, ids in range and lengths finite and nonnegative by
     # construction, so the graph is built unchecked.
@@ -252,7 +259,13 @@ def from_pruned(g: Wrtg, gmap: GrammarHypergraphMap, pruned: Hypergraph) -> Wrtg
         if p is None:
             raise GrammarError(f"pruned arc {arc_index} maps to no production")
         surviving.add(p)
-    productions = tuple(p for i, p in enumerate(g.productions, start=1) if i in surviving)
+    return _subgrammar(g, sorted(surviving))
+
+
+def _subgrammar(g: Wrtg, kept: Iterable[int]) -> Wrtg:
+    """``g`` with only the productions ``kept``, indices in increasing order,
+    and the nonterminals that the start and those productions use."""
+    productions = tuple([g.productions[i - 1] for i in kept])
     used: set[str] = {g.start}
     nts = frozenset(g.nonterminals)
     for p in productions:
@@ -323,7 +336,9 @@ def _check_symbol(sym: str, line: int | None = None) -> str:
     return sym
 
 
-def _parse_rhs_tree(text: str, line: int) -> RhsTree:
+def _parse_rhs_tree(text: str, line: int, known: set[str]) -> RhsTree:
+    """The rhs tree ``text``; ``known`` holds the symbols checked so far and
+    gains every label this call checks."""
     tokens = _TREE_TOKEN_RE.findall(text)
     end = len(tokens)
     pos = 0
@@ -333,7 +348,8 @@ def _parse_rhs_tree(text: str, line: int) -> RhsTree:
         if pos >= end:
             raise GrammarError(f"line {line}: unexpected end of rhs tree")
         label = tokens[pos]
-        _check_symbol(label, line)
+        if label not in known:
+            known.add(_check_symbol(label, line))
         pos += 1
         if pos < end and tokens[pos] == "(":
             pos += 1
@@ -363,12 +379,14 @@ def parse_grammar(text: str) -> Wrtg:
     """Parse the grammar file format; see the module docstring."""
     rows: list[tuple[int, float, str, str]] = []
     start: str | None = None
+    # The symbols that passed _check_symbol, so each distinct one is checked
+    # once; a bad symbol never enters, so it fails where it first occurs.
+    known: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        tokens = line.split()
-        if tokens[0] == "start":
+        if line.startswith("start") and (tokens := line.split())[0] == "start":
             if len(tokens) != 2:
                 raise GrammarError(f"line {lineno}: expected 'start <name>'")
             if start is not None:
@@ -386,10 +404,11 @@ def parse_grammar(text: str) -> Wrtg:
         if not arrow:
             raise GrammarError(f"line {lineno}: production is missing '->'")
         lhs = lhs_text.strip()
-        if len(lhs.split()) != 1:
-            raise GrammarError(f"line {lineno}: expected a single lhs nonterminal")
-        _check_symbol(lhs, lineno)
-        rows.append((lineno, weight, lhs, rhs_text.strip()))
+        if lhs not in known:
+            if len(lhs.split()) != 1:
+                raise GrammarError(f"line {lineno}: expected a single lhs nonterminal")
+            known.add(_check_symbol(lhs, lineno))
+        rows.append((lineno, weight, lhs, rhs_text))
 
     if not rows:
         raise GrammarError("grammar has no productions")
@@ -397,21 +416,25 @@ def parse_grammar(text: str) -> Wrtg:
     nonterminal_order = tuple(dict.fromkeys(lhs for _, _, lhs, _ in rows))
     nts = frozenset(nonterminal_order)
 
-    alphabet: set[str] = set()
+    # Every rhs symbol; the nonterminals are taken out at the end.
+    symbols: set[str] = set()
     productions: list[Production] = []
     for lineno, weight, lhs, rhs_text in rows:
         rhs: Rhs
         if "(" in rhs_text or ")" in rhs_text:
-            rhs = _parse_rhs_tree(rhs_text, lineno)
+            rhs = _parse_rhs_tree(rhs_text, lineno, known)
+            for sym, internal in _rhs_symbols(rhs):
+                if internal and sym in nts:
+                    raise GrammarError(
+                        f"line {lineno}: nonterminal {sym!r} used as an internal node"
+                    )
+                symbols.add(sym)
         else:
-            rhs = tuple(_check_symbol(sym, lineno) for sym in rhs_text.split())
-        for sym, internal in _rhs_symbols(rhs):
-            if sym not in nts:
-                alphabet.add(sym)
-            elif internal:
-                raise GrammarError(
-                    f"line {lineno}: nonterminal {sym!r} used as an internal node"
-                )
+            rhs = tuple(rhs_text.split())
+            for sym in rhs:
+                if sym not in known:
+                    known.add(_check_symbol(sym, lineno))
+            symbols.update(rhs)
         try:
             productions.append(Production(lhs, rhs, weight))
         except GrammarError as exc:
@@ -422,7 +445,7 @@ def parse_grammar(text: str) -> Wrtg:
     elif start not in nts:
         raise GrammarError(f"start symbol {start!r} never appears as a lhs")
     # Wrtg's checks, with line numbers, are all done above.
-    return _trusted_wrtg(frozenset(alphabet), nonterminal_order, start, tuple(productions))
+    return _trusted_wrtg(frozenset(symbols - nts), nonterminal_order, start, tuple(productions))
 
 
 def _format_rhs(rhs: Rhs) -> str:

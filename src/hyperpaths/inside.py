@@ -16,6 +16,7 @@ is not implemented.
 from __future__ import annotations
 
 import heapq
+import math
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from typing import Callable, Iterable, Iterator
@@ -26,6 +27,7 @@ from .core import (
     InternalInvariantError,
     UnreachableTargetError,
     ValidationError,
+    _beam_bounds,
     _Record,
     _Tree,
     check_sources,
@@ -96,6 +98,7 @@ def viterbi_inside(
     *,
     cost_factory: CostFactory | None = None,
     use_guard: bool = True,
+    stop: tuple[int, float] | None = None,
 ) -> InsideResult:
     """Cheapest hyperpath-tree cost from ``sources`` to every vertex.
 
@@ -117,9 +120,20 @@ def viterbi_inside(
     re-opening a settled vertex needs an arc cheaper than a tail settled
     after it, which superiority rules out; any other cost function trips the
     extraction order check. ``binds`` is the countdowns' total fall.
+
+    ``stop=(v, beam)`` ends the pass early, for callers that need no vertex
+    a prune at ``beam`` drops: once ``v`` settles, the pass ends when every
+    key up to the limit of
+    :func:`~hyperpaths.outside.prune_relatively_useless` for ``inside[v] +
+    beam`` is popped. Those pops are the full pass's, so every settled value
+    and ``pi`` entry is the full pass's too; a vertex not settled by then
+    counts as unreached (``inf``, ``pi`` 0).
     """
     sources = check_sources(sources)
     n = g.n
+    stop_at, beam = stop if stop is not None else (-1, INF)
+    if stop is not None and not 0 <= stop_at < n:
+        raise ValidationError(f"stop vertex {stop_at} out of range (n={n})")
     inside = [INF] * n
     pi = [0] * n
     for v, c in sources:
@@ -141,6 +155,7 @@ def viterbi_inside(
     push = heapq.heappush
     pop = heapq.heappop
     last_key = -INF
+    unset = INF  # the cost of a vertex not reached
 
     while heap:
         key, y = pop(heap)
@@ -149,6 +164,14 @@ def viterbi_inside(
         last_key = key
         if key > inside[y]:
             continue
+        if y == stop_at:
+            # From here on no cost above the limit is taken or left in the
+            # heap, so the pass ends once no key at most the limit is left.
+            limit = _beam_bounds(key + beam)[1]
+            unset = math.nextafter(limit, INF)
+            inside = [x if x <= limit else unset for x in inside]
+            heap = [entry for entry in heap if entry[0] <= limit]
+            heapq.heapify(heap)
         skip_at = key if use_guard else -INF
         for i in forward[y]:
             h = heads[i]
@@ -177,6 +200,9 @@ def viterbi_inside(
                     pi[h] = i
                     push(heap, (c, h))
 
+    if unset != INF:
+        pi = [0 if x == unset else a for x, a in zip(inside, pi)]
+        inside = [INF if x == unset else x for x in inside]
     return InsideResult(tuple(inside), tuple(pi), sum(g._arity) - sum(remaining))
 
 

@@ -24,14 +24,11 @@ from .core import (
     InternalInvariantError,
     UnreachableTargetError,
     ValidationError,
+    _beam_bounds,
     _Record,
     restrict,
 )
 from .inside import InsideResult
-
-# Absorbs float jitter between the inside, outside, and utility summations so
-# that beam boundaries never drop elements of the best tree itself.
-_BEAM_RELATIVE_SLACK = 1e-12
 
 
 class OutsideResult(_Record):
@@ -48,7 +45,9 @@ class OutsideResult(_Record):
     target: int
 
 
-def viterbi_outside(g: Hypergraph, ins: InsideResult, target: int) -> OutsideResult:
+def viterbi_outside(
+    g: Hypergraph, ins: InsideResult, target: int, *, beam: float = INF
+) -> OutsideResult:
     """Cheapest completion cost toward ``target`` for every vertex.
 
     ``ins`` must come from the same graph and reach the target. Arcs with an
@@ -58,6 +57,13 @@ def viterbi_outside(g: Hypergraph, ins: InsideResult, target: int) -> OutsideRes
     costs, ``psi`` (as input arcs) and the utilities and pruning built on
     them equal those on the restriction, mapped back to ``g``'s ids.
     O(m log n + t) with the lazy binary heap.
+
+    A finite ``beam`` ends the pass once every key up to the limit of
+    :func:`prune_relatively_useless` for ``inside[target] + beam`` is
+    popped; a vertex not settled by then counts as incompletable (``inf``,
+    ``psi`` 0). With an ``ins`` from ``viterbi_inside(..., stop=(target, beam))``,
+    the keep flags of a prune at ``beam`` are then those of the full passes:
+    see :func:`_keep_flags`.
     """
     if not 0 <= target < g.n:
         raise ValidationError(f"target vertex {target} out of range (n={g.n})")
@@ -68,7 +74,11 @@ def viterbi_outside(g: Hypergraph, ins: InsideResult, target: int) -> OutsideRes
 
     n = g.n
     inside = ins.inside
-    outside = [INF] * n
+    # No cost above the limit is ever taken, so none is pushed and the pass
+    # ends once no key at most the limit is left; with no beam, ``unset`` is
+    # ``inf``.
+    unset = math.nextafter(_beam_bounds(inside[target] + beam)[1], INF)
+    outside = [unset] * n
     psi = [0] * n
     outside[target] = 0.0
     heap: list[tuple[float, int]] = [(0.0, target)]
@@ -104,6 +114,8 @@ def viterbi_outside(g: Hypergraph, ins: InsideResult, target: int) -> OutsideRes
                     psi[t] = i
                     push(heap, (proposed, t))
 
+    if unset != INF:
+        outside = [INF if o == unset else o for o in outside]
     return OutsideResult(tuple(outside), tuple(psi), target)
 
 
@@ -166,6 +178,65 @@ class PruneResult(_Record):
     arc_map: dict[int, int]
 
 
+def _keep_flags(
+    g: Hypergraph, ins: InsideResult, outs: OutsideResult, beam: float
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...], list[bool], list[int], float]:
+    """Utilities and keep flags of a prune at ``beam``: ``(gamma_v, gamma_e,
+    keep_v, keep_e, kept, threshold)``, where ``kept`` lists, in increasing
+    order, the arcs flagged kept whose endpoints are all flagged kept too,
+    the arcs :func:`~hyperpaths.core.restrict` keeps.
+
+    The flags read only values at most the limit, so passes stopped there
+    (``viterbi_inside(..., stop=(target, beam))`` and ``viterbi_outside(...,
+    beam=beam)``) give the full passes' flags. A kept element's utility is at
+    most the cutoff. Its terms (inside and outside costs, lengths times
+    multiplicities) are nonnegative and float rounding is monotone, so each
+    is at most the utility: every value a kept element reads settles before
+    the stop, by the same operations as in the full passes. The stopped
+    inside pass is a prefix of the full one. The stopped outside pass skips
+    arcs with a tail above the limit, but a completion through such an arc
+    makes a tree costing more than the limit, so the vertex it completes
+    has utility above the cutoff by far more than rounding (the limit is
+    1e-9·max(1, |threshold|) above it); it never gives a kept vertex its
+    value. So kept elements read bitwise the full passes' values. The
+    other values are the full ones or larger (``inf`` when not settled),
+    so an element not kept stays not kept.
+    """
+    beam = float(beam)
+    if not beam >= 0:
+        raise ValidationError(f"beam must be nonnegative, got {beam!r}")
+    best = ins.inside[outs.target]
+    if best == INF:
+        raise UnreachableTargetError("target is unreachable; nothing to prune")
+
+    gamma_v, gamma_e = utilities(g, ins, outs)
+    threshold = best + beam
+    cutoff, limit = _beam_bounds(threshold)
+    keep_v = tuple(math.isfinite(x) and x <= cutoff for x in gamma_v)
+    keep_e = [False] * (g.num_arcs + 1)
+    kept: list[int] = []
+    heads, dtails = g._heads, g._dtails
+    for i in g.arc_indices:
+        x = gamma_e[i]
+        if x > cutoff or x == INF:
+            continue
+        keep_e[i] = True
+        if keep_v[heads[i]]:
+            for v, _ in dtails[i]:
+                if not keep_v[v]:
+                    break
+            else:
+                kept.append(i)
+                continue
+        # A kept arc's endpoints have utility <= the arc's, but rounding may
+        # put one just above the cutoff, and the arc is then dropped. Above
+        # the limit is a bug, as is an infinite utility.
+        for v in (heads[i], *[t for t, _ in dtails[i]]):
+            if not gamma_v[v] <= limit:
+                raise InternalInvariantError(f"arc {i} kept but endpoint vertex {v} is not")
+    return gamma_v, gamma_e, keep_v, keep_e, kept, threshold
+
+
 def prune_relatively_useless(
     g: Hypergraph, ins: InsideResult, outs: OutsideResult, beam: float
 ) -> PruneResult:
@@ -178,46 +249,14 @@ def prune_relatively_useless(
     the best cost; kept sets grow monotonically with the beam. O(t) given
     the two prior passes.
     """
-    beam = float(beam)
-    if not beam >= 0:
-        raise ValidationError(f"beam must be nonnegative, got {beam!r}")
-    best = ins.inside[outs.target]
-    if best == INF:
-        raise UnreachableTargetError("target is unreachable; nothing to prune")
-
-    gamma_v, gamma_e = utilities(g, ins, outs)
-    threshold = best + beam
-    cutoff = threshold + _BEAM_RELATIVE_SLACK * max(1.0, abs(threshold))
-    keep_v = tuple(math.isfinite(x) and x <= cutoff for x in gamma_v)
-    # A kept arc's endpoints have utility <= the arc's, but rounding may put
-    # one just above the cutoff; restrict then drops the arc. Farther is a bug,
-    # as is an infinite utility: the limit is at most the largest float.
-    limit = min(cutoff + 1e-9 * max(1.0, abs(threshold)), math.nextafter(INF, 0.0))
-    keep_e = [False] * (g.num_arcs + 1)
-    kept_arcs: list[int] = []
-    heads, dtails = g._heads, g._dtails
-    for i in g.arc_indices:
-        x = gamma_e[i]
-        if x > cutoff or x == INF:
-            continue
-        keep_e[i] = True
-        kept_arcs.append(i)
-        v = heads[i]
-        if gamma_v[v] <= limit:
-            for v, _ in dtails[i]:
-                if not gamma_v[v] <= limit:
-                    break
-            else:
-                continue
-        raise InternalInvariantError(f"arc {i} kept but endpoint vertex {v} is not")
-
-    res = restrict(g, [v for v in range(g.n) if keep_v[v]], keep_arcs=kept_arcs)
+    gamma_v, gamma_e, keep_v, keep_e, kept, threshold = _keep_flags(g, ins, outs, beam)
+    res = restrict(g, [v for v in range(g.n) if keep_v[v]], keep_arcs=kept)
     return PruneResult(
         gamma_vertices=gamma_v,
         gamma_arcs=gamma_e,
         keep_vertices=keep_v,
         keep_arcs=tuple(keep_e),
-        beam=beam,
+        beam=float(beam),
         threshold=threshold,
         graph=res.graph,
         vertex_map=res.vertex_map,

@@ -7,7 +7,8 @@ Usage, from the repository root::
 ``src/`` at git revision ``REV`` is extracted with ``git archive`` into a
 temporary directory. The same seeded inputs then run through that tree and
 through this checkout's ``src/``, in one subprocess each, and every result is
-compared by ``repr`` (so floats bitwise; an error by its type and message):
+compared by ``repr`` (so floats bitwise; an error by its type and message;
+a repr over 4 KiB by its SHA-256):
 
 - ``reduce`` on random graphs from ``tests/support.py`` and on every
   benchmark instance of seeds 13 and 31 (the charts, each horn query, the
@@ -30,7 +31,10 @@ compared by ``repr`` (so floats bitwise; an error by its type and message):
 - ``parse_grammar`` then ``serialize_grammar`` on every input of
   ``tests/golden/grammar_parse_cases.json``;
 - every graph and grammar CLI command, run in process, on the golden CLI
-  inputs, benchmark inputs and random graphs.
+  inputs, benchmark inputs and random graphs;
+- ``prune-grammar`` on the benchmark grammars of both seeds and on random
+  cyclic grammars with tied weights, at beams 0, 0.0625, 1, 16 and inf and
+  at the boundary beam of each arc and vertex and the float just below it.
 
 Prints the number of differing results per group and exits 1 if any differ.
 This is a script, not a pytest module.
@@ -38,6 +42,7 @@ This is a script, not a pytest module.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -86,8 +91,8 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         from hyperpaths.cli import main
 
         _, argv, files = job
-        for name, text in files.items():
-            Path(name).write_text(text, encoding="utf-8")
+        for name, ti in files.items():
+            Path(name).write_text(texts[ti], encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -173,7 +178,10 @@ def worker(src: str, jobs_path: str, out_path: str) -> None:
             result = _run_job(hp, texts, graphs, job)
         except Exception as exc:  # a crash is a result to compare too
             result = f"{type(exc).__name__}: {exc}"
-        results.append(repr(result))
+        text = repr(result)
+        if len(text) > 4096:  # keeps the result files small; equal digests, equal reprs
+            text = f"{text[:300]}... sha256 {hashlib.sha256(text.encode()).hexdigest()}"
+        results.append(text)
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(results, handle)
 
@@ -191,21 +199,34 @@ def _tie_heavy(rng: Random, hp):
     return hp.build(n, arcs)
 
 
-def _boundary_beams(hp, best: float, x: float) -> tuple[float, float]:
-    """The least beam whose cutoff keeps utility ``x`` (see
-    ``prune_relatively_useless``), and the float just below it."""
-    slack = hp.outside._BEAM_RELATIVE_SLACK
+def _random_grammar(rng: Random) -> str:
+    """A random grammar text: recursive, unproductive and unreachable
+    nonterminals, flat and tree rhs, repeated nonterminals, tied weights."""
+    nts = [f"N{i}" for i in range(rng.randint(1, 8))]
+    lines = ["start N0"]
+    for k in range(rng.randint(len(nts), 4 * len(nts))):
+        weight = rng.choice(("1", "0.5", "0.25", "0.125", repr(rng.uniform(0.01, 1.0))))
+        syms = [rng.choice(nts) if rng.random() < 0.6 else rng.choice("ab")
+                for _ in range(rng.randint(0, 3))]
+        rhs = f"f({', '.join(syms)})" if syms and rng.random() < 0.4 else " ".join(syms)
+        lines.append(f"{weight}: {nts[0] if k == 0 else rng.choice(nts)} -> {rhs}")
+    return "\n".join(lines) + "\n"
 
-    def cutoff(beam: float) -> float:
-        threshold = best + beam
-        return threshold + slack * max(1.0, abs(threshold))
 
-    beam = max(0.0, (x - best) - slack * max(1.0, abs(x)))
-    while beam > 0 and cutoff(beam) >= x:
-        beam = math.nextafter(beam, 0.0)
-    while cutoff(beam) < x:
-        beam = math.nextafter(beam, math.inf)
-    return beam, math.nextafter(beam, -math.inf)
+def _grammar_boundary_beams(hp, text: str) -> list[float]:
+    """The boundary beams of every arc and vertex of the grammar's
+    hypergraph, with the floats just below them; none when the grammar
+    derives nothing."""
+    from support import boundary_beams
+
+    graph, query, _ = hp.to_hypergraph(hp.parse_grammar(text))
+    ins = hp.viterbi_inside(graph, query.sources)
+    best = ins.inside[query.target]
+    if best == math.inf:
+        return []
+    gamma_v, gamma_e = hp.utilities(graph, ins, hp.viterbi_outside(graph, ins, query.target))
+    xs = [x for x in gamma_e[1:] + gamma_v if x < math.inf]
+    return sorted({b for x in xs for b in boundary_beams(best, x) if b >= 0})
 
 
 def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
@@ -215,7 +236,7 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     import gen
     import hyperpaths as hp
-    from support import random_hypergraph, random_sources, random_weighted_instance
+    from support import boundary_beams, random_hypergraph, random_sources, random_weighted_instance
     from test_grammar_parse_table import CASES as GRAMMAR_PARSE_CASES
 
     texts: list[str] = []
@@ -283,7 +304,7 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
         beams = [0.0, 0.5, math.inf]
         for x in gamma_e[1:]:
             if x < math.inf:
-                beams.extend(b for b in _boundary_beams(hp, best, x) if b >= 0)
+                beams.extend(b for b in boundary_beams(best, x) if b >= 0)
         for beam in beams:
             add("prune random", ["prune", ti, named(g, sources), g.name_of(target), beam])
 
@@ -331,18 +352,32 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
         g = random_hypergraph(rng)
         graph_inputs.append(hp.serialize_hypergraph(g, random_sources(rng, g), rng.randrange(g.n)))
     for text in graph_inputs:
+        ti = add_text(text)
         parsed = hp.parse_hypergraph(text)
         target = parsed.graph.name_of(parsed.target) if parsed.target is not None else "v0"
         commands = [["validate"], ["reach-from"], ["reach-to"], ["reduce"], ["inside"],
                     ["best-tree", "--vertex", target], ["outside"]]
         commands += [["prune", "--beam", b, "--report", r] for b in PRUNE_BEAMS for r in ("text", "json")]
         for argv in commands:
-            add("cli graph", ["cli", argv + ["in.hg"], {"in.hg": text}])
+            add("cli graph", ["cli", argv + ["in.hg"], {"in.hg": ti}])
     for text in grammar_inputs:
-        add("cli grammar", ["cli", ["from-grammar", "in.gr"], {"in.gr": text}])
-        add("cli grammar", ["cli", ["from-grammar", "--map", "out.map", "in.gr"], {"in.gr": text}])
+        ti = add_text(text)
+        add("cli grammar", ["cli", ["from-grammar", "in.gr"], {"in.gr": ti}])
+        add("cli grammar", ["cli", ["from-grammar", "--map", "out.map", "in.gr"], {"in.gr": ti}])
         for beam in ("0.0625", "1", "inf"):
-            add("cli grammar", ["cli", ["prune-grammar", "--beam", beam, "in.gr"], {"in.gr": text}])
+            add("cli grammar", ["cli", ["prune-grammar", "--beam", beam, "in.gr"], {"in.gr": ti}])
+
+    # prune-grammar at fixed and boundary beams.
+    texts_gr = [gen.grammar(seed).text for seed in SEEDS]
+    rng = Random(14)
+    texts_gr += [_random_grammar(rng) for _ in range(150)]
+    for text in texts_gr:
+        ti = add_text(text)
+        beams = ["0", "0.0625", "1", "16", "inf"]
+        beams += map(repr, _grammar_boundary_beams(hp, text))
+        for beam in beams:
+            argv = ["prune-grammar", "--beam", beam, "in.gr"]
+            add("prune-grammar beams", ["cli", argv, {"in.gr": ti}])
     return {"texts": texts, "jobs": jobs}, compare
 
 

@@ -68,6 +68,23 @@ def random_weighted_instance(rng: Random) -> tuple[Hypergraph, tuple[tuple[int, 
     return g, random_sources(rng, g)
 
 
+def boundary_beams(best: float, x: float) -> tuple[float, float]:
+    """The least beam at which a prune with best cost ``best`` keeps utility
+    ``x`` (see ``prune_relatively_useless``), and the float just below it."""
+    from hyperpaths.core import _BEAM_RELATIVE_SLACK as slack
+
+    def cutoff(beam: float) -> float:
+        threshold = best + beam
+        return threshold + slack * max(1.0, abs(threshold))
+
+    beam = max(0.0, (x - best) - slack * max(1.0, abs(x)))
+    while beam > 0 and cutoff(beam) >= x:
+        beam = math.nextafter(beam, 0.0)
+    while cutoff(beam) < x:
+        beam = math.nextafter(beam, math.inf)
+    return beam, math.nextafter(beam, -math.inf)
+
+
 # -- oracle-side tables -------------------------------------------------------
 
 

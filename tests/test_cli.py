@@ -9,9 +9,12 @@ from hyperpaths import (
     Query,
     parse_grammar,
     parse_hypergraph,
+    prune_relatively_useless,
     reach_from,
     reduce,
     serialize_hypergraph,
+    viterbi_inside,
+    viterbi_outside,
 )
 from hyperpaths.cli import main
 
@@ -151,7 +154,8 @@ def test_prune_runs_reach_from_only_for_infinite_target(capsys, monkeypatch, f1_
         calls.append(args)
         return reach_from(*args)
 
-    monkeypatch.setattr("hyperpaths.cli.reach_from", counting_reach_from)
+    # The CLI imports reach_from from its module when it needs it.
+    monkeypatch.setattr("hyperpaths.reachability.reach_from", counting_reach_from)
     code, _, _ = run(capsys, "prune", "--beam", "1", f1_file)
     assert code == 0 and len(calls) == 0
     path = tmp_path / "u.hg"
@@ -187,6 +191,51 @@ def test_prune_json_reports_inf_as_string(capsys, tmp_path):
     vertices = {row["name"]: row for row in report["vertices"]}
     assert vertices["D"]["gamma"] == "inf"
     assert vertices["D"]["keep"] is False
+
+
+def test_prune_json_report_is_json_dumps_byte_for_byte(capsys, tmp_path):
+    # Names that json escapes: a quote, a backslash, control characters,
+    # DEL, non-ASCII and an astral character (a surrogate pair). One vertex
+    # is underivable, so the report also holds "inf" and false.
+    q, b, e, s, c, x = 'q"uote', "back\\slash", "café", "snow☃", "clef\U0001d11e", "ctl\x01\x7f"
+    text = (
+        f"arc {q} <- w @ 0.5\narc {b} <- {q}*2 w @ 0.25\narc {e} <- {b} @ 1e-3\n"
+        f"arc {s} <- {e} {c} @ 1\narc {c} <- {x} @ 0\narc {s} <- {b} {q} @ 3\n"
+        f"arc {s} <- {e}*3 @ 0\nsource w 0\ntarget {s}\n"
+    )
+    path = tmp_path / "names.hg"
+    path.write_text(text, encoding="utf-8")
+    parsed = parse_hypergraph(text)
+    g, query = parsed.graph, parsed.query()
+    ins = viterbi_inside(g, query.sources)
+    outs = viterbi_outside(g, ins, query.target)
+
+    def value(x):
+        return "inf" if x == float("inf") else x
+
+    for beam in ("0", "1", "inf"):
+        pr = prune_relatively_useless(g, ins, outs, float(beam))
+        report = {
+            "vertices": [
+                {"name": name, "inside": value(i), "outside": value(o),
+                 "gamma": value(gamma), "keep": keep}
+                for name, i, o, gamma, keep in zip(
+                    g.names, ins.inside, outs.outside, pr.gamma_vertices, pr.keep_vertices
+                )
+            ],
+            "arcs": [
+                {"index": i, "head": g.name_of(g._heads[i]),
+                 "tails": [[g.name_of(v), m] for v, m in g._tails[i]],
+                 "length": g._lengths[i], "gamma": value(pr.gamma_arcs[i]),
+                 "keep": pr.keep_arcs[i]}
+                for i in g.arc_indices
+            ],
+            "best": value(ins.inside[query.target]),
+        }
+        code, _, err = run(capsys, "prune", "--beam", beam, "--report", "json", str(path))
+        assert code == 0
+        assert err == json.dumps(report) + "\n"
+        assert "inf" in err and "\\ud834\\udd1e" in err and "\\u0001\\u007f" in err
 
 
 def test_prune_inf_matches_reduce_bytes(capsys, f1_file, tmp_path):

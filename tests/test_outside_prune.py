@@ -22,8 +22,11 @@ from hyperpaths import (
     viterbi_inside,
     viterbi_outside,
 )
+from hyperpaths.core import _beam_bounds
+from hyperpaths.outside import _keep_flags
 
 from support import (
+    boundary_beams,
     collect_reduced_instances,
     oracle_gamma_tables,
     random_hypergraph,
@@ -301,3 +304,40 @@ def test_forward_restriction_changes_no_result():
             assert list(pr.vertex_map.items()) == composed_v
             assert list(pr.arc_map.items()) == composed_a
     assert dropped >= 100, "most instances should have underivable vertices"
+
+
+def test_passes_stopped_at_the_beam_keep_what_the_full_passes_keep():
+    """``viterbi_inside(stop=(target, beam))`` and ``viterbi_outside(beam=beam)``
+    keep each full-pass value up to the beam's limit, with its ``pi`` or
+    ``psi``, and count every other vertex as unreached; and the keep flags
+    read off the two stopped passes are the full passes' flags, at fixed
+    beams and at each arc's boundary beam and the float just below it."""
+    rng = Random(303)
+    stopped = runs = 0
+    for _ in range(150):
+        g = random_hypergraph(rng, n_range=(4, 30), m_range=(4, 60), length_range=(0.0, 2.0))
+        sources = random_sources(rng, g)[: rng.randint(1, 2)]
+        ins = viterbi_inside(g, sources)
+        targets = [v for v in range(g.n) if ins.inside[v] < INF]
+        target = rng.choice(targets)
+        best = ins.inside[target]
+        outs = viterbi_outside(g, ins, target)
+        beams = {0.0, 0.5, INF}
+        for x in utilities(g, ins, outs)[1][1:]:
+            if x < INF:
+                beams.update(b for b in boundary_beams(best, x) if b >= 0)
+        for beam in sorted(beams):
+            limit = _beam_bounds(best + beam)[1]
+            ins_b = viterbi_inside(g, sources, stop=(target, beam))
+            assert ins_b.inside == tuple(x if x <= limit else INF for x in ins.inside)
+            assert ins_b.pi == tuple(a if x <= limit else 0 for x, a in zip(ins.inside, ins.pi))
+            outs_b = viterbi_outside(g, ins, target, beam=beam)
+            assert outs_b.outside == tuple(x if x <= limit else INF for x in outs.outside)
+            assert outs_b.psi == tuple(
+                a if x <= limit else 0 for x, a in zip(outs.outside, outs.psi)
+            )
+            stopped += ins_b.inside != ins.inside
+            runs += 1
+            flags = _keep_flags(g, ins_b, viterbi_outside(g, ins_b, target, beam=beam), beam)
+            assert flags[2:5] == _keep_flags(g, ins, outs, beam)[2:5]
+    assert stopped >= 500, f"only {stopped} of {runs} inside passes stopped early"

@@ -2,8 +2,8 @@
 
 The package resolves its public names on first use, so a graph command
 never imports the grammar layer, the brute-force oracle or ``json``; no
-command imports ``dataclasses``; and the lazy names still behave like the
-eager ones did.
+command imports ``dataclasses``; each command imports only the package
+modules it runs; and the lazy names still behave like the eager ones did.
 """
 
 from __future__ import annotations
@@ -56,13 +56,59 @@ def test_grammar_commands_load_no_oracle_json_or_dataclasses(command, tmp_path):
     assert _run_cli([command, *extra, str(F1_GRAMMAR)]) == "exit 0 loaded hyperpaths.grammar"
 
 
-def _run_cli(argv: list[str]) -> str:
+def _run_cli(argv: list[str], script: str = _RUN_CLI) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_CLI, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
     return proc.stdout.splitlines()[-1]
+
+
+# Runs the CLI as above, then prints its exit code, the package modules it
+# loaded beyond the three every command needs (the CLI itself runs as
+# ``__main__``), and whether it loaded json.
+_RUN_CLI_MODULES = """
+import runpy, sys
+try:
+    runpy.run_module("hyperpaths.cli", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+base = {"hyperpaths", "hyperpaths.core", "hyperpaths.textio"}
+assert base <= set(sys.modules)
+extra = sorted(m for m in sys.modules if m.startswith("hyperpaths.") and m not in base)
+loaded = [m.split(".")[1] for m in extra] + ["json"][: "json" in sys.modules]
+print("exit", code, "loaded", *loaded)
+"""
+
+UNREACHABLE = HERE / "golden" / "cli" / "unreachable.hg"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--help"], "exit 0 loaded"),
+        (["validate", F1], "exit 0 loaded"),
+        (["reach-from", F1], "exit 0 loaded reachability"),
+        (["reach-to", F1], "exit 0 loaded reachability"),
+        (["reduce", F1], "exit 0 loaded reachability"),
+        (["inside", F1], "exit 0 loaded inside"),
+        (["best-tree", "--vertex", "S", F1], "exit 0 loaded inside"),
+        (["outside", F1], "exit 0 loaded inside outside"),
+        (["prune", "--beam", "1", F1], "exit 0 loaded inside outside"),
+        (["prune", "--beam", "1", "--report", "json", F1], "exit 0 loaded inside outside json"),
+        (["prune", "--beam", "1", UNREACHABLE], "exit 2 loaded inside outside reachability"),
+        (["from-grammar", "--map", "MAP", F1_GRAMMAR], "exit 0 loaded grammar"),
+        (["prune-grammar", "--beam", "1", F1_GRAMMAR], "exit 0 loaded grammar inside outside"),
+    ],
+    ids=["help", "validate", "reach-from", "reach-to", "reduce", "inside", "best-tree",
+         "outside", "prune", "prune-json", "prune-unreachable", "from-grammar", "prune-grammar"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, expected, tmp_path):
+    # reach_from loads only for a target whose inside cost is infinite.
+    argv = [str(tmp_path / "f1.map") if a == "MAP" else str(a) for a in argv]
+    assert _run_cli(argv, _RUN_CLI_MODULES) == expected
 
 
 # In a fresh interpreter: names and submodules resolve on first use.
