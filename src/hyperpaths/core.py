@@ -42,6 +42,14 @@ def _beam_bounds(threshold: float) -> tuple[float, float]:
     return cutoff, min(cutoff + 1e-9 * scale, math.nextafter(INF, 0.0))
 
 
+def _check_beam(beam: float) -> float:
+    """``beam`` as a float, which must be nonnegative (``inf`` is fine)."""
+    beam = float(beam)
+    if not beam >= 0:
+        raise ValidationError(f"beam must be nonnegative, got {beam!r}")
+    return beam
+
+
 class ValidationError(ValueError):
     """A hypergraph, arc, or query violates a structural invariant."""
 

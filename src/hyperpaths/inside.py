@@ -7,10 +7,16 @@ possibly improving its head. Correctness rests on the cost functions being
 superior: an arc's cost is at least the cost of each bound tail, so a fired
 arc can never improve an already settled vertex.
 
-The priority queue is a binary heap with decrease-key done by lazy
-re-insertion and a stale-entry skip on extraction, giving O(m log n + t);
-a constant-time-decrease-key heap (Fibonacci) would give O(n log n + t) but
-is not implemented.
+The priority queue has two parts. The sources wait in one list sorted once
+by (cost, vertex); only vertices an arc improves go on a binary heap, with
+decrease-key done by lazy re-insertion and a stale-entry skip on
+extraction. Each extraction takes the smaller head in the (key, vertex)
+order, so the pass settles vertices in exactly the order of one heap
+holding every entry: the two parts together hold that heap's entries, each
+part's head is its least, and no entry is in both, as an improved source's
+heap key is below its list key. The pass costs O(m log n + t + |S| log |S|)
+for a source set S; a constant-time-decrease-key heap (Fibonacci) would
+give O(n log n + t) for the heap part but is not implemented.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import heapq
 import math
 from abc import ABC, abstractmethod
 from collections import defaultdict
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -28,6 +35,7 @@ from .core import (
     UnreachableTargetError,
     ValidationError,
     _beam_bounds,
+    _check_beam,
     _Record,
     _Tree,
     check_sources,
@@ -128,20 +136,31 @@ def viterbi_inside(
     beam`` is popped. Those pops are the full pass's, so every settled value
     and ``pi`` entry is the full pass's too; a vertex not settled by then
     counts as unreached (``inf``, ``pi`` 0).
+
+    The sources are popped from one list sorted by (cost, vertex), and only
+    improved vertices are pushed on the heap. Taking the smaller head in
+    (key, vertex) order settles vertices in one heap's order (see the module
+    docstring). The sort costs O(|S| log |S|) once, in place of |S| heap
+    pops whose comparisons fall through to the vertex when costs tie.
     """
     sources = check_sources(sources)
     n = g.n
     stop_at, beam = stop if stop is not None else (-1, INF)
     if stop is not None and not 0 <= stop_at < n:
         raise ValidationError(f"stop vertex {stop_at} out of range (n={n})")
+    beam = _check_beam(beam)
     inside = [INF] * n
     pi = [0] * n
     for v, c in sources:
         if v >= n:
             raise ValidationError(f"source vertex {v} out of range (n={n})")
         inside[v] = c
-    heap: list[tuple[float, int]] = [(c, v) for v, c in sources]
-    heapq.heapify(heap)
+    # By (cost, vertex) descending, the least last: two stable key sorts,
+    # faster than one sort of the tuples when many costs tie.
+    queue = [(c, v) for v, c in sources]
+    queue.sort(key=itemgetter(1), reverse=True)
+    queue.sort(key=itemgetter(0), reverse=True)
+    heap: list[tuple[float, int]] = []
 
     remaining = g._arity.copy()
     costs: list | None = None  # per-arc CostFunction state, index 0 unused
@@ -157,8 +176,8 @@ def viterbi_inside(
     last_key = -INF
     unset = INF  # the cost of a vertex not reached
 
-    while heap:
-        key, y = pop(heap)
+    while heap or queue:
+        key, y = queue.pop() if queue and (not heap or queue[-1] < heap[0]) else pop(heap)
         if key < last_key:
             raise InternalInvariantError("extraction keys decreased: cost function not superior")
         last_key = key
@@ -166,12 +185,15 @@ def viterbi_inside(
             continue
         if y == stop_at:
             # From here on no cost above the limit is taken or left in the
-            # heap, so the pass ends once no key at most the limit is left.
+            # heap or the list, so the pass ends once no key at most the
+            # limit is left. Unfiltered, a source costing exactly ``unset``
+            # would pass the stale test and settle.
             limit = _beam_bounds(key + beam)[1]
             unset = math.nextafter(limit, INF)
             inside = [x if x <= limit else unset for x in inside]
             heap = [entry for entry in heap if entry[0] <= limit]
             heapq.heapify(heap)
+            queue = [entry for entry in queue if entry[0] <= limit]
         skip_at = key if use_guard else -INF
         for i in forward[y]:
             h = heads[i]

@@ -25,6 +25,7 @@ from .core import (
     UnreachableTargetError,
     ValidationError,
     _beam_bounds,
+    _check_beam,
     _Record,
     restrict,
 )
@@ -65,6 +66,7 @@ def viterbi_outside(
     the keep flags of a prune at ``beam`` are then those of the full passes:
     see :func:`_keep_flags`.
     """
+    beam = _check_beam(beam)
     if not 0 <= target < g.n:
         raise ValidationError(f"target vertex {target} out of range (n={g.n})")
     if len(ins.inside) != g.n:
@@ -202,9 +204,7 @@ def _keep_flags(
     other values are the full ones or larger (``inf`` when not settled),
     so an element not kept stays not kept.
     """
-    beam = float(beam)
-    if not beam >= 0:
-        raise ValidationError(f"beam must be nonnegative, got {beam!r}")
+    beam = _check_beam(beam)
     best = ins.inside[outs.target]
     if best == INF:
         raise UnreachableTargetError("target is unreachable; nothing to prune")

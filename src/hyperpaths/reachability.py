@@ -56,8 +56,9 @@ def reach_from(g: Hypergraph, sources: Iterable[int]) -> ReachResult:
     touches = 0
     while stack:
         y = stack.pop()
-        for i in forward[y]:
-            touches += 1
+        arcs = forward[y]
+        touches += len(arcs)
+        for i in arcs:
             h = heads[i]
             if not reached[h]:
                 remaining[i] -= 1
@@ -93,8 +94,9 @@ def _mark_to(
     while stack:
         v = stack.pop()
         for i in backward[v]:
-            for t, _ in dtails[i]:
-                touches += 1
+            tails = dtails[i]
+            touches += len(tails)
+            for t, _ in tails:
                 if not reached[t]:
                     reached[t] = True
                     stack.append(t)

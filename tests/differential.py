@@ -18,6 +18,9 @@ a repr over 4 KiB by its SHA-256):
   by default and with ``cost_factory=AdditiveCost``. ``AdditiveCost`` must
   agree bitwise with the default path, so its results are compared with
   REV's default path;
+- ``viterbi_inside`` with ``stop=(target, beam)`` at beams 0, 1 and inf on
+  the same random and tie-heavy graphs, with the guard on and off, and on
+  every benchmark instance with the guard on;
 - ``reduce`` with sources or a target out of range, in several orders;
 - ``prune_relatively_useless`` on random graphs at beams 0, 0.5 and inf and
   at each arc's boundary beam (the least beam that keeps the arc) and the
@@ -60,6 +63,7 @@ SEEDS = (13, 31)
 GRAMMAR_BEAMS = (0.0625, 0.125, 0.25, 0.5, 1.0, 16.0, float("inf"))
 PRUNE_BEAMS = ("0", "0.5", "inf")
 CHART_BEAM = 0.1
+STOP_BEAMS = (0.0, 1.0, math.inf)
 
 
 # -- worker: runs jobs on whichever hyperpaths is on sys.path ------------------
@@ -159,6 +163,10 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
     if kind == "inside":
         factory = hp.AdditiveCost if job[3] else None
         res = hp.viterbi_inside(g, sources, cost_factory=factory, use_guard=job[4])
+        return res.inside, res.pi, res.binds
+    if kind == "inside stopped":
+        stop = (g.id_of(job[4]), job[5])
+        res = hp.viterbi_inside(g, sources, use_guard=job[3], stop=stop)
         return res.inside, res.pi, res.binds
     raise ValueError(f"unknown job kind {kind!r}")
 
@@ -261,6 +269,13 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
         j = add(f"inside AdditiveCost {group}", ["inside", ti, sources, True, guard], default)
         compare.append((f"REV's own AdditiveCost vs its default path, {group}", "REV", j, default))
 
+    pick = Random(15)
+
+    def inside_stopped(ti: int, sources: list, target: str, guards: tuple[bool, ...]) -> None:
+        for beam in STOP_BEAMS:
+            for guard in guards:
+                add("inside stopped", ["inside stopped", ti, sources, guard, target, beam])
+
     rng = Random(8)
     for _ in range(400):
         g = random_hypergraph(rng)
@@ -278,6 +293,11 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
             ti = add_text(hp.serialize_hypergraph(g))
             for guard in (True, False):
                 inside_both("random", ti, named(g, sources), guard)
+            # Stopped at a vertex an arc reaches, or at a source if none is.
+            ins = hp.viterbi_inside(g, sources)
+            reached = [v for v in range(g.n) if ins.inside[v] < math.inf]
+            target = pick.choice([v for v in reached if ins.pi[v]] or reached)
+            inside_stopped(ti, named(g, sources), g.name_of(target), (True, False))
 
     rng = Random(10)
     for _ in range(150):
@@ -334,6 +354,7 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
                 srcs = [[inst.names[v], c] for v, c in sources]
                 add("reduce benchmark", ["reduce", ti, srcs, inst.names[target]])
                 inside_both("benchmark", ti, srcs, True)
+                inside_stopped(ti, srcs, inst.names[target], (True,))
                 add("prune benchmark", ["prune", ti, srcs, inst.names[target], CHART_BEAM])
         add("grammar pipeline benchmark", ["grammar", add_text(grammar.text)])
     for text in GRAMMAR_PARSE_CASES.values():

@@ -23,7 +23,7 @@ from hyperpaths import (
     restrict,
     viterbi_inside,
 )
-from hyperpaths.core import check_sources
+from hyperpaths.core import _beam_bounds, check_sources
 
 from support import oracle_inside_table, random_weighted_instance, recompute_tree_cost
 
@@ -107,26 +107,30 @@ def test_adjacency_is_tuples(f1):
             assert all(type(arcs) is tuple for arcs in adjacency)
 
 
-def reference_inside(g, sources, use_guard=True):
+def reference_inside(g, sources, use_guard=True, limit=INF):
     """A plainer form of the default inside loop, kept to compare against:
-    one settled flag per vertex, one count per bind, and the firing sum
-    taken from ``arc_total_cost``."""
+    one heap holding the sources too, one settled flag per vertex, one count
+    per bind, and the firing sum taken from ``arc_total_cost``. It settles
+    only keys up to ``limit``, and counts every other vertex unreached."""
     inside = [INF] * g.n
     pi = [0] * g.n
     for v, c in sources:
         inside[v] = float(c)
     heap = [(inside[v], v) for v, _ in sources]
     heapq.heapify(heap)
-    remaining = [len(g.arc(i).distinct_tails()) if i else 0 for i in range(g.num_arcs + 1)]
+    arcs = (None, *g.arcs)
+    remaining = [len(a.distinct_tails()) if a else 0 for a in arcs]
     settled = [False] * g.n
     binds = 0
     while heap:
         key, y = heapq.heappop(heap)
+        if key > limit:
+            break
         if settled[y] or key > inside[y]:
             continue
         settled[y] = True
         for i in g.forward[y]:
-            h = g.arc(i).head
+            h = arcs[i].head
             if use_guard and inside[y] >= inside[h]:
                 continue
             binds += 1
@@ -136,6 +140,8 @@ def reference_inside(g, sources, use_guard=True):
                 if c < inside[h]:
                     inside[h], pi[h] = c, i
                     heapq.heappush(heap, (c, h))
+    pi = [a if x <= limit else 0 for x, a in zip(inside, pi)]
+    inside = [x if x <= limit else INF for x in inside]
     return tuple(inside), tuple(pi), binds
 
 
@@ -155,25 +161,53 @@ def tie_heavy_instance(rng):
     return build(n, arcs), [(v, rng.choice((0.0, 0.5, 1.0, 2.0, 8.0))) for v in chosen]
 
 
+def assert_matches_reference(g, sources, use_guard, stop=None, limit=INF, factories=(None,)):
+    inside, pi, binds = reference_inside(g, sources, use_guard, limit)
+    for factory in factories:
+        result = viterbi_inside(g, sources, cost_factory=factory, use_guard=use_guard, stop=stop)
+        # Bitwise: float.hex tells -0.0 from 0.0.
+        assert list(map(float.hex, result.inside)) == list(map(float.hex, inside))
+        assert result.pi == pi
+        assert result.binds == binds
+    return inside, pi
+
+
 def test_inside_loop_matches_reference_with_many_sources():
+    """The sources' sorted list and the heap settle vertices in the single
+    heap's order: with spread source costs, with every source at 0.0, with
+    sources undercut by an arc while still queued, and in passes stopped at
+    a source or at another vertex."""
     rng = Random(206)
-    undercut_sources = ties = 0
+    undercut_sources = ties = stopped = 0
     for _ in range(25):
-        g, sources = tie_heavy_instance(rng)
-        for use_guard in (True, False):
-            inside, pi, binds = reference_inside(g, sources, use_guard)
-            for factory in (None, AdditiveCost):
-                result = viterbi_inside(g, sources, cost_factory=factory, use_guard=use_guard)
-                # Bitwise: float.hex tells -0.0 from 0.0.
-                assert list(map(float.hex, result.inside)) == list(map(float.hex, inside))
-                assert result.pi == pi
-                assert result.binds == binds
-        # Sources improved by an arc were pushed twice: their first entry
-        # goes stale. Costs tie often, so heap order leans on vertex ids.
-        undercut_sources += sum(1 for v, _ in sources if pi[v])
-        finite = [c for c in inside if c < INF]
-        ties += len(finite) - len(set(finite))
-    assert undercut_sources > 100 and ties > 1000
+        g, spread = tie_heavy_instance(rng)
+        for sources in (spread, [(v, 0.0) for v, _ in spread]):
+            for use_guard in (True, False):
+                inside, pi = assert_matches_reference(
+                    g, sources, use_guard, factories=(None, AdditiveCost)
+                )
+            # Sources improved by an arc were undercut while still in the
+            # list: their list entry goes stale. Costs tie often, so the
+            # order leans on vertex ids, within and across the two queues.
+            undercut_sources += sum(1 for v, _ in sources if pi[v])
+            finite = [c for c in inside if c < INF]
+            ties += len(finite) - len(set(finite))
+            is_source = dict(sources)
+            spare = [u for u in range(g.n) if u not in is_source]
+            for v in (sources[0][0], rng.choice([u for u in spare if inside[u] < INF])):
+                for beam in (0.0, 1.0, INF):
+                    limit = _beam_bounds(inside[v] + beam)[1]
+                    pass_sources = list(sources)
+                    if beam < INF:
+                        # A source at the least cost above the limit: the
+                        # list must drop it at the stop, as the heap would.
+                        pass_sources.append((rng.choice(spare), math.nextafter(limit, INF)))
+                    for use_guard in (True, False):
+                        got, _ = assert_matches_reference(
+                            g, pass_sources, use_guard, (v, beam), limit
+                        )
+                    stopped += got.count(INF) > inside.count(INF) + (beam < INF)
+    assert undercut_sources > 100 and ties > 1000 and stopped > 50
 
 
 def test_inside_matches_oracle_random():
