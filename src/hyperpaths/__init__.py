@@ -31,8 +31,8 @@ _HOME = {
         "grammar": "DerivationTree GrammarHypergraphMap Production RhsTree Wrtg "
         "best_derivation derivation_grammar from_pruned parse_grammar serialize_grammar "
         "to_hypergraph yield_nonterminals",
-        "inside": "AdditiveCost CostFunction HyperpathTree InsideResult extract_best_tree "
-        "format_tree iter_nodes viterbi_inside",
+        "inside": "HyperpathTree InsideResult extract_best_tree format_tree iter_nodes "
+        "viterbi_inside",
         "oracle": "Enumeration EnumerationBudget enumerate_trees fixpoint_reach",
         "outside": "OutsideResult PruneResult prune_relatively_useless utilities "
         "viterbi_outside",

@@ -60,18 +60,6 @@ def _load(path: str) -> ParsedHypergraph:
     return parse_hypergraph(_read_text(path))
 
 
-def _require_sources(parsed: ParsedHypergraph) -> tuple[tuple[int, float], ...]:
-    if not parsed.sources:
-        raise ValidationError("input declares no source vertices")
-    return parsed.sources
-
-
-def _require_target(parsed: ParsedHypergraph) -> int:
-    if parsed.target is None:
-        raise ValidationError("input declares no target vertex")
-    return parsed.target
-
-
 def _rows(row_format: str, *columns) -> str:
     """One ``row_format % row`` line per row of ``columns``, joined into the
     one string that a single ``write`` emits. ``%.17g`` in a row format
@@ -124,8 +112,7 @@ def _cmd_reach_from(args: argparse.Namespace) -> int:
     from .reachability import reach_from
 
     parsed = _load(args.file)
-    sources = _require_sources(parsed)
-    result = reach_from(parsed.graph, [v for v, _ in sources])
+    result = reach_from(parsed.graph, [v for v, _ in parsed.require_sources()])
     sys.stdout.write(_rows("%s\n", map(parsed.graph.name_of, result.vertices())))
     return EXIT_OK
 
@@ -134,7 +121,7 @@ def _cmd_reach_to(args: argparse.Namespace) -> int:
     from .reachability import reach_to
 
     parsed = _load(args.file)
-    result = reach_to(parsed.graph, _require_target(parsed))
+    result = reach_to(parsed.graph, parsed.require_target())
     sys.stdout.write(_rows("%s\n", map(parsed.graph.name_of, result.vertices())))
     return EXIT_OK
 
@@ -155,7 +142,7 @@ def _cmd_inside(args: argparse.Namespace) -> int:
 
     parsed = _load(args.file)
     g = parsed.graph
-    result = viterbi_inside(g, _require_sources(parsed))
+    result = viterbi_inside(g, parsed.require_sources())
     sys.stdout.write(_rows("%s %.17g %d\n", g.names, result.inside, result.pi))
     if parsed.target is not None and result.inside[parsed.target] == INF:
         print("target unreachable", file=sys.stderr)
@@ -170,7 +157,7 @@ def _cmd_best_tree(args: argparse.Namespace) -> int:
     g = parsed.graph
     vertex = g.id_of(args.vertex)
     # The tree's vertices all settle before ``vertex``, so the pass can stop.
-    result = viterbi_inside(g, _require_sources(parsed), stop=(vertex, 0.0))
+    result = viterbi_inside(g, parsed.require_sources(), stop=(vertex, 0.0))
     tree = extract_best_tree(g, result, vertex)
     print(format_tree(tree, g.name_of))
     print(format_float(tree.cost))

@@ -3,9 +3,12 @@
 ``viterbi_inside`` generalizes Dijkstra's algorithm to hypergraphs. Vertices
 are settled in nondecreasing cost order; an arc binds its distinct tails as
 they settle (one BIND per distinct tail) and fires once the last one does,
-possibly improving its head. Correctness rests on the cost functions being
-superior: an arc's cost is at least the cost of each bound tail, so a fired
-arc can never improve an already settled vertex.
+possibly improving its head. Costs are additive: an arc's cost is its length
+plus the multiplicity-weighted costs of its tails. As lengths, multiplicities
+and costs are nonnegative, that is a superior function (Knuth 1977): an
+arc's cost is at least the cost of each tail, so a fired arc can never
+improve an already settled vertex. The outside pass and pruning rest on the
+same family, whose per-tail separability they use.
 
 The priority queue has two parts. The sources wait in one list sorted once
 by (cost, vertex); only vertices an arc improves go on a binary heap, with
@@ -23,8 +26,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from abc import ABC, abstractmethod
-from collections import defaultdict
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -36,53 +37,11 @@ from .core import (
     ValidationError,
     _beam_bounds,
     _check_beam,
+    _check_vertex,
     _Record,
     _Tree,
     check_sources,
 )
-
-
-class CostFunction(ABC):
-    """Per-arc cost state driven by BIND / INF operations.
-
-    ``bind`` incorporates the final cost of one distinct tail vertex;
-    ``inf`` returns a lower bound on the arc's cost that must be monotone
-    nondecreasing under binds and exact once every tail is bound. Instances
-    must be superior: the final value is >= every bound tail cost. Only the
-    additive family ships; anything else is caller-supplied.
-    """
-
-    @abstractmethod
-    def bind(self, tail: int, cost: float) -> None: ...
-
-    @abstractmethod
-    def inf(self) -> float: ...
-
-
-class AdditiveCost(CostFunction):
-    """Arc length plus multiplicity-weighted tail costs.
-
-    Superior because lengths, multiplicities, and tail costs are all
-    nonnegative. ``inf`` sums the bound costs with
-    :meth:`Hypergraph.arc_total_cost`, so the value agrees bitwise with the
-    default path; an unbound tail counts 0, which keeps it a lower bound.
-    """
-
-    __slots__ = ("_g", "_i", "_bound")
-
-    def __init__(self, g: Hypergraph, arc_index: int) -> None:
-        self._g = g
-        self._i = arc_index
-        self._bound: defaultdict[int, float] = defaultdict(float)
-
-    def bind(self, tail: int, cost: float) -> None:
-        self._bound[tail] = cost
-
-    def inf(self) -> float:
-        return self._g.arc_total_cost(self._i, self._bound)
-
-
-CostFactory = Callable[[Hypergraph, int], CostFunction]
 
 
 class InsideResult(_Record):
@@ -104,30 +63,28 @@ def viterbi_inside(
     g: Hypergraph,
     sources: Iterable[tuple[int, float]],
     *,
-    cost_factory: CostFactory | None = None,
-    use_guard: bool = True,
     stop: tuple[int, float] | None = None,
 ) -> InsideResult:
     """Cheapest hyperpath-tree cost from ``sources`` to every vertex.
 
     ``sources`` is an iterable of (vertex, initial cost) pairs with distinct
-    vertices and finite nonnegative costs. Ties on extraction break toward
-    the lower vertex id, and ``pi`` keeps the first arc reaching a vertex's
-    minimum (improvements are strict), so outputs are deterministic.
+    vertices and finite nonnegative costs. An arc's cost is its length plus
+    ``mult * inside[t]`` over its distinct tails, summed in
+    :meth:`Hypergraph.arc_total_cost`'s order, so the two agree bitwise.
+    Ties on extraction break toward the lower vertex id, and ``pi`` keeps
+    the first arc reaching a vertex's minimum (improvements are strict), so
+    outputs are deterministic.
 
-    ``use_guard`` keeps the shortcut that skips an arc, unbound, when the
-    vertex being settled already costs at least its head's current cost; by
-    superiority the arc can then never improve the head. It changes only
-    ``binds``, never ``inside`` or ``pi``, for every superior cost family,
-    and exists as a toggle so that can be verified. ``cost_factory``
-    switches to caller-supplied :class:`CostFunction` state per arc; the
-    default is the additive family, summed inline when an arc fires.
-    Zero-length arcs, self-loops and cycles are fine. No vertex settles
-    twice, with no flag to mark it: pushes strictly lower a cost, so only a
-    vertex's last entry escapes the stale test ``key > inside[y]``, and
-    re-opening a settled vertex needs an arc cheaper than a tail settled
-    after it, which superiority rules out; any other cost function trips the
-    extraction order check. ``binds`` is the countdowns' total fall.
+    The guard skips an arc, unbound, when the vertex being settled already
+    costs at least its head's current cost; by superiority the arc can then
+    never improve the head. It changes only ``binds``, never ``inside`` or
+    ``pi``. Zero-length arcs, self-loops and cycles are fine. No vertex
+    settles twice, with no flag to mark it: pushes strictly lower a cost, so
+    only a vertex's last entry escapes the stale test ``key > inside[y]``,
+    and re-opening a settled vertex needs an arc cheaper than a tail settled
+    after it, which superiority rules out; the extraction order check
+    raises :class:`InternalInvariantError` should that ever fail. ``binds``
+    is the countdowns' total fall.
 
     ``stop=(v, beam)`` ends the pass early, for callers that need no vertex
     a prune at ``beam`` drops: once ``v`` settles, the pass ends when every
@@ -135,7 +92,8 @@ def viterbi_inside(
     :func:`~hyperpaths.outside.prune_relatively_useless` for ``inside[v] +
     beam`` is popped. Those pops are the full pass's, so every settled value
     and ``pi`` entry is the full pass's too; a vertex not settled by then
-    counts as unreached (``inf``, ``pi`` 0).
+    counts as unreached (``inf``, ``pi`` 0). ``v`` must be a vertex id of
+    ``g``, an ``int`` as a source vertex must be, and ``beam`` nonnegative.
 
     The sources are popped from one list sorted by (cost, vertex), and only
     improved vertices are pushed on the heap. Taking the smaller head in
@@ -146,7 +104,7 @@ def viterbi_inside(
     sources = check_sources(sources)
     n = g.n
     stop_at, beam = stop if stop is not None else (-1, INF)
-    if stop is not None and not 0 <= stop_at < n:
+    if stop is not None and not 0 <= _check_vertex(stop_at) < n:
         raise ValidationError(f"stop vertex {stop_at} out of range (n={n})")
     beam = _check_beam(beam)
     inside = [INF] * n
@@ -163,10 +121,6 @@ def viterbi_inside(
     heap: list[tuple[float, int]] = []
 
     remaining = g._arity.copy()
-    costs: list | None = None  # per-arc CostFunction state, index 0 unused
-    if cost_factory is not None:
-        costs = [None] + [cost_factory(g, i) for i in g.arc_indices]
-
     heads = g._heads
     lengths = g._lengths
     dtails = g._dtails
@@ -194,29 +148,23 @@ def viterbi_inside(
             heap = [entry for entry in heap if entry[0] <= limit]
             heapq.heapify(heap)
             queue = [entry for entry in queue if entry[0] <= limit]
-        skip_at = key if use_guard else -INF
         for i in forward[y]:
             h = heads[i]
-            # The guard. y settles at key == inside[y]. By superiority the arc
-            # costs at least key; so does the additive sum below in floats, as
-            # its terms are nonnegative and rounding is monotone, making it at
-            # least mult * key >= key. As inside[h] only decreases, once key >=
-            # inside[h] the arc can never strictly improve h: skip it, unbound.
-            if skip_at >= inside[h]:
+            # The guard. y settles at key == inside[y], and the sum below is
+            # at least mult * key >= key in floats too, as its terms are
+            # nonnegative and rounding is monotone. As inside[h] only
+            # decreases, once key >= inside[h] the arc can never strictly
+            # improve h: skip it, unbound.
+            if key >= inside[h]:
                 continue
-            if costs is not None:
-                costs[i].bind(y, key)
             r = remaining[i] - 1
             remaining[i] = r
             if r == 0:
-                if costs is None:
-                    # All tails settled, so finite. Hypergraph.arc_total_cost
-                    # inlined, in its order, so the value agrees with it bitwise.
-                    c = lengths[i]
-                    for t, mm in dtails[i]:
-                        c += mm * inside[t]
-                else:
-                    c = costs[i].inf()
+                # All tails settled, so finite. Hypergraph.arc_total_cost
+                # inlined, in its order, so the value agrees with it bitwise.
+                c = lengths[i]
+                for t, mm in dtails[i]:
+                    c += mm * inside[t]
                 if c < inside[h]:
                     inside[h] = c
                     pi[h] = i

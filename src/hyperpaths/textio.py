@@ -57,12 +57,18 @@ class ParsedHypergraph(_Record):
     sources: tuple[tuple[int, float], ...]
     target: int | None
 
-    def query(self) -> Query:
+    def require_sources(self) -> tuple[tuple[int, float], ...]:
         if not self.sources:
             raise ValidationError("input declares no source vertices")
+        return self.sources
+
+    def require_target(self) -> int:
         if self.target is None:
             raise ValidationError("input declares no target vertex")
-        return Query(self.sources, self.target)
+        return self.target
+
+    def query(self) -> Query:
+        return Query(self.require_sources(), self.require_target())
 
 
 def _bad_length(token: str, line: int) -> FormatError:

@@ -13,14 +13,10 @@ a repr over 4 KiB by its SHA-256):
 - ``reduce`` on random graphs from ``tests/support.py`` and on every
   benchmark instance of seeds 13 and 31 (the charts, each horn query, the
   grammar's hypergraph);
-- ``viterbi_inside`` with ``use_guard`` on and off on random and tie-heavy
-  graphs, and with the guard on for every benchmark instance, each run both
-  by default and with ``cost_factory=AdditiveCost``. ``AdditiveCost`` must
-  agree bitwise with the default path, so its results are compared with
-  REV's default path;
+- ``viterbi_inside`` on random and tie-heavy graphs and on every benchmark
+  instance;
 - ``viterbi_inside`` with ``stop=(target, beam)`` at beams 0, 1 and inf on
-  the same random and tie-heavy graphs, with the guard on and off, and on
-  every benchmark instance with the guard on;
+  the same graphs;
 - ``reduce`` with sources or a target out of range, in several orders;
 - ``prune_relatively_useless`` on random graphs at beams 0, 0.5 and inf and
   at each arc's boundary beam (the least beam that keeps the arc) and the
@@ -161,12 +157,10 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
             sorted(red.pass2_vertices),
         )
     if kind == "inside":
-        factory = hp.AdditiveCost if job[3] else None
-        res = hp.viterbi_inside(g, sources, cost_factory=factory, use_guard=job[4])
+        res = hp.viterbi_inside(g, sources)
         return res.inside, res.pi, res.binds
     if kind == "inside stopped":
-        stop = (g.id_of(job[4]), job[5])
-        res = hp.viterbi_inside(g, sources, use_guard=job[3], stop=stop)
+        res = hp.viterbi_inside(g, sources, stop=(g.id_of(job[3]), job[4]))
         return res.inside, res.pi, res.binds
     raise ValueError(f"unknown job kind {kind!r}")
 
@@ -237,10 +231,9 @@ def _grammar_boundary_beams(hp, text: str) -> list[float]:
     return sorted({b for x in xs for b in boundary_beams(best, x) if b >= 0})
 
 
-def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
-    """The job file, plus one ``(group, side, job, reference)`` entry per
-    comparison: the result of ``job`` on ``side`` is expected to equal the
-    result of job ``reference`` on REV."""
+def build_jobs() -> tuple[dict, list[str]]:
+    """The job file, plus each job's group: every job's result in this
+    checkout is expected to equal its result on REV."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     import gen
     import hyperpaths as hp
@@ -249,32 +242,24 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
 
     texts: list[str] = []
     jobs: list[list] = []
-    compare: list[tuple[str, str, int, int]] = []
+    groups: list[str] = []
 
     def add_text(text: str) -> int:
         texts.append(text)
         return len(texts) - 1
 
-    def add(group: str, job: list, reference: int | None = None) -> int:
+    def add(group: str, job: list) -> None:
         jobs.append(job)
-        j = len(jobs) - 1
-        compare.append((group, "checkout", j, j if reference is None else reference))
-        return j
+        groups.append(group)
 
     def named(g, pairs):
         return [[g.name_of(v), c] for v, c in pairs]
 
-    def inside_both(group: str, ti: int, sources: list, guard: bool) -> None:
-        default = add(f"inside default {group}", ["inside", ti, sources, False, guard])
-        j = add(f"inside AdditiveCost {group}", ["inside", ti, sources, True, guard], default)
-        compare.append((f"REV's own AdditiveCost vs its default path, {group}", "REV", j, default))
-
     pick = Random(15)
 
-    def inside_stopped(ti: int, sources: list, target: str, guards: tuple[bool, ...]) -> None:
+    def inside_stopped(ti: int, sources: list, target: str) -> None:
         for beam in STOP_BEAMS:
-            for guard in guards:
-                add("inside stopped", ["inside stopped", ti, sources, guard, target, beam])
+            add("inside stopped", ["inside stopped", ti, sources, target, beam])
 
     rng = Random(8)
     for _ in range(400):
@@ -291,13 +276,12 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
             else:
                 g, sources = random_weighted_instance(rng)
             ti = add_text(hp.serialize_hypergraph(g))
-            for guard in (True, False):
-                inside_both("random", ti, named(g, sources), guard)
+            add("inside random", ["inside", ti, named(g, sources)])
             # Stopped at a vertex an arc reaches, or at a source if none is.
             ins = hp.viterbi_inside(g, sources)
             reached = [v for v in range(g.n) if ins.inside[v] < math.inf]
             target = pick.choice([v for v in reached if ins.pi[v]] or reached)
-            inside_stopped(ti, named(g, sources), g.name_of(target), (True, False))
+            inside_stopped(ti, named(g, sources), g.name_of(target))
 
     rng = Random(10)
     for _ in range(150):
@@ -353,8 +337,8 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
             for sources, target in inst_queries:
                 srcs = [[inst.names[v], c] for v, c in sources]
                 add("reduce benchmark", ["reduce", ti, srcs, inst.names[target]])
-                inside_both("benchmark", ti, srcs, True)
-                inside_stopped(ti, srcs, inst.names[target], (True,))
+                add("inside benchmark", ["inside", ti, srcs])
+                inside_stopped(ti, srcs, inst.names[target])
                 add("prune benchmark", ["prune", ti, srcs, inst.names[target], CHART_BEAM])
         add("grammar pipeline benchmark", ["grammar", add_text(grammar.text)])
     for text in GRAMMAR_PARSE_CASES.values():
@@ -399,7 +383,7 @@ def build_jobs() -> tuple[dict, list[tuple[str, str, int, int]]]:
         for beam in beams:
             argv = ["prune-grammar", "--beam", beam, "in.gr"]
             add("prune-grammar beams", ["cli", argv, {"in.gr": ti}])
-    return {"texts": texts, "jobs": jobs}, compare
+    return {"texts": texts, "jobs": jobs}, groups
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -422,7 +406,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
         tmp_dir = Path(tmp)
         trees = {"REV": extract(argv[0], tmp_dir / "rev"), "checkout": ROOT / "src"}
-        data, compare = build_jobs()
+        data, groups = build_jobs()
         jobs_path = tmp_dir / "jobs.json"
         jobs_path.write_text(json.dumps(data), encoding="utf-8")
         procs = {}
@@ -439,24 +423,21 @@ def main(argv: list[str]) -> int:
                 print(f"worker for {side} failed", file=sys.stderr)
                 return 2
         results = {side: json.loads(out.read_text(encoding="utf-8")) for side, (_, out) in procs.items()}
-    rev = results["REV"]
     counts: dict[str, list[int]] = {}
     shown = 0
-    for group, side, j, ref in compare:
-        got = results[side][j]
-        differs = got != rev[ref]
+    for j, (group, rev, got) in enumerate(zip(groups, results["REV"], results["checkout"])):
+        differs = got != rev
         counts.setdefault(group, [0, 0])
         counts[group][0] += differs
         counts[group][1] += 1
-        if differs and side != "REV" and shown < 5:
+        if differs and shown < 5:
             shown += 1
-            print(f"differs: {group} job {data['jobs'][j][:2]}\n  REV: {rev[ref][:300]}\n"
+            print(f"differs: {group} job {data['jobs'][j][:2]}\n  REV: {rev[:300]}\n"
                   f"  now: {got[:300]}")
     total = 0
     for group, (bad, runs) in counts.items():
         print(f"{group}: {bad} of {runs} differ")
-        if not group.startswith("REV's"):  # REV against itself: shown, not counted
-            total += bad
+        total += bad
     print(f"total: {total} differences against {argv[0]}")
     return 1 if total else 0
 

@@ -12,7 +12,6 @@ import pytest
 
 from hyperpaths import (
     INF,
-    AdditiveCost,
     Hyperarc,
     UnreachableTargetError,
     ValidationError,
@@ -67,6 +66,22 @@ def test_inside_rejects_bad_sources(f1):
         viterbi_inside(f1, [(0, -0.5)])
     with pytest.raises(ValidationError, match="duplicate"):
         viterbi_inside(f1, [(0, 0.0), (0, 1.0)])
+
+
+def test_stop_vertex_is_checked_before_any_work(f1, monkeypatch):
+    """A stop vertex is type-checked as a source vertex is, then
+    range-checked, before the pass pushes anything."""
+
+    def fail(*args):
+        raise AssertionError("the pass ran before the stop vertex was checked")
+
+    monkeypatch.setattr(heapq, "heappush", fail)
+    for bad in (1.5, True, None, -1, "3"):
+        with pytest.raises(ValidationError) as info:
+            viterbi_inside(f1, [(0, 0.0)], stop=(bad, 0.0))
+        assert str(info.value) == f"vertex id must be a nonnegative integer, got {bad!r}"
+    with pytest.raises(ValidationError, match=r"stop vertex 4 out of range \(n=4\)"):
+        viterbi_inside(f1, [(0, 0.0)], stop=(4, 0.0))
 
 
 def test_check_sources_precedence_and_messages():
@@ -161,14 +176,19 @@ def tie_heavy_instance(rng):
     return build(n, arcs), [(v, rng.choice((0.0, 0.5, 1.0, 2.0, 8.0))) for v in chosen]
 
 
-def assert_matches_reference(g, sources, use_guard, stop=None, limit=INF, factories=(None,)):
-    inside, pi, binds = reference_inside(g, sources, use_guard, limit)
-    for factory in factories:
-        result = viterbi_inside(g, sources, cost_factory=factory, use_guard=use_guard, stop=stop)
-        # Bitwise: float.hex tells -0.0 from 0.0.
-        assert list(map(float.hex, result.inside)) == list(map(float.hex, inside))
-        assert result.pi == pi
-        assert result.binds == binds
+def assert_matches_reference(g, sources, stop=None, limit=INF):
+    """``viterbi_inside`` equals the guarded reference bitwise, binds too,
+    and the guardless reference in everything but binds, which it never
+    exceeds: the guard changes only binds."""
+    inside, pi, binds = reference_inside(g, sources, True, limit)
+    result = viterbi_inside(g, sources, stop=stop)
+    # Bitwise: float.hex tells -0.0 from 0.0.
+    assert list(map(float.hex, result.inside)) == list(map(float.hex, inside))
+    assert result.pi == pi
+    assert result.binds == binds
+    guardless, guardless_pi, guardless_binds = reference_inside(g, sources, False, limit)
+    assert list(map(float.hex, guardless)) == list(map(float.hex, inside))
+    assert guardless_pi == pi and binds <= guardless_binds
     return inside, pi
 
 
@@ -182,10 +202,7 @@ def test_inside_loop_matches_reference_with_many_sources():
     for _ in range(25):
         g, spread = tie_heavy_instance(rng)
         for sources in (spread, [(v, 0.0) for v, _ in spread]):
-            for use_guard in (True, False):
-                inside, pi = assert_matches_reference(
-                    g, sources, use_guard, factories=(None, AdditiveCost)
-                )
+            inside, pi = assert_matches_reference(g, sources)
             # Sources improved by an arc were undercut while still in the
             # list: their list entry goes stale. Costs tie often, so the
             # order leans on vertex ids, within and across the two queues.
@@ -202,10 +219,7 @@ def test_inside_loop_matches_reference_with_many_sources():
                         # A source at the least cost above the limit: the
                         # list must drop it at the stop, as the heap would.
                         pass_sources.append((rng.choice(spare), math.nextafter(limit, INF)))
-                    for use_guard in (True, False):
-                        got, _ = assert_matches_reference(
-                            g, pass_sources, use_guard, (v, beam), limit
-                        )
+                    got, _ = assert_matches_reference(g, pass_sources, (v, beam), limit)
                     stopped += got.count(INF) > inside.count(INF) + (beam < INF)
     assert undercut_sources > 100 and ties > 1000 and stopped > 50
 
@@ -241,25 +255,26 @@ def test_pi_consistency_random():
             assert result.inside[v] == g.arc_total_cost(i, result.inside)
 
 
-@pytest.mark.parametrize("cost_factory", [None, AdditiveCost], ids=["default", "AdditiveCost"])
-def test_guard_is_pure_optimization(cost_factory):
+def test_guard_is_pure_optimization():
+    """Inside costs and ``pi`` equal the guardless reference's bitwise, and
+    the guard only saves binds."""
     rng = Random(202)
     for _ in range(80):
         g, sources = random_weighted_instance(rng)
-        with_guard = viterbi_inside(g, sources, cost_factory=cost_factory, use_guard=True)
-        without = viterbi_inside(g, sources, cost_factory=cost_factory, use_guard=False)
-        assert with_guard.inside == without.inside
-        assert with_guard.pi == without.pi
-        assert with_guard.binds <= without.binds
+        result = viterbi_inside(g, sources)
+        inside, pi, binds = reference_inside(g, sources, use_guard=False)
+        assert list(map(float.hex, result.inside)) == list(map(float.hex, inside))
+        assert result.pi == pi
+        assert result.binds <= binds
 
 
 def test_bind_counts(f1, f2):
     # fully reachable, guardless: exactly one bind per (arc, distinct tail)
     total_slots = sum(len(f1.arc(i).distinct_tails()) for i in f1.arc_indices)
-    assert viterbi_inside(f1, [(0, 0.0)], use_guard=False).binds == total_slots
+    assert reference_inside(f1, [(0, 0.0)], use_guard=False)[2] == total_slots
     # the guard skips the self-loop bind entirely
     assert viterbi_inside(f2, [(0, 0.0)]).binds == 1
-    assert viterbi_inside(f2, [(0, 0.0)], use_guard=False).binds == 2
+    assert reference_inside(f2, [(0, 0.0)], use_guard=False)[2] == 2
     # S settles first and fires H <- S (1), A <- S (2) and B <- S (3). When A
     # settles at 2 >= inside[H] = 1, A alone rules out H <- A B (length 0),
     # so neither of its tails is bound.
@@ -270,37 +285,8 @@ def test_bind_counts(f1, f2):
         Hyperarc(2, ((0, 1),), 3.0),
     )
     g = build(4, arcs)
-    for factory in (None, AdditiveCost):
-        assert viterbi_inside(g, [(0, 0.0)], cost_factory=factory).binds == 3
-        assert viterbi_inside(g, [(0, 0.0)], cost_factory=factory, use_guard=False).binds == 5
-
-
-def test_non_superior_cost_function_trips_monotonicity_check():
-    from hyperpaths import CostFunction, InternalInvariantError
-
-    class Subtracting(CostFunction):
-        # violates superiority on purpose: binds lower the bound
-        def __init__(self, g, i):
-            self.value = g.arc(i).length
-
-        def bind(self, tail, cost):
-            self.value -= cost
-
-        def inf(self):
-            return self.value
-
-    g = build(3, (Hyperarc(1, ((0, 1),), 5.0), Hyperarc(2, ((1, 1),), 1.0)))
-    with pytest.raises(InternalInvariantError, match="not superior"):
-        viterbi_inside(g, [(0, 0.0)], cost_factory=Subtracting)
-
-
-def test_generic_cost_function_path_matches_fast_path():
-    rng = Random(203)
-    for _ in range(300):
-        g, sources = random_weighted_instance(rng)
-        fast = viterbi_inside(g, sources)
-        generic = viterbi_inside(g, sources, cost_factory=AdditiveCost)
-        assert generic.inside == fast.inside and generic.pi == fast.pi
+    assert viterbi_inside(g, [(0, 0.0)]).binds == 3
+    assert reference_inside(g, [(0, 0.0)], use_guard=False)[2] == 5
 
 
 def test_extract_best_tree_f1(f1):

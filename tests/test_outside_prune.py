@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import math
 from random import Random
 
@@ -7,7 +8,6 @@ import pytest
 
 from hyperpaths import (
     INF,
-    AdditiveCost,
     Hyperarc,
     InternalInvariantError,
     OutsideResult,
@@ -133,26 +133,23 @@ def test_prune_rejects_negative_beam(f1):
         prune_relatively_useless(f1, ins, outs, float("nan"))
 
 
-def test_stopped_passes_reject_the_beams_prune_rejects(f1):
+def test_stopped_passes_reject_the_beams_prune_rejects(f1, monkeypatch):
     """A NaN or negative beam is an error for the stopped passes too, raised
     before any work; -0.0 and inf are accepted."""
     ins, outs = _f1_results(f1)
-    made = []
-
-    def factory(g, i):
-        made.append(i)
-        return AdditiveCost(g, i)
-
+    pushes = []
+    monkeypatch.setattr(heapq, "heappush", lambda heap, entry: pushes.append(entry))
     for bad in (math.nan, -1.0, -5.0, -INF):
         for run in (
-            lambda: viterbi_inside(f1, [(0, 0.0)], cost_factory=factory, stop=(3, bad)),
+            lambda: viterbi_inside(f1, [(0, 0.0)], stop=(3, bad)),
             lambda: viterbi_outside(f1, ins, 3, beam=bad),
             lambda: prune_relatively_useless(f1, ins, outs, bad),
         ):
             with pytest.raises(ValidationError) as info:
                 run()
             assert str(info.value) == f"beam must be nonnegative, got {bad!r}"
-    assert made == []
+    assert pushes == []
+    monkeypatch.undo()
     for beam, same in ((-0.0, 0.0), (INF, INF)):
         stopped = viterbi_inside(f1, [(0, 0.0)], stop=(3, beam))
         assert stopped == viterbi_inside(f1, [(0, 0.0)], stop=(3, same))
