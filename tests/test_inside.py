@@ -5,6 +5,7 @@ import heapq
 import math
 import pickle
 import time
+from collections import defaultdict
 from enum import IntEnum
 from random import Random
 
@@ -122,11 +123,15 @@ def test_adjacency_is_tuples(f1):
             assert all(type(arcs) is tuple for arcs in adjacency)
 
 
-def reference_inside(g, sources, use_guard=True, limit=INF):
+def reference_inside(g, sources, use_guard=True, limit=INF, bound_sum=False):
     """A plainer form of the default inside loop, kept to compare against:
     one heap holding the sources too, one settled flag per vertex, one count
     per bind, and the firing sum taken from ``arc_total_cost``. It settles
-    only keys up to ``limit``, and counts every other vertex unreached."""
+    only keys up to ``limit``, and counts every other vertex unreached.
+
+    With ``bound_sum`` each arc records the cost each tail had when it was
+    bound, unbound tails counting 0, and fires on that record rather than on
+    the inside table: the bind-by-bind additive cost model, written out."""
     inside = [INF] * g.n
     pi = [0] * g.n
     for v, c in sources:
@@ -135,6 +140,7 @@ def reference_inside(g, sources, use_guard=True, limit=INF):
     heapq.heapify(heap)
     arcs = (None, *g.arcs)
     remaining = [len(a.distinct_tails()) if a else 0 for a in arcs]
+    bound = [defaultdict(float) for _ in arcs]
     settled = [False] * g.n
     binds = 0
     while heap:
@@ -149,9 +155,10 @@ def reference_inside(g, sources, use_guard=True, limit=INF):
             if use_guard and inside[y] >= inside[h]:
                 continue
             binds += 1
+            bound[i][y] = inside[y]
             remaining[i] -= 1
             if remaining[i] == 0:
-                c = g.arc_total_cost(i, inside)
+                c = g.arc_total_cost(i, bound[i] if bound_sum else inside)
                 if c < inside[h]:
                     inside[h], pi[h] = c, i
                     heapq.heappush(heap, (c, h))
@@ -255,14 +262,16 @@ def test_pi_consistency_random():
             assert result.inside[v] == g.arc_total_cost(i, result.inside)
 
 
-def test_guard_is_pure_optimization():
+@pytest.mark.parametrize("bound_sum", [False, True], ids=["default", "AdditiveCost"])
+def test_guard_is_pure_optimization(bound_sum):
     """Inside costs and ``pi`` equal the guardless reference's bitwise, and
-    the guard only saves binds."""
+    the guard only saves binds, whether the reference fires on the inside
+    table or on the costs its arcs bound one by one."""
     rng = Random(202)
     for _ in range(80):
         g, sources = random_weighted_instance(rng)
         result = viterbi_inside(g, sources)
-        inside, pi, binds = reference_inside(g, sources, use_guard=False)
+        inside, pi, binds = reference_inside(g, sources, use_guard=False, bound_sum=bound_sum)
         assert list(map(float.hex, result.inside)) == list(map(float.hex, inside))
         assert result.pi == pi
         assert result.binds <= binds
