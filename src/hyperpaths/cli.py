@@ -198,21 +198,23 @@ def _cmd_outside(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
-    from .outside import prune_relatively_useless
+    from .outside import _keep_flags
+    from .textio import _serialize
 
     beam = _parse_beam(args.beam)
     parsed = _load(args.file)
     g = parsed.graph
     query = parsed.query()
     ins, outs = _inside_outside(g, query)
-    pr = prune_relatively_useless(g, ins, outs, beam)
+    gamma_v, gamma_e, keep_v, keep_e, kept, _ = _keep_flags(g, ins, outs, beam)
 
-    sources2 = tuple((pr.vertex_map[v], c) for v, c in query.sources if v in pr.vertex_map)
-    target2 = pr.vertex_map[query.target]
-    sys.stdout.write(serialize_hypergraph(pr.graph, sources2, target2))
+    # The pruned graph's text is the input's kept lines; the target is kept.
+    sources = [(v, c) for v, c in query.sources if keep_v[v]]
+    vertex_ids = [v for v in range(g.n) if keep_v[v]]
+    sys.stdout.write(_serialize(g, vertex_ids, kept, sources, query.target))
 
-    vertices = (g.names, ins.inside, outs.outside, pr.gamma_vertices, pr.keep_vertices)
-    arcs = (g.arc_indices, pr.gamma_arcs[1:], pr.keep_arcs[1:])
+    vertices = (g.names, ins.inside, outs.outside, gamma_v, keep_v)
+    arcs = (g.arc_indices, gamma_e[1:], keep_e[1:])
     best = ins.inside[query.target]
     if args.report == "json":
         sys.stderr.write(_json_report(g, vertices, arcs, best))

@@ -299,28 +299,18 @@ def best_derivation(
     builds them, is converted once and shared in the result too."""
     if tree.arc == 0:
         raise ValidationError("a bare source leaf corresponds to no derivation")
-    # Post-order over distinct nodes, keyed by identity: a node is looked up
-    # on its first visit and built, after its children, on its second.
-    built: dict[int, DerivationTree] = {}
-    stack: list[tuple[HyperpathTree, int]] = [(tree, 0)]
-    while stack:
-        node, production = stack.pop()
-        if id(node) in built:
-            continue
-        if production:
-            kids = tuple(built[id(c)] for c in node.children if c.arc)
-            built[id(node)] = DerivationTree(production, kids)
-            continue
+
+    def convert(node: HyperpathTree, done: dict[int, DerivationTree | None]):
+        if not node.arc:  # a sink leaf has no derivation node
+            if node.vertex != gmap.sink:
+                raise ValidationError("tree leaf is not the grammar sink")
+            return None
         production = gmap.production_for_arc.get(node.arc)
         if production is None:
             raise ValidationError(f"arc {node.arc} maps to no production")
-        stack.append((node, production))
-        for child in node.children:
-            if child.arc:
-                stack.append((child, 0))
-            elif child.vertex != gmap.sink:
-                raise ValidationError("tree leaf is not the grammar sink")
-    return built[id(tree)], math.exp(-tree.cost)
+        return DerivationTree(production, tuple([done[id(c)] for c in node.children if c.arc]))
+
+    return tree._fold(convert), math.exp(-tree.cost)
 
 
 # -- text format ------------------------------------------------------------
@@ -336,12 +326,14 @@ def _check_symbol(sym: str, line: int | None = None) -> str:
     return sym
 
 
-def _parse_rhs_tree(text: str, line: int, known: set[str]) -> RhsTree:
+def _parse_rhs_tree(text: str, line: int, known: set[str], nts: frozenset[str]) -> RhsTree:
     """The rhs tree ``text``; ``known`` holds the symbols checked so far and
-    gains every label this call checks."""
+    gains every label this call checks. A label of ``nts`` on an internal
+    node is an error, raised once the tree has parsed."""
     tokens = _TREE_TOKEN_RE.findall(text)
     end = len(tokens)
     pos = 0
+    internal_nt = False
     # The nodes whose '(' is open, outermost first: label and children so far.
     open_nodes: list[tuple[str, list[RhsTree]]] = []
     while True:
@@ -354,6 +346,7 @@ def _parse_rhs_tree(text: str, line: int, known: set[str]) -> RhsTree:
         if pos < end and tokens[pos] == "(":
             pos += 1
             open_nodes.append((label, []))
+            internal_nt = internal_nt or label in nts
             continue
         done = RhsTree(label)
         # Attach the finished node; close every parent that ')' ends with it.
@@ -372,6 +365,9 @@ def _parse_rhs_tree(text: str, line: int, known: set[str]) -> RhsTree:
         if not open_nodes:
             if pos != end:
                 raise GrammarError(f"line {line}: trailing tokens after rhs tree")
+            if internal_nt:  # named as the walk of Wrtg's own check finds it
+                sym = next(s for s, internal in _rhs_symbols(done) if internal and s in nts)
+                raise GrammarError(f"line {line}: nonterminal {sym!r} used as an internal node")
             return done
 
 
@@ -416,25 +412,16 @@ def parse_grammar(text: str) -> Wrtg:
     nonterminal_order = tuple(dict.fromkeys(lhs for _, _, lhs, _ in rows))
     nts = frozenset(nonterminal_order)
 
-    # Every rhs symbol; the nonterminals are taken out at the end.
-    symbols: set[str] = set()
     productions: list[Production] = []
     for lineno, weight, lhs, rhs_text in rows:
         rhs: Rhs
         if "(" in rhs_text or ")" in rhs_text:
-            rhs = _parse_rhs_tree(rhs_text, lineno, known)
-            for sym, internal in _rhs_symbols(rhs):
-                if internal and sym in nts:
-                    raise GrammarError(
-                        f"line {lineno}: nonterminal {sym!r} used as an internal node"
-                    )
-                symbols.add(sym)
+            rhs = _parse_rhs_tree(rhs_text, lineno, known, nts)
         else:
             rhs = tuple(rhs_text.split())
             for sym in rhs:
                 if sym not in known:
                     known.add(_check_symbol(sym, lineno))
-            symbols.update(rhs)
         try:
             productions.append(Production(lhs, rhs, weight))
         except GrammarError as exc:
@@ -444,8 +431,9 @@ def parse_grammar(text: str) -> Wrtg:
         start = rows[0][2]
     elif start not in nts:
         raise GrammarError(f"start symbol {start!r} never appears as a lhs")
-    # Wrtg's checks, with line numbers, are all done above.
-    return _trusted_wrtg(frozenset(symbols - nts), nonterminal_order, start, tuple(productions))
+    # Wrtg's checks, with line numbers, are all done above. ``known`` now holds
+    # every lhs and rhs symbol, and the start is a lhs, so the alphabet is the rest.
+    return _trusted_wrtg(frozenset(known - nts), nonterminal_order, start, tuple(productions))
 
 
 def _format_rhs(rhs: Rhs) -> str:

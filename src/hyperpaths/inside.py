@@ -195,7 +195,8 @@ class HyperpathTree(_Tree):
 
 
 def iter_nodes(tree: HyperpathTree) -> Iterator[HyperpathTree]:
-    """All nodes of ``tree`` in preorder, iteratively."""
+    """All nodes of the unfolded ``tree`` in preorder, iteratively: a shared subtree
+    once per occurrence, so the time can be exponential in the distinct nodes."""
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -213,7 +214,7 @@ def extract_best_tree(g: Hypergraph, result: InsideResult, vertex: int) -> Hyper
     has no tree, :class:`InternalInvariantError` on a cyclic predecessor
     chain (impossible for results produced by :func:`viterbi_inside`).
     """
-    if not 0 <= vertex < g.n:
+    if not 0 <= _check_vertex(vertex) < g.n:
         raise ValidationError(f"vertex {vertex} out of range (n={g.n})")
     inside, pi = result.inside, result.pi
     if inside[vertex] == INF:

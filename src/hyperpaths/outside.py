@@ -26,6 +26,7 @@ from .core import (
     ValidationError,
     _beam_bounds,
     _check_beam,
+    _check_vertex,
     _Record,
     restrict,
 )
@@ -67,7 +68,7 @@ def viterbi_outside(
     see :func:`_keep_flags`.
     """
     beam = _check_beam(beam)
-    if not 0 <= target < g.n:
+    if not 0 <= _check_vertex(target) < g.n:
         raise ValidationError(f"target vertex {target} out of range (n={g.n})")
     if len(ins.inside) != g.n:
         raise ValidationError("inside result does not match this hypergraph")

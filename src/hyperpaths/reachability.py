@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Hypergraph, Query, ValidationError, _Record, restrict
+from .core import Hypergraph, Query, ValidationError, _check_vertex, _Record, restrict
 
 
 class ReachResult(_Record):
@@ -76,7 +76,7 @@ def reach_to(g: Hypergraph, target: int) -> ReachResult:
     vertex of ``g`` is already derivable from the sources (run
     :func:`reach_from` and restrict first); the pass itself does not check.
     """
-    if not 0 <= target < g.n:
+    if not 0 <= _check_vertex(target) < g.n:
         raise ValidationError(f"target vertex {target} out of range (n={g.n})")
     return _mark_to(g, target, g._dtails)
 

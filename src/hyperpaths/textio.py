@@ -181,10 +181,16 @@ def serialize_hypergraph(
     target: int | None = None,
 ) -> str:
     """Canonical text form: all vertices, then arcs, sources, target."""
+    return _serialize(g, range(g.n), g.arc_indices, sources, target)
+
+
+def _serialize(g: Hypergraph, vertices, arcs, sources, target: int | None) -> str:
+    """The lines of ``g``'s ``vertices`` and ``arcs`` (increasing ids), ``sources`` and
+    ``target``: the text of ``g`` restricted to them, as restriction keeps names and order."""
     names = g.names
-    lines = [f"vertex {check_name(name)}\n" for name in names]
+    lines = [f"vertex {check_name(names[v])}\n" for v in vertices]
     heads, tails, lengths = g._heads, g._tails, g._lengths
-    for i in g.arc_indices:
+    for i in arcs:
         text = " ".join([names[v] if m == 1 else f"{names[v]}*{m}" for v, m in tails[i]])
         lines.append("arc %s <- %s @ %.17g\n" % (names[heads[i]], text, lengths[i]))
     for v, cost in sources:

@@ -33,7 +33,9 @@ a repr over 4 KiB by its SHA-256):
   inputs, benchmark inputs and random graphs;
 - ``prune-grammar`` on the benchmark grammars of both seeds and on random
   cyclic grammars with tied weights, at beams 0, 0.0625, 1, 16 and inf and
-  at the boundary beam of each arc and vertex and the float just below it.
+  at the boundary beam of each arc and vertex and the float just below it;
+- CLI ``prune``, with text and JSON reports, on random graphs at the
+  boundary beam of each arc and vertex and the float just below it.
 
 Prints the number of differing results per group and exits 1 if any differ.
 This is a script, not a pytest module.
@@ -215,20 +217,25 @@ def _random_grammar(rng: Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grammar_boundary_beams(hp, text: str) -> list[float]:
-    """The boundary beams of every arc and vertex of the grammar's
-    hypergraph, with the floats just below them; none when the grammar
-    derives nothing."""
+def _boundary_beams(hp, graph, sources, target: int) -> list[float]:
+    """The boundary beams of every arc and vertex of a prune of ``graph``
+    toward ``target``, with the floats just below them; none when the
+    sources do not reach the target."""
     from support import boundary_beams
 
-    graph, query, _ = hp.to_hypergraph(hp.parse_grammar(text))
-    ins = hp.viterbi_inside(graph, query.sources)
-    best = ins.inside[query.target]
+    ins = hp.viterbi_inside(graph, sources)
+    best = ins.inside[target]
     if best == math.inf:
         return []
-    gamma_v, gamma_e = hp.utilities(graph, ins, hp.viterbi_outside(graph, ins, query.target))
+    gamma_v, gamma_e = hp.utilities(graph, ins, hp.viterbi_outside(graph, ins, target))
     xs = [x for x in gamma_e[1:] + gamma_v if x < math.inf]
     return sorted({b for x in xs for b in boundary_beams(best, x) if b >= 0})
+
+
+def _grammar_boundary_beams(hp, text: str) -> list[float]:
+    """:func:`_boundary_beams` of the grammar's hypergraph and query."""
+    graph, query, _ = hp.to_hypergraph(hp.parse_grammar(text))
+    return _boundary_beams(hp, graph, query.sources, query.target)
 
 
 def build_jobs() -> tuple[dict, list[str]]:
@@ -383,6 +390,29 @@ def build_jobs() -> tuple[dict, list[str]]:
         for beam in beams:
             argv = ["prune-grammar", "--beam", beam, "in.gr"]
             add("prune-grammar beams", ["cli", argv, {"in.gr": ti}])
+
+    # prune at the boundary beam of each arc and vertex and the float just
+    # below it. Past the first 100 random graphs, only those where rounding
+    # puts a tail's utility above its arc's are taken (about 1 in 170): at
+    # the arc's boundary beam the arc is flagged kept, its tail is not, and
+    # the output drops the arc.
+    rng = Random(16)
+    taken = 0
+    while taken < 130:
+        g, sources = random_weighted_instance(rng)
+        ins = hp.viterbi_inside(g, sources)
+        target = rng.choice([v for v in range(g.n) if ins.inside[v] < math.inf])
+        gamma_v, gamma_e = hp.utilities(g, ins, hp.viterbi_outside(g, ins, target))
+        if taken >= 100 and not any(
+            gamma_v[t] > gamma_e[i] for i in g.arc_indices for t, _ in g._dtails[i]
+        ):
+            continue
+        taken += 1
+        ti = add_text(hp.serialize_hypergraph(g, sources, target))
+        for beam in _boundary_beams(hp, g, sources, target):
+            for report in ("text", "json"):
+                argv = ["prune", "--beam", repr(beam), "--report", report, "in.hg"]
+                add("prune beams", ["cli", argv, {"in.hg": ti}])
     return {"texts": texts, "jobs": jobs}, groups
 
 

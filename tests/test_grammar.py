@@ -13,6 +13,7 @@ from hyperpaths import (
     DerivationTree,
     EnumerationBudget,
     GrammarError,
+    GrammarHypergraphMap,
     Production,
     RhsTree,
     Wrtg,
@@ -24,6 +25,7 @@ from hyperpaths import (
     parse_grammar,
     prune_relatively_useless,
     serialize_grammar,
+    ValidationError,
     to_hypergraph,
     viterbi_inside,
     viterbi_outside,
@@ -272,6 +274,19 @@ def test_best_derivation_single_terminal_production():
     deriv, weight = best_derivation(g, tree, gmap)
     assert deriv.production == 1 and deriv.children == ()
     assert weight == pytest.approx(0.25, rel=1e-9)
+
+
+def test_best_derivation_rejects_a_tree_its_map_does_not_cover():
+    g = _f1_grammar()
+    graph, query, gmap = to_hypergraph(g)
+    tree = extract_best_tree(graph, viterbi_inside(graph, query.sources), query.target)
+    nts, sink, sink_name = gmap.vertex_for_nonterminal, gmap.sink, gmap.sink_name
+    unmapped = GrammarHypergraphMap({1: 1, 3: 3}, nts, sink, sink_name)
+    with pytest.raises(ValidationError, match="^arc 2 maps to no production$"):
+        best_derivation(g, tree, unmapped)
+    other_sink = GrammarHypergraphMap(gmap.production_for_arc, nts, 0, sink_name)
+    with pytest.raises(ValidationError, match="^tree leaf is not the grammar sink$"):
+        best_derivation(g, tree, other_sink)
 
 
 def test_best_derivation_converts_each_shared_subtree_once(monkeypatch):

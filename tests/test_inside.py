@@ -20,8 +20,10 @@ from hyperpaths import (
     extract_best_tree,
     format_tree,
     iter_nodes,
+    reach_to,
     restrict,
     viterbi_inside,
+    viterbi_outside,
 )
 from hyperpaths.core import _beam_bounds, check_sources
 
@@ -83,6 +85,22 @@ def test_stop_vertex_is_checked_before_any_work(f1, monkeypatch):
         assert str(info.value) == f"vertex id must be a nonnegative integer, got {bad!r}"
     with pytest.raises(ValidationError, match=r"stop vertex 4 out of range \(n=4\)"):
         viterbi_inside(f1, [(0, 0.0)], stop=(4, 0.0))
+
+
+@pytest.mark.parametrize("bad", [True, 1.5])
+@pytest.mark.parametrize("call", ["viterbi_outside", "extract_best_tree", "reach_to"])
+def test_vertex_arguments_are_type_checked(f1, call, bad):
+    """A target or tree vertex is type-checked as the stop vertex is: ``True``
+    does not run as vertex 1, and ``1.5`` raises no bare ``TypeError``."""
+    ins = viterbi_inside(f1, [(0, 0.0)])
+    run = {
+        "viterbi_outside": lambda: viterbi_outside(f1, ins, bad),
+        "extract_best_tree": lambda: extract_best_tree(f1, ins, bad),
+        "reach_to": lambda: reach_to(f1, bad),
+    }[call]
+    with pytest.raises(ValidationError) as info:
+        run()
+    assert str(info.value) == f"vertex id must be a nonnegative integer, got {bad!r}"
 
 
 def test_check_sources_precedence_and_messages():

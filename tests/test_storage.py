@@ -35,7 +35,7 @@ from hyperpaths import (
     viterbi_inside,
     viterbi_outside,
 )
-from hyperpaths import textio
+from hyperpaths import core, outside, reachability, textio
 from hyperpaths.cli import main
 
 from conftest import F1_GRAMMAR_TEXT
@@ -303,6 +303,29 @@ def test_forward_pipeline_work_counts(graph_count, name_checks):
     pr = prune_relatively_useless(rr.graph, ins, outs, 1.0)
     serialize_hypergraph(pr.graph)
     assert graph_count[0] == 2, "one graph from the parser, one from the prune"
+
+
+def test_cli_prune_builds_only_the_parsed_graph(graph_count, monkeypatch, tmp_path):
+    """`prune` writes the kept lines off the keep flags: the parsed graph is
+    the only graph it builds, and nothing restricts it."""
+    g, sources, target = layered_hypergraph(Random(47), 3000, width=20)
+    path = tmp_path / "layered.hg"
+    path.write_text(serialize_hypergraph(g, sources, target), encoding="utf-8")
+    restricted = [0]
+
+    def counting(*args, **kwargs):
+        restricted[0] += 1
+        return restrict(*args, **kwargs)
+
+    for module in (core, outside, reachability):
+        monkeypatch.setattr(module, "restrict", counting)
+    graph_count[0] = 0
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(["prune", "--beam", "1", str(path)]) == 0
+    assert "arc " in out.getvalue()
+    assert graph_count[0] == 1, "the parsed graph only"
+    assert restricted[0] == 0
 
 
 def test_arc_accessors_build_on_demand(hyperarc_count, f1):
