@@ -2,8 +2,9 @@
 
 One executable, subcommand per operation. Files are positional arguments;
 ``-`` reads standard input. Results go to stdout, diagnostics and the prune
-report stream to stderr. Exit codes: 0 success, 1 usage or parse error,
-2 unreachable target, 3 internal invariant violation.
+report stream to stderr. Exit codes: 0 success, 1 usage or parse error or
+a best tree too large to print, 2 unreachable target, 3 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNREACHABLE = 2
 EXIT_INTERNAL = 3
+
+# ``best-tree`` prints a shared subtree once per tail, so the output can be
+# exponential in the distinct nodes. It refuses a tree with more arc nodes
+# than this (4 to 10 bytes of output each) before printing anything.
+MAX_PRINTED_ARC_NODES = 10**7
 
 
 class _UsageError(Exception):
@@ -159,6 +165,21 @@ def _cmd_best_tree(args: argparse.Namespace) -> int:
     # The tree's vertices all settle before ``vertex``, so the pass can stop.
     result = viterbi_inside(g, parsed.require_sources(), stop=(vertex, 0.0))
     tree = extract_best_tree(g, result, vertex)
+    distinct = 0
+
+    def unfolded(node, done) -> int:  # arc nodes in the unfolded subtree
+        nonlocal distinct
+        if not node.arc:
+            return 0
+        distinct += 1
+        return 1 + sum([done[id(c)] for c in node.children])
+
+    size = tree._fold(unfolded)
+    if size > MAX_PRINTED_ARC_NODES:
+        raise _UsageError(
+            f"the best tree of {args.vertex!r} has {distinct} distinct arc nodes but "
+            f"{size} unfolded, more than the {MAX_PRINTED_ARC_NODES} best-tree prints"
+        )
     print(format_tree(tree, g.name_of))
     print(format_float(tree.cost))
     return EXIT_OK

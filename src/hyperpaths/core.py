@@ -449,10 +449,10 @@ class Hypergraph:
         """Arc length plus the multiplicity-weighted costs of its tails.
 
         Returns ``inf`` as soon as any tail cost is infinite. This is the
-        reference summation: the inside firing step, the outside relaxation
-        and :func:`~hyperpaths.outside.utilities` inline the same sum, length
-        first and then ``mult * cost`` per distinct tail in stored order, so
-        their values agree with it bitwise.
+        reference summation: the inside firing step and the outside
+        relaxation, which also gives each arc's utility, inline the same sum,
+        length first and then ``mult * cost`` per distinct tail in stored
+        order, so their values agree with it bitwise.
         """
         c = self._lengths[i]
         for t, m in self._dtails[i]:

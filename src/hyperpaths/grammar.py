@@ -270,7 +270,8 @@ def _subgrammar(g: Wrtg, kept: Iterable[int]) -> Wrtg:
     nts = frozenset(g.nonterminals)
     for p in productions:
         used.add(p.lhs)
-        used.update(yield_nonterminals(p.rhs, nts))
+        # Only nonterminals are read back, so a flat rhs's terminals may go in.
+        used.update(p.rhs if isinstance(p.rhs, tuple) else yield_nonterminals(p.rhs, nts))
     nonterminals = tuple(nt for nt in g.nonterminals if nt in used)
     # Every field comes from the checked grammar g: the productions are a
     # subsequence of its own, and the nonterminals keep the start and every

@@ -11,12 +11,16 @@ supported here.
 Note that ``outside[v] + inside[v] >= inside[target]`` always, with equality
 exactly for vertices on some cheapest tree; vertices off every best tree get
 strictly larger completions.
+
+Each arc is relaxed from its head's outside cost plus its full cost. That sum
+is the arc's utility, which the pass returns for :func:`utilities` and pruning.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 
 from .core import (
     INF,
@@ -39,12 +43,14 @@ class OutsideResult(_Record):
     ``outside[v]`` is ``inf`` when no hyperpath-tree through ``v`` reaches
     the target. ``psi[v]`` is the arc through which the cheapest completion
     leaves ``v`` upward, 0 for the target and for incompletable vertices.
+    ``gamma_arcs`` holds each arc's utility, indexed 1..m (slot 0 ``inf``).
     """
 
-    __slots__ = ("outside", "psi", "target")
+    __slots__ = ("outside", "psi", "target", "gamma_arcs")
     outside: tuple[float, ...]
     psi: tuple[int, ...]
     target: int
+    gamma_arcs: tuple[float, ...]
 
 
 def viterbi_outside(
@@ -59,6 +65,10 @@ def viterbi_outside(
     costs, ``psi`` (as input arcs) and the utilities and pruning built on
     them equal those on the restriction, mapped back to ``g``'s ids.
     O(m log n + t) with the lazy binary heap.
+
+    The relaxation's ``c = outside[head] + (length + Σ mult·inside[tail])``
+    is the arc's utility and goes to ``gamma_arcs``; an arc never relaxed
+    (its head not settled, or a tail unreached) keeps ``inf``.
 
     A finite ``beam`` ends the pass once every key up to the limit of
     :func:`prune_relatively_useless` for ``inside[target] + beam`` is
@@ -83,6 +93,7 @@ def viterbi_outside(
     unset = math.nextafter(_beam_bounds(inside[target] + beam)[1], INF)
     outside = [unset] * n
     psi = [0] * n
+    gamma_e = [INF] * (g.num_arcs + 1)
     outside[target] = 0.0
     heap: list[tuple[float, int]] = [(0.0, target)]
     settled = bytearray(n)
@@ -107,7 +118,7 @@ def viterbi_outside(
                 total += m * inside[t]
             if total == INF:
                 continue
-            c = ox + total
+            c = gamma_e[i] = ox + total
             for t, _ in d:
                 if settled[t]:
                     continue
@@ -119,7 +130,7 @@ def viterbi_outside(
 
     if unset != INF:
         outside = [INF if o == unset else o for o in outside]
-    return OutsideResult(tuple(outside), tuple(psi), target)
+    return OutsideResult(tuple(outside), tuple(psi), target, tuple(gamma_e))
 
 
 def utilities(
@@ -129,24 +140,15 @@ def utilities(
     hyperpath-tree from the sources to the target using that element.
 
     A vertex's utility is ``inside + outside``; an arc's is its head's
-    outside plus its full default cost. Any infinite operand yields ``inf``
-    (the element is on no finite tree). The per-arc array is indexed 1..m
-    with slot 0 unused (``inf``).
+    outside plus its full default cost, as :func:`viterbi_outside` recorded
+    it in ``outs.gamma_arcs``. Any infinite operand yields ``inf`` (the
+    element is on no finite tree). The per-arc array is indexed 1..m with
+    slot 0 unused (``inf``).
     """
-    if len(ins.inside) != g.n or len(outs.outside) != g.n:
-        raise ValidationError("results do not match this hypergraph")
     inside, outside = ins.inside, outs.outside
-    gamma_v = tuple(b + a for b, a in zip(inside, outside))
-    gamma_e = [INF] * (g.num_arcs + 1)
-    heads, lengths, dtails = g._heads, g._lengths, g._dtails
-    for i in g.arc_indices:
-        # Hypergraph.arc_total_cost inlined, in its order; an infinite tail
-        # makes the sum infinite, which is the value it returns early.
-        c = lengths[i]
-        for t, m in dtails[i]:
-            c += m * inside[t]
-        gamma_e[i] = outside[heads[i]] + c
-    return gamma_v, tuple(gamma_e)
+    if len(inside) != g.n or len(outside) != g.n or len(outs.gamma_arcs) != g.num_arcs + 1:
+        raise ValidationError("results do not match this hypergraph")
+    return tuple(map(operator.add, inside, outside)), outs.gamma_arcs
 
 
 class PruneResult(_Record):

@@ -150,10 +150,16 @@ def reduce(g: Hypergraph, query: Query) -> ReduceResult:
     if in1[query.target]:
         # The second pass runs on g, seeing only the arcs that restricting g
         # to pass1 would keep: those whose head and tails all lie in pass1.
-        masked = [
-            d if in1[h] and all(in1[v] for v, _ in d) else ()
-            for h, d in zip(g._heads, g._dtails)
-        ]
+        masked: list[tuple] = []
+        for h, d in zip(g._heads, g._dtails):
+            if in1[h]:
+                for v, _ in d:
+                    if not in1[v]:
+                        break
+                else:
+                    masked.append(d)
+                    continue
+            masked.append(())
         pass2 = _mark_to(g, query.target, masked).vertices()
     # pass2 lies inside pass1, so restricting g to it once gives the same
     # graph and maps as restricting the pass-1 restriction again.

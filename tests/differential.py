@@ -17,6 +17,9 @@ a repr over 4 KiB by its SHA-256):
   instance;
 - ``viterbi_inside`` with ``stop=(target, beam)`` at beams 0, 1 and inf on
   the same graphs;
+- ``viterbi_outside`` on the same graphs and targets, after the full inside
+  pass and with ``beam=`` 0, 1 and inf after the inside pass stopped at that
+  beam, compared by outside costs, ``psi`` and both ``utilities`` tuples;
 - ``reduce`` with sources or a target out of range, in several orders;
 - ``prune_relatively_useless`` on random graphs at beams 0, 0.5 and inf and
   at each arc's boundary beam (the least beam that keeps the arc) and the
@@ -164,6 +167,15 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
     if kind == "inside stopped":
         res = hp.viterbi_inside(g, sources, stop=(g.id_of(job[3]), job[4]))
         return res.inside, res.pi, res.binds
+    if kind == "outside":  # job[4] is the beam of both passes, None for full passes
+        target, beam = g.id_of(job[3]), job[4]
+        if beam is None:
+            ins = hp.viterbi_inside(g, sources)
+            outs = hp.viterbi_outside(g, ins, target)
+        else:
+            ins = hp.viterbi_inside(g, sources, stop=(target, beam))
+            outs = hp.viterbi_outside(g, ins, target, beam=beam)
+        return outs.outside, outs.psi, hp.utilities(g, ins, outs)
     raise ValueError(f"unknown job kind {kind!r}")
 
 
@@ -268,6 +280,10 @@ def build_jobs() -> tuple[dict, list[str]]:
         for beam in STOP_BEAMS:
             add("inside stopped", ["inside stopped", ti, sources, target, beam])
 
+    def outside(group: str, ti: int, sources: list, target: str) -> None:
+        for beam in (None, *STOP_BEAMS):
+            add(group, ["outside", ti, sources, target, beam])
+
     rng = Random(8)
     for _ in range(400):
         g = random_hypergraph(rng)
@@ -289,6 +305,7 @@ def build_jobs() -> tuple[dict, list[str]]:
             reached = [v for v in range(g.n) if ins.inside[v] < math.inf]
             target = pick.choice([v for v in reached if ins.pi[v]] or reached)
             inside_stopped(ti, named(g, sources), g.name_of(target))
+            outside("outside random", ti, named(g, sources), g.name_of(target))
 
     rng = Random(10)
     for _ in range(150):
@@ -346,6 +363,7 @@ def build_jobs() -> tuple[dict, list[str]]:
                 add("reduce benchmark", ["reduce", ti, srcs, inst.names[target]])
                 add("inside benchmark", ["inside", ti, srcs])
                 inside_stopped(ti, srcs, inst.names[target])
+                outside("outside benchmark", ti, srcs, inst.names[target])
                 add("prune benchmark", ["prune", ti, srcs, inst.names[target], CHART_BEAM])
         add("grammar pipeline benchmark", ["grammar", add_text(grammar.text)])
     for text in GRAMMAR_PARSE_CASES.values():

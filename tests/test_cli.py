@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from random import Random
 
@@ -16,6 +19,7 @@ from hyperpaths import (
     viterbi_inside,
     viterbi_outside,
 )
+from hyperpaths import cli
 from hyperpaths.cli import main
 
 from support import random_hypergraph, random_sources
@@ -117,6 +121,43 @@ def test_best_tree_unreachable_exit_2(capsys, tmp_path):
     path.write_text(UNREACHABLE_TEXT, encoding="utf-8")
     code, _, err = run(capsys, "best-tree", "--vertex", "S", str(path))
     assert code == 2 and "unreachable" in err
+
+
+def _doubling_chain(k: int) -> str:
+    """``X1 <- S*2``, ``X2 <- X1*2``, ... at length 0: the best tree of ``Xk``
+    has k distinct arc nodes and 2**k - 1 unfolded ones."""
+    lines = ["vertex S", "source S 0"]
+    for j in range(1, k + 1):
+        lines += [f"vertex X{j}", f"arc X{j} <- {'S' if j == 1 else f'X{j - 1}'}*2 @ 0"]
+    return "\n".join(lines) + "\n"
+
+
+def test_best_tree_refuses_a_tree_too_large_to_print(tmp_path):
+    path = tmp_path / "chain.hg"
+    path.write_text(_doubling_chain(64), encoding="utf-8")
+    # In a child with a timeout: printing the unfolded tree would never end.
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperpaths.cli", "best-tree", "--vertex", "X64", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: the best tree of 'X64' has 64 distinct arc nodes but {2**64 - 1} unfolded, "
+        f"more than the {cli.MAX_PRINTED_ARC_NODES} best-tree prints\n"
+    )
+
+
+def test_best_tree_prints_a_tree_at_the_cap(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "chain.hg"
+    path.write_text(_doubling_chain(3), encoding="utf-8")
+    monkeypatch.setattr(cli, "MAX_PRINTED_ARC_NODES", 7)
+    code, out, _ = run(capsys, "best-tree", "--vertex", "X3", str(path))
+    assert (code, out) == (0, "(3 (2 (1) (1)) (2 (1) (1)))\n0\n")
+    monkeypatch.setattr(cli, "MAX_PRINTED_ARC_NODES", 6)
+    code, out, err = run(capsys, "best-tree", "--vertex", "X3", str(path))
+    assert (code, out) == (1, "")
+    assert "3 distinct arc nodes but 7 unfolded" in err
 
 
 def test_outside_table(capsys, f1_file):

@@ -99,6 +99,74 @@ def test_utility_of_source_level_arc():
     assert ge[1] == pytest.approx(1.5 + 2 * 0.25)
 
 
+def test_utilities_rejects_gamma_arcs_of_the_wrong_length(f1):
+    ins, outs = _f1_results(f1)
+    for gamma_arcs in (outs.gamma_arcs[:-1], outs.gamma_arcs + (INF,)):
+        bad = OutsideResult(outs.outside, outs.psi, outs.target, gamma_arcs)
+        with pytest.raises(ValidationError, match="results do not match"):
+            utilities(f1, ins, bad)
+
+
+def _tie_heavy(rng: Random):
+    """A graph whose few distinct lengths make many equal costs."""
+    n = rng.randint(1, 30)
+    arcs = []
+    for _ in range(rng.randint(0, 90)):
+        pairs = tuple((rng.randrange(n), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
+        arcs.append(Hyperarc(rng.randrange(n), pairs, rng.choice((0.0, 0.5, 1.0))))
+    return build(n, arcs)
+
+
+def _is_cyclic(g) -> bool:
+    """Whether some vertex reaches itself through tail -> head edges."""
+    indegree = [0] * g.n
+    for i in g.arc_indices:
+        indegree[g._heads[i]] += len(g._dtails[i])
+    ready = [v for v in range(g.n) if not indegree[v]]
+    done = 0
+    while ready:
+        done += 1
+        for i in g.forward[ready.pop()]:
+            h = g._heads[i]
+            indegree[h] -= 1
+            if not indegree[h]:
+                ready.append(h)
+    return done < g.n
+
+
+def test_outside_records_each_arcs_utility():
+    """``gamma_arcs[i]`` is bitwise ``outside[head] + arc_total_cost(i,
+    inside)``, or ``inf`` where either term is, after the full passes and
+    after passes stopped at beams 0, 1 and inf, on random, tie-heavy and
+    cyclic graphs; ``utilities`` returns that tuple."""
+    rng = Random(304)
+    cyclic = 0
+    for k in range(300):
+        if k % 3 == 0:
+            g = random_hypergraph(rng, n_range=(1, 12), m_range=(0, 30))
+        elif k % 3 == 1:
+            g = _tie_heavy(rng)
+        else:  # few vertices, many arcs: nearly always cyclic
+            g = random_hypergraph(rng, n_range=(2, 6), m_range=(10, 30), length_range=(0.0, 1.0))
+        cyclic += _is_cyclic(g)
+        sources = random_sources(rng, g)[: rng.randint(1, 3)]
+        ins = viterbi_inside(g, sources)
+        target = rng.choice([v for v in range(g.n) if ins.inside[v] < INF])
+        runs = [(ins, viterbi_outside(g, ins, target))]
+        for beam in (0.0, 1.0, INF):
+            ins_b = viterbi_inside(g, sources, stop=(target, beam))
+            runs.append((ins_b, viterbi_outside(g, ins_b, target, beam=beam)))
+        for ins_r, outs in runs:
+            assert len(outs.gamma_arcs) == g.num_arcs + 1 and outs.gamma_arcs[0] == INF
+            for i in g.arc_indices:
+                head = outs.outside[g._heads[i]]
+                total = g.arc_total_cost(i, ins_r.inside)
+                expected = INF if INF in (head, total) else head + total
+                assert outs.gamma_arcs[i].hex() == expected.hex()
+            assert utilities(g, ins_r, outs)[1] is outs.gamma_arcs
+    assert cyclic >= 100
+
+
 def test_prune_f1_beam_one_removes_e4(f1):
     ins, outs = _f1_results(f1)
     pr = prune_relatively_useless(f1, ins, outs, 1.0)
@@ -190,10 +258,13 @@ def test_prune_rejects_a_kept_arc_with_an_endpoint_far_above_the_cutoff():
     ])
     ins = viterbi_inside(g, [(0, 0.0)])
     outs = viterbi_outside(g, ins, 3)
-    # A's completion cost raised far above its true value: the arc T <- A B
-    # stays within the beam, but its tail A no longer does.
-    wrong = OutsideResult(outs.outside[:1] + (100.0,) + outs.outside[2:], outs.psi, 3)
-    with pytest.raises(InternalInvariantError, match="arc 3 kept but endpoint vertex 1"):
+    # A's completion cost raised far above its true value: the arcs A <- s and
+    # T <- A B keep the utilities the pass recorded and stay within the beam,
+    # but A no longer does, and arc 1 is checked first.
+    wrong = OutsideResult(
+        outs.outside[:1] + (100.0,) + outs.outside[2:], outs.psi, 3, outs.gamma_arcs
+    )
+    with pytest.raises(InternalInvariantError, match="arc 1 kept but endpoint vertex 1"):
         prune_relatively_useless(g, ins, wrong, 0.5)
 
 

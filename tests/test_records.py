@@ -20,6 +20,7 @@ import sys
 import pytest
 
 from hyperpaths import (
+    INF,
     DerivationTree,
     Enumeration,
     EnumerationBudget,
@@ -54,7 +55,7 @@ CASES = {
     RestrictResult: ((GRAPH, {0: 0, 1: 1}, {1: 1}), (OTHER_GRAPH, {0: 0, 1: 1}, {1: 1})),
     InsideResult: (((0.0, 1.0), (0, 1), 1), ((0.0, 1.0), (0, 1), 2)),
     HyperpathTree: ((1, 1, (LEAF, LEAF), 1.0), (1, 1, (LEAF, TREE), 1.0)),
-    OutsideResult: (((1.0, 0.0), (1, 0), 1), ((1.0, 0.0), (1, 0), 0)),
+    OutsideResult: (((1.0, 0.0), (1, 0), 1, (INF, 1.0)), ((1.0, 0.0), (1, 0), 0, (INF, 1.0))),
     PruneResult: (
         ((1.0, 1.0), (0.0, 1.0), (True, True), (False, True), 0.5, 1.5, GRAPH, {0: 0}, {1: 1}),
         ((1.0, 1.0), (0.0, 1.0), (True, True), (False, False), 0.5, 1.5, GRAPH, {0: 0}, {1: 1}),
