@@ -11,7 +11,6 @@ The package provides, over ordered multi-hypergraphs with additive costs:
   of relatively useless vertices and arcs (:mod:`.outside`);
 * conversion of weighted regular tree grammars and CFGs to hypergraphs and
   back, mapping pruning results onto reduced grammars (:mod:`.grammar`);
-* brute-force reference implementations for testing (:mod:`.oracle`);
 * a text format (:mod:`.textio`) and a CLI (:mod:`.cli`).
 
 Importing the package loads none of these submodules; each public name
@@ -22,7 +21,7 @@ from importlib import import_module
 
 # Public name -> the submodule defining it. Each submodule is imported on
 # first use of one of its names (PEP 562), so a command that needs only the
-# graph algorithms never loads the grammar layer or the oracle.
+# graph algorithms never loads the grammar layer.
 _HOME = {
     name: module
     for module, names in {
@@ -33,7 +32,6 @@ _HOME = {
         "to_hypergraph yield_nonterminals",
         "inside": "HyperpathTree InsideResult extract_best_tree format_tree iter_nodes "
         "viterbi_inside",
-        "oracle": "Enumeration EnumerationBudget enumerate_trees fixpoint_reach",
         "outside": "OutsideResult PruneResult prune_relatively_useless utilities "
         "viterbi_outside",
         "reachability": "ReachResult ReduceResult reach_from reach_to reduce",

@@ -580,6 +580,8 @@ def restrict(
     """
     kept = set(keep)
     for v in kept:
+        if v.__class__ is not int:
+            _check_vertex(v)
         if not 0 <= v < g.n:
             raise ValidationError(f"vertex {v} out of range (n={g.n})")
     if keep_arcs is None and len(kept) == g.n:

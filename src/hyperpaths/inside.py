@@ -25,7 +25,6 @@ give O(n log n + t) for the heap part but is not implemented.
 from __future__ import annotations
 
 import heapq
-import math
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -87,13 +86,13 @@ def viterbi_inside(
     is the countdowns' total fall.
 
     ``stop=(v, beam)`` ends the pass early, for callers that need no vertex
-    a prune at ``beam`` drops: once ``v`` settles, the pass ends when every
-    key up to the limit of
+    a prune at ``beam`` drops: once ``v`` settles, the pass ends at the
+    first key above the limit of
     :func:`~hyperpaths.outside.prune_relatively_useless` for ``inside[v] +
-    beam`` is popped. Those pops are the full pass's, so every settled value
-    and ``pi`` entry is the full pass's too; a vertex not settled by then
-    counts as unreached (``inf``, ``pi`` 0). ``v`` must be a vertex id of
-    ``g``, an ``int`` as a source vertex must be, and ``beam`` nonnegative.
+    beam``. It is the full pass cut there, so every value up to the limit
+    and its ``pi`` entry are the full pass's; a vertex above it counts as
+    unreached (``inf``, ``pi`` 0). ``v`` must be a vertex id of ``g``, an
+    ``int`` as a source vertex must be, and ``beam`` nonnegative.
 
     The sources are popped from one list sorted by (cost, vertex), and only
     improved vertices are pushed on the heap. Taking the smaller head in
@@ -128,7 +127,7 @@ def viterbi_inside(
     push = heapq.heappush
     pop = heapq.heappop
     last_key = -INF
-    unset = INF  # the cost of a vertex not reached
+    limit = INF  # no key above it settles
 
     while heap or queue:
         key, y = queue.pop() if queue and (not heap or queue[-1] < heap[0]) else pop(heap)
@@ -137,17 +136,10 @@ def viterbi_inside(
         last_key = key
         if key > inside[y]:
             continue
+        if key > limit:
+            break
         if y == stop_at:
-            # From here on no cost above the limit is taken or left in the
-            # heap or the list, so the pass ends once no key at most the
-            # limit is left. Unfiltered, a source costing exactly ``unset``
-            # would pass the stale test and settle.
             limit = _beam_bounds(key + beam)[1]
-            unset = math.nextafter(limit, INF)
-            inside = [x if x <= limit else unset for x in inside]
-            heap = [entry for entry in heap if entry[0] <= limit]
-            heapq.heapify(heap)
-            queue = [entry for entry in queue if entry[0] <= limit]
         for i in forward[y]:
             h = heads[i]
             # The guard. y settles at key == inside[y], and the sum below is
@@ -170,9 +162,9 @@ def viterbi_inside(
                     pi[h] = i
                     push(heap, (c, h))
 
-    if unset != INF:
-        pi = [0 if x == unset else a for x, a in zip(inside, pi)]
-        inside = [INF if x == unset else x for x in inside]
+    if beam < INF:
+        pi = [a if x <= limit else 0 for x, a in zip(inside, pi)]
+        inside = [x if x <= limit else INF for x in inside]
     return InsideResult(tuple(inside), tuple(pi), sum(g._arity) - sum(remaining))
 
 

@@ -70,12 +70,12 @@ def viterbi_outside(
     is the arc's utility and goes to ``gamma_arcs``; an arc never relaxed
     (its head not settled, or a tail unreached) keeps ``inf``.
 
-    A finite ``beam`` ends the pass once every key up to the limit of
-    :func:`prune_relatively_useless` for ``inside[target] + beam`` is
-    popped; a vertex not settled by then counts as incompletable (``inf``,
-    ``psi`` 0). With an ``ins`` from ``viterbi_inside(..., stop=(target, beam))``,
-    the keep flags of a prune at ``beam`` are then those of the full passes:
-    see :func:`_keep_flags`.
+    A finite ``beam`` ends the pass at the first key above the limit of
+    :func:`prune_relatively_useless` for ``inside[target] + beam``; a vertex
+    above it counts as incompletable (``inf``, ``psi`` 0). With an ``ins``
+    from ``viterbi_inside(..., stop=(target, beam))``, the keep flags of a
+    prune at ``beam`` are then those of the full passes: see
+    :func:`_keep_flags`.
     """
     beam = _check_beam(beam)
     if not 0 <= _check_vertex(target) < g.n:
@@ -87,11 +87,8 @@ def viterbi_outside(
 
     n = g.n
     inside = ins.inside
-    # No cost above the limit is ever taken, so none is pushed and the pass
-    # ends once no key at most the limit is left; with no beam, ``unset`` is
-    # ``inf``.
-    unset = math.nextafter(_beam_bounds(inside[target] + beam)[1], INF)
-    outside = [unset] * n
+    limit = _beam_bounds(inside[target] + beam)[1]  # no key above it settles
+    outside = [INF] * n
     psi = [0] * n
     gamma_e = [INF] * (g.num_arcs + 1)
     outside[target] = 0.0
@@ -107,6 +104,8 @@ def viterbi_outside(
         key, x = pop(heap)
         if settled[x] or key > outside[x]:
             continue
+        if key > limit:
+            break
         settled[x] = 1
         ox = outside[x]
         for i in backward[x]:
@@ -128,8 +127,9 @@ def viterbi_outside(
                     psi[t] = i
                     push(heap, (proposed, t))
 
-    if unset != INF:
-        outside = [INF if o == unset else o for o in outside]
+    if beam < INF:
+        psi = [a if o <= limit else 0 for o, a in zip(outside, psi)]
+        outside = [o if o <= limit else INF for o in outside]
     return OutsideResult(tuple(outside), tuple(psi), target, tuple(gamma_e))
 
 
@@ -196,16 +196,15 @@ def _keep_flags(
     beam=beam)``) give the full passes' flags. A kept element's utility is at
     most the cutoff. Its terms (inside and outside costs, lengths times
     multiplicities) are nonnegative and float rounding is monotone, so each
-    is at most the utility: every value a kept element reads settles before
-    the stop, by the same operations as in the full passes. The stopped
-    inside pass is a prefix of the full one. The stopped outside pass skips
-    arcs with a tail above the limit, but a completion through such an arc
-    makes a tree costing more than the limit, so the vertex it completes
-    has utility above the cutoff by far more than rounding (the limit is
+    is at most the utility, and a pass cut at the first key above the limit
+    settles it as the full pass does. The outside pass skips arcs with a
+    tail above the limit, but a completion through such an arc makes a tree
+    costing more than the limit, so the vertex it completes has utility
+    above the cutoff by far more than rounding (the limit is
     1e-9·max(1, |threshold|) above it); it never gives a kept vertex its
     value. So kept elements read bitwise the full passes' values. The
-    other values are the full ones or larger (``inf`` when not settled),
-    so an element not kept stays not kept.
+    other values are the full ones or larger (``inf`` above the limit), so
+    an element not kept stays not kept.
     """
     beam = _check_beam(beam)
     best = ins.inside[outs.target]

@@ -47,6 +47,8 @@ def reach_from(g: Hypergraph, sources: Iterable[int]) -> ReachResult:
     if not stack:
         raise ValidationError("source set must be nonempty")
     for v in stack:
+        if v.__class__ is not int:
+            _check_vertex(v)
         if not 0 <= v < g.n:
             raise ValidationError(f"source vertex {v} out of range (n={g.n})")
         reached[v] = True
@@ -146,20 +148,22 @@ def reduce(g: Hypergraph, query: Query) -> ReduceResult:
     if query.target >= g.n:
         raise ValidationError(f"target vertex {query.target} out of range (n={g.n})")
     in1 = forward.reached
+    pass1 = forward.vertices()
     pass2: tuple[int, ...] = ()
     if in1[query.target]:
         # The second pass runs on g, seeing only the arcs that restricting g
         # to pass1 would keep: those whose head and tails all lie in pass1.
-        masked: list[tuple] = []
-        for h, d in zip(g._heads, g._dtails):
-            if in1[h]:
+        # It reads only arcs into vertices it marks, all of them in pass1.
+        dtails = g._dtails
+        masked: list[tuple] = [()] * len(dtails)
+        for h in pass1:
+            for i in g.backward[h]:
+                d = dtails[i]
                 for v, _ in d:
                     if not in1[v]:
                         break
                 else:
-                    masked.append(d)
-                    continue
-            masked.append(())
+                    masked[i] = d
         pass2 = _mark_to(g, query.target, masked).vertices()
     # pass2 lies inside pass1, so restricting g to it once gives the same
     # graph and maps as restricting the pass-1 restriction again.
@@ -173,6 +177,6 @@ def reduce(g: Hypergraph, query: Query) -> ReduceResult:
         sources=sources,
         target=target,
         target_reachable=target is not None,
-        pass1_vertices=frozenset(forward.vertices()),
+        pass1_vertices=frozenset(pass1),
         pass2_vertices=frozenset(pass2),
     )

@@ -1,4 +1,4 @@
-"""Brute-force reference implementations for tests.
+"""Brute-force reference implementations, for tests only.
 
 These deliberately share nothing with the fast algorithms beyond the graph
 and tree value types: reachability is a naive iterate-to-fixpoint scan, and
@@ -8,15 +8,13 @@ count, and cost budgets. Intended for small instances only.
 
 from __future__ import annotations
 
-import sys
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .core import INF, Hypergraph, ValidationError, _Record
-from .inside import HyperpathTree
+from hyperpaths import INF, Hypergraph, HyperpathTree
 
 
-class EnumerationBudget(_Record):
-    """Bounds for tree enumeration. All bounds are finite.
+class EnumerationBudget(NamedTuple):
+    """Bounds for tree enumeration, all finite and positive.
 
     ``max_depth`` limits arc nodes along any root-to-leaf path; ``max_trees``
     limits the number of (sub)trees constructed; ``max_cost`` limits the
@@ -24,17 +22,12 @@ class EnumerationBudget(_Record):
     requested set, not an abort).
     """
 
-    __slots__ = ("max_depth", "max_trees", "max_cost")
-
-    def __init__(self, max_depth: int = 12, max_trees: int = 100_000, max_cost: float = 1e18):
-        if max_depth < 1 or max_trees < 1:
-            raise ValidationError("enumeration bounds must be positive")
-        if not max_cost < INF:
-            raise ValidationError("max_cost must be finite")
-        super().__init__(max_depth, max_trees, max_cost)
+    max_depth: int = 12
+    max_trees: int = 100_000
+    max_cost: float = 1e18
 
 
-class Enumeration(_Record):
+class Enumeration(NamedTuple):
     """Enumerated trees plus which budget, if any, cut the search short.
 
     ``complete`` is true iff the result provably contains every
@@ -44,7 +37,6 @@ class Enumeration(_Record):
     are known to be shallow.
     """
 
-    __slots__ = ("trees", "hit_depth", "hit_trees")
     trees: tuple[HyperpathTree, ...]
     hit_depth: bool
     hit_trees: bool
@@ -162,40 +154,22 @@ def enumerate_trees(
     g: Hypergraph,
     sources: Iterable[tuple[int, float]],
     vertex: int,
-    budget: EnumerationBudget | None = None,
+    budget: EnumerationBudget = EnumerationBudget(),
 ) -> Enumeration:
     """All hyperpath-trees from ``sources`` to ``vertex`` within the budget.
 
     Each tree carries its exact bottom-up additive cost. On acyclic graphs
     with ``max_depth >= n`` the result is complete; on cyclic graphs the
     cost cap bounds the search provided every cycle has positive cost.
-    Hitting the tree-count budget aborts with whatever had been kept at the
-    top level, flagged incomplete.
+    Hitting the tree-count budget aborts with no trees, flagged incomplete.
+    Recursion goes one frame per depth level, so ``max_depth`` must stay
+    well under the interpreter's recursion limit.
     """
-    if budget is None:
-        budget = EnumerationBudget()
-    if not 0 <= vertex < g.n:
-        raise ValidationError(f"vertex {vertex} out of range (n={g.n})")
-    src: dict[int, float] = {}
-    for v, c in sources:
-        if not 0 <= v < g.n:
-            raise ValidationError(f"source vertex {v} out of range (n={g.n})")
-        if v in src:
-            raise ValidationError(f"duplicate source vertex {v}")
-        src[v] = float(c)
-
-    enumerator = _Enumerator(g, src, budget)
-    limit = sys.getrecursionlimit()
-    needed = 3 * budget.max_depth + 200
+    enumerator = _Enumerator(g, {v: float(c) for v, c in sources}, budget)
     try:
-        if needed > limit:
-            sys.setrecursionlimit(needed)
-        try:
-            trees = enumerator.expand(vertex, budget.max_depth, budget.max_cost)
-        except _Abort:
-            trees = []
-    finally:
-        sys.setrecursionlimit(limit)
+        trees = enumerator.expand(vertex, budget.max_depth, budget.max_cost)
+    except _Abort:
+        trees = []
     return Enumeration(tuple(trees), enumerator.hit_depth, enumerator.hit_trees)
 
 
@@ -203,8 +177,6 @@ def fixpoint_reach(g: Hypergraph, sources: Iterable[int]) -> tuple[bool, ...]:
     """Reachability by repeated full scans until nothing changes. O(n * t)."""
     reached = [False] * g.n
     for v in sources:
-        if not 0 <= v < g.n:
-            raise ValidationError(f"source vertex {v} out of range (n={g.n})")
         reached[v] = True
     changed = True
     while changed:

@@ -1,7 +1,7 @@
 """Shared test helpers: random instance generators and oracle-side utilities.
 
-The oracle-side helpers build only on ``hyperpaths.oracle`` (and plain graph
-data); they never consult the algorithms they are used to check.
+The oracle-side helpers build only on the brute-force ``oracle`` module (and
+plain graph data); they never consult the algorithms they are used to check.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from random import Random
 
 from hyperpaths import (
     INF,
-    EnumerationBudget,
     Hyperarc,
     Hypergraph,
     HyperpathTree,
@@ -22,14 +21,14 @@ from hyperpaths import (
     RhsTree,
     Wrtg,
     build,
-    enumerate_trees,
-    fixpoint_reach,
     iter_nodes,
     reduce,
     utilities,
     viterbi_inside,
     viterbi_outside,
 )
+
+from oracle import EnumerationBudget, enumerate_trees, fixpoint_reach
 
 MIN_LENGTH = 0.1  # strictly positive arc lengths keep cyclic enumeration finite
 

@@ -19,11 +19,8 @@ import pytest
 
 from hyperpaths import (
     INF,
-    EnumerationBudget,
     Query,
-    enumerate_trees,
     extract_best_tree,
-    fixpoint_reach,
     format_tree,
     prune_relatively_useless,
     reach_from,
@@ -35,6 +32,7 @@ from hyperpaths import (
     viterbi_outside,
 )
 
+from oracle import EnumerationBudget, enumerate_trees, fixpoint_reach
 from support import (
     collect_reduced_instances,
     digest,

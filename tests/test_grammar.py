@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from hyperpaths import (
     DerivationTree,
-    EnumerationBudget,
     GrammarError,
     GrammarHypergraphMap,
     Production,
@@ -19,7 +18,6 @@ from hyperpaths import (
     Wrtg,
     best_derivation,
     derivation_grammar,
-    enumerate_trees,
     extract_best_tree,
     from_pruned,
     parse_grammar,
@@ -33,6 +31,7 @@ from hyperpaths import (
 )
 from hyperpaths.cli import main
 
+from oracle import EnumerationBudget, enumerate_trees
 from support import (
     enumerate_derivations,
     hyperpath_shape,

@@ -20,6 +20,7 @@ from hyperpaths import (
     extract_best_tree,
     format_tree,
     iter_nodes,
+    reach_from,
     reach_to,
     restrict,
     viterbi_inside,
@@ -88,15 +89,20 @@ def test_stop_vertex_is_checked_before_any_work(f1, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [True, 1.5])
-@pytest.mark.parametrize("call", ["viterbi_outside", "extract_best_tree", "reach_to"])
+@pytest.mark.parametrize(
+    "call", ["viterbi_outside", "extract_best_tree", "reach_to", "reach_from", "restrict"]
+)
 def test_vertex_arguments_are_type_checked(f1, call, bad):
-    """A target or tree vertex is type-checked as the stop vertex is: ``True``
-    does not run as vertex 1, and ``1.5`` raises no bare ``TypeError``."""
+    """A target, tree, source or kept vertex is type-checked as the stop
+    vertex is: ``True`` does not run as vertex 1, and ``1.5`` raises no bare
+    ``TypeError``."""
     ins = viterbi_inside(f1, [(0, 0.0)])
     run = {
         "viterbi_outside": lambda: viterbi_outside(f1, ins, bad),
         "extract_best_tree": lambda: extract_best_tree(f1, ins, bad),
         "reach_to": lambda: reach_to(f1, bad),
+        "reach_from": lambda: reach_from(f1, [bad]),
+        "restrict": lambda: restrict(f1, [0, bad]),
     }[call]
     with pytest.raises(ValidationError) as info:
         run()

@@ -5,18 +5,16 @@ from random import Random
 import pytest
 
 from hyperpaths import (
-    EnumerationBudget,
     Hyperarc,
     Query,
     ValidationError,
     build,
-    enumerate_trees,
-    fixpoint_reach,
     reach_from,
     reach_to,
     reduce,
 )
 
+from oracle import EnumerationBudget, enumerate_trees, fixpoint_reach
 from support import random_hypergraph, random_sources, tree_elements
 
 

@@ -22,8 +22,6 @@ import pytest
 from hyperpaths import (
     INF,
     DerivationTree,
-    Enumeration,
-    EnumerationBudget,
     GrammarHypergraphMap,
     Hyperarc,
     HyperpathTree,
@@ -74,8 +72,6 @@ CASES = {
     ),
     GrammarHypergraphMap: (({1: 1}, {"S": 0}, 1, "_OMEGA_"), ({1: 1}, {"S": 0}, None, "_OMEGA_")),
     DerivationTree: ((1, (DerivationTree(2, ()),)), (1, (DerivationTree(3, ()),))),
-    EnumerationBudget: ((3, 10, 5.0), (3, 10, 6.0)),
-    Enumeration: (((TREE, LEAF), False, True), ((TREE,), False, True)),
 }
 TWINS = {
     cls: dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True, slots=True)

@@ -21,7 +21,6 @@ from hyperpaths import (
     Query,
     ValidationError,
     build,
-    enumerate_trees,
     extract_best_tree,
     parse_grammar,
     parse_hypergraph,
@@ -39,6 +38,7 @@ from hyperpaths import core, outside, reachability, textio
 from hyperpaths.cli import main
 
 from conftest import F1_GRAMMAR_TEXT
+from oracle import enumerate_trees
 from support import layered_hypergraph, random_hypergraph, random_sources
 
 
