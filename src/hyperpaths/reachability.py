@@ -148,22 +148,20 @@ def reduce(g: Hypergraph, query: Query) -> ReduceResult:
     if query.target >= g.n:
         raise ValidationError(f"target vertex {query.target} out of range (n={g.n})")
     in1 = forward.reached
-    pass1 = forward.vertices()
     pass2: tuple[int, ...] = ()
     if in1[query.target]:
         # The second pass runs on g, seeing only the arcs that restricting g
         # to pass1 would keep: those whose head and tails all lie in pass1.
-        # It reads only arcs into vertices it marks, all of them in pass1.
-        dtails = g._dtails
-        masked: list[tuple] = [()] * len(dtails)
-        for h in pass1:
-            for i in g.backward[h]:
-                d = dtails[i]
+        masked: list[tuple] = []
+        for h, d in zip(g._heads, g._dtails):
+            if in1[h]:
                 for v, _ in d:
                     if not in1[v]:
                         break
                 else:
-                    masked[i] = d
+                    masked.append(d)
+                    continue
+            masked.append(())
         pass2 = _mark_to(g, query.target, masked).vertices()
     # pass2 lies inside pass1, so restricting g to it once gives the same
     # graph and maps as restricting the pass-1 restriction again.
@@ -177,6 +175,6 @@ def reduce(g: Hypergraph, query: Query) -> ReduceResult:
         sources=sources,
         target=target,
         target_reachable=target is not None,
-        pass1_vertices=frozenset(pass1),
+        pass1_vertices=frozenset(forward.vertices()),
         pass2_vertices=frozenset(pass2),
     )

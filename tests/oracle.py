@@ -12,6 +12,10 @@ from typing import Iterable, NamedTuple
 
 from hyperpaths import INF, Hypergraph, HyperpathTree
 
+# expand recurses one frame per depth level; this keeps it, with the test
+# runner's own frames, well under the default recursion limit of 1000.
+MAX_DEPTH = 400
+
 
 class EnumerationBudget(NamedTuple):
     """Bounds for tree enumeration, all finite and positive.
@@ -162,10 +166,14 @@ def enumerate_trees(
     with ``max_depth >= n`` the result is complete; on cyclic graphs the
     cost cap bounds the search provided every cycle has positive cost.
     Hitting the tree-count budget aborts with no trees, flagged incomplete.
-    Recursion goes one frame per depth level, so ``max_depth`` must stay
-    well under the interpreter's recursion limit.
+    Recursion goes one frame per depth level, so ``max_depth`` may be at
+    most ``MAX_DEPTH``.
     """
-    enumerator = _Enumerator(g, {v: float(c) for v, c in sources}, budget)
+    assert budget.max_depth <= MAX_DEPTH, budget
+    sources = list(sources)
+    src = {v: float(c) for v, c in sources}
+    assert len(src) == len(sources), "duplicate source vertex"
+    enumerator = _Enumerator(g, src, budget)
     try:
         trees = enumerator.expand(vertex, budget.max_depth, budget.max_cost)
     except _Abort:
@@ -177,6 +185,7 @@ def fixpoint_reach(g: Hypergraph, sources: Iterable[int]) -> tuple[bool, ...]:
     """Reachability by repeated full scans until nothing changes. O(n * t)."""
     reached = [False] * g.n
     for v in sources:
+        assert 0 <= v < g.n, v
         reached[v] = True
     changed = True
     while changed:

@@ -28,7 +28,7 @@ from hyperpaths import (
     viterbi_outside,
 )
 
-from oracle import EnumerationBudget, enumerate_trees, fixpoint_reach
+from oracle import MAX_DEPTH, EnumerationBudget, enumerate_trees, fixpoint_reach
 
 MIN_LENGTH = 0.1  # strictly positive arc lengths keep cyclic enumeration finite
 
@@ -187,7 +187,9 @@ class ReducedInstance:
 
 def reduced_oracle_instance(rng: Random, max_trees: int = 300_000) -> ReducedInstance | None:
     """One reduced random instance with a complete tree enumeration, or None
-    when no reachable target exists or the enumeration budget aborts.
+    when no reachable target exists or the enumeration is incomplete. The
+    depth bound is the most arcs a tree within the horizon can stack, capped
+    at ``MAX_DEPTH``; a tree the cap cuts makes the enumeration incomplete.
 
     The enumeration horizon is seeded from the implementation's utility
     table (plus one), which only scopes the search: minima found inside the
@@ -211,7 +213,7 @@ def reduced_oracle_instance(rng: Random, max_trees: int = 300_000) -> ReducedIns
     finite = [x for x in list(gv) + list(ge[1:]) if x != INF]
     horizon = (max(finite) if finite else ins.inside[target2]) + 1.0
     budget = EnumerationBudget(
-        max_depth=int(horizon / MIN_LENGTH) + 2,
+        max_depth=min(int(horizon / MIN_LENGTH) + 2, MAX_DEPTH),
         max_trees=max_trees,
         max_cost=horizon,
     )
