@@ -132,13 +132,25 @@ def _cmd_reach_to(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_kept(g: Hypergraph, keep_v: Sequence[bool], arcs: list[int], query: Query) -> None:
+    """Write the input's lines of the flagged vertices, ``arcs`` (increasing,
+    closed over them), the flagged sources in query order and the flagged target."""
+    from .textio import _serialize
+
+    sources = [(v, c) for v, c in query.sources if keep_v[v]]
+    target = query.target if keep_v[query.target] else None
+    vertices = [v for v in range(g.n) if keep_v[v]]
+    sys.stdout.write(_serialize(g, vertices, arcs, sources, target))
+
+
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    from .reachability import reduce
+    from .reachability import _useful
 
     parsed = _load(args.file)
-    red = reduce(parsed.graph, parsed.query())
-    sys.stdout.write(serialize_hypergraph(red.graph, red.sources, red.target))
-    if not red.target_reachable:
+    query = parsed.query()
+    _, useful, arcs = _useful(parsed.graph, query)
+    _write_kept(parsed.graph, useful, arcs, query)
+    if not useful[query.target]:
         print("target unreachable; reduced hypergraph is empty", file=sys.stderr)
     return EXIT_OK
 
@@ -220,7 +232,6 @@ def _cmd_outside(args: argparse.Namespace) -> int:
 
 def _cmd_prune(args: argparse.Namespace) -> int:
     from .outside import _keep_flags
-    from .textio import _serialize
 
     beam = _parse_beam(args.beam)
     parsed = _load(args.file)
@@ -229,10 +240,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     ins, outs = _inside_outside(g, query)
     gamma_v, gamma_e, keep_v, keep_e, kept, _ = _keep_flags(g, ins, outs, beam)
 
-    # The pruned graph's text is the input's kept lines; the target is kept.
-    sources = [(v, c) for v, c in query.sources if keep_v[v]]
-    vertex_ids = [v for v in range(g.n) if keep_v[v]]
-    sys.stdout.write(_serialize(g, vertex_ids, kept, sources, query.target))
+    _write_kept(g, keep_v, kept, query)  # the target is kept
 
     vertices = (g.names, ins.inside, outs.outside, gamma_v, keep_v)
     arcs = (g.arc_indices, gamma_e[1:], keep_e[1:])

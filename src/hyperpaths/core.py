@@ -348,7 +348,7 @@ class Hypergraph:
     head is ``v``; both are tuples of tuples, shared with every reader.
 
     ``names`` holds one string per vertex, and is what :meth:`name_of`
-    returns; :func:`build` names unnamed vertices, and :func:`restrict`
+    returns; :func:`build` names unnamed vertices, and a sub-hypergraph
     keeps each kept vertex's name. The name-to-id map behind :meth:`id_of`
     is built on its first call, since most graphs never look a name up;
     filling it is idempotent, so a graph stays safe to share across threads.
@@ -360,7 +360,7 @@ class Hypergraph:
     every arc instead of deriving them; each entry must equal what
     ``_distinct_tails`` derives from the arc's tails, and be the tails
     tuple itself when those hold no repeated vertex (:meth:`validate`
-    re-derives and compares them).
+    re-derives and compares them); only ``_subgraph`` gives it.
     """
 
     __slots__ = (
@@ -559,24 +559,14 @@ class RestrictResult(_Record):
     arc_map: dict[int, int]
 
 
-def restrict(
-    g: Hypergraph,
-    keep: Iterable[int],
-    *,
-    keep_arcs: Iterable[int] | None = None,
-) -> RestrictResult:
+def restrict(g: Hypergraph, keep: Iterable[int]) -> RestrictResult:
     """Restrict ``g`` to a vertex subset.
 
     The result keeps exactly the arcs whose head and all tail vertices lie in
-    ``keep``. When ``keep_arcs`` is given, arcs are additionally filtered to
-    that index set (used by beam pruning). One pass over the arc arrays
-    copies and renumbers the surviving entries; nothing is validated again,
-    since ``g`` already holds checked data. When ``keep`` holds every vertex
-    and no ``keep_arcs`` is given, nothing is dropped and the result's graph
-    is ``g`` itself, with identity maps; a graph is immutable, so sharing it
-    is safe. With ``keep_arcs`` the pass visits only those ids (ids outside
-    1..m and repeats are ignored), which is what makes a tight beam's prune
-    cheap.
+    ``keep``, copied and renumbered in order; nothing is validated again,
+    since ``g`` already holds checked data. When ``keep`` holds every vertex,
+    the result's graph is ``g`` itself, with identity maps; a graph is
+    immutable, so sharing it is safe.
     """
     kept = set(keep)
     for v in kept:
@@ -584,39 +574,50 @@ def restrict(
             _check_vertex(v)
         if not 0 <= v < g.n:
             raise ValidationError(f"vertex {v} out of range (n={g.n})")
-    if keep_arcs is None and len(kept) == g.n:
+    if len(kept) == g.n:
+        return _subgraph(g, range(g.n), g.arc_indices)
+    flags = [v in kept for v in range(g.n)]
+    return _subgraph(g, sorted(kept), _closed_arcs(g, flags, g.arc_indices))
+
+
+def _closed_arcs(g: Hypergraph, keep_flags: Sequence[bool], ids: Iterable[int]) -> list[int]:
+    """The arcs of ``ids`` whose head and every distinct tail are flagged in
+    ``keep_flags``, in the order of ``ids``: the arcs a sub-hypergraph on the
+    flagged vertices can keep."""
+    heads, dtails = g._heads, g._dtails
+    closed: list[int] = []
+    for i in ids:
+        if keep_flags[heads[i]]:
+            for v, _ in dtails[i]:
+                if not keep_flags[v]:
+                    break
+            else:
+                closed.append(i)
+    return closed
+
+
+def _subgraph(g: Hypergraph, vertices: Sequence[int], arcs: Sequence[int]) -> RestrictResult:
+    """``g``'s ``vertices`` and ``arcs``, both increasing, copied into a new
+    graph and renumbered in order, with the old-to-new maps. Every endpoint
+    of each arc must be in ``vertices`` (see :func:`_closed_arcs`). When
+    nothing is dropped, the graph is ``g`` itself, with identity maps."""
+    if len(vertices) == g.n and len(arcs) == g.num_arcs:
         return RestrictResult(g, {v: v for v in range(g.n)}, {i: i for i in g.arc_indices})
-    order = sorted(kept)
-    vertex_map = dict(zip(order, range(len(order))))
+    vertex_map = dict(zip(vertices, range(len(vertices))))
     new_id = [-1] * g.n
     for v, k in vertex_map.items():
         new_id[v] = k
-    if keep_arcs is None:
-        ids: Iterable[int] = g.arc_indices
-    else:
-        last = g.num_arcs
-        ids = sorted({i for i in keep_arcs if 0 < i <= last})
-
     g_heads, g_tails, g_lengths, g_dtails = g._heads, g._tails, g._lengths, g._dtails
-    arc_map: dict[int, int] = {}
     heads, tails, lengths, dtails = [0], [()], [0.0], [()]
-    for i in ids:
-        head = new_id[g_heads[i]]
-        if head < 0:
-            continue
-        old_d = g_dtails[i]
-        for v, _ in old_d:
-            if new_id[v] < 0:
-                break
-        else:
-            old_t = g_tails[i]
-            pairs = tuple([(new_id[v], m) for v, m in old_t])
-            arc_map[i] = len(heads)
-            heads.append(head)
-            tails.append(pairs)
-            lengths.append(g_lengths[i])
-            # Renumbering is injective and keeps order, so it maps distinct
-            # tails to the distinct tails of the renumbered pairs.
-            dtails.append(pairs if old_d is old_t else tuple([(new_id[v], m) for v, m in old_d]))
-    names = tuple(g.names[v] for v in order)
+    for i in arcs:
+        old_t, old_d = g_tails[i], g_dtails[i]
+        pairs = tuple([(new_id[v], m) for v, m in old_t])
+        heads.append(new_id[g_heads[i]])
+        tails.append(pairs)
+        lengths.append(g_lengths[i])
+        # Renumbering is injective and keeps order, so it maps distinct
+        # tails to the distinct tails of the renumbered pairs.
+        dtails.append(pairs if old_d is old_t else tuple([(new_id[v], m) for v, m in old_d]))
+    names = tuple([g.names[v] for v in vertices])
+    arc_map = dict(zip(arcs, range(1, len(heads))))
     return RestrictResult(Hypergraph(names, heads, tails, lengths, dtails), vertex_map, arc_map)

@@ -209,6 +209,8 @@ def extract_best_tree(g: Hypergraph, result: InsideResult, vertex: int) -> Hyper
     if not 0 <= _check_vertex(vertex) < g.n:
         raise ValidationError(f"vertex {vertex} out of range (n={g.n})")
     inside, pi = result.inside, result.pi
+    if len(inside) != g.n or len(pi) != g.n:
+        raise ValidationError("inside result does not match this hypergraph")
     if inside[vertex] == INF:
         raise UnreachableTargetError(f"vertex '{g.name_of(vertex)}' is unreachable")
 

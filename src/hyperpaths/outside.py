@@ -31,8 +31,9 @@ from .core import (
     _beam_bounds,
     _check_beam,
     _check_vertex,
+    _closed_arcs,
     _Record,
-    restrict,
+    _subgraph,
 )
 from .inside import InsideResult
 
@@ -157,8 +158,9 @@ class PruneResult(_Record):
     ``keep`` flags are true exactly for elements whose utility is finite and
     within the beam of the best cost; ``threshold`` is ``inside[target] +
     beam``. ``graph`` restricts the input graph to the kept elements, so it
-    also lacks a kept arc whose endpoint rounding left unkept. Index maps
-    relate the input graph to ``graph``.
+    also lacks a kept arc whose endpoint rounding left unkept; it is the
+    input graph itself when every element is kept. Index maps relate the
+    input graph to ``graph``.
     """
 
     __slots__ = (
@@ -188,8 +190,8 @@ def _keep_flags(
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...], list[bool], list[int], float]:
     """Utilities and keep flags of a prune at ``beam``: ``(gamma_v, gamma_e,
     keep_v, keep_e, kept, threshold)``, where ``kept`` lists, in increasing
-    order, the arcs flagged kept whose endpoints are all flagged kept too,
-    the arcs :func:`~hyperpaths.core.restrict` keeps.
+    order, the arcs flagged kept whose endpoints are all flagged kept too:
+    the arcs of the pruned graph.
 
     The flags read only values at most the limit, so passes stopped there
     (``viterbi_inside(..., stop=(target, beam))`` and ``viterbi_outside(...,
@@ -215,27 +217,17 @@ def _keep_flags(
     threshold = best + beam
     cutoff, limit = _beam_bounds(threshold)
     keep_v = tuple(math.isfinite(x) and x <= cutoff for x in gamma_v)
-    keep_e = [False] * (g.num_arcs + 1)
-    kept: list[int] = []
-    heads, dtails = g._heads, g._dtails
-    for i in g.arc_indices:
-        x = gamma_e[i]
-        if x > cutoff or x == INF:
-            continue
-        keep_e[i] = True
-        if keep_v[heads[i]]:
-            for v, _ in dtails[i]:
-                if not keep_v[v]:
-                    break
-            else:
-                kept.append(i)
-                continue
+    keep_e = [x <= cutoff and x < INF for x in gamma_e]
+    flagged = [i for i in g.arc_indices if keep_e[i]]
+    kept = _closed_arcs(g, keep_v, flagged)
+    if len(kept) < len(flagged):
         # A kept arc's endpoints have utility <= the arc's, but rounding may
         # put one just above the cutoff, and the arc is then dropped. Above
         # the limit is a bug, as is an infinite utility.
-        for v in (heads[i], *[t for t, _ in dtails[i]]):
-            if not gamma_v[v] <= limit:
-                raise InternalInvariantError(f"arc {i} kept but endpoint vertex {v} is not")
+        for i in sorted(set(flagged).difference(kept)):
+            for v in (g._heads[i], *[t for t, _ in g._dtails[i]]):
+                if not gamma_v[v] <= limit:
+                    raise InternalInvariantError(f"arc {i} kept but endpoint vertex {v} is not")
     return gamma_v, gamma_e, keep_v, keep_e, kept, threshold
 
 
@@ -252,7 +244,7 @@ def prune_relatively_useless(
     the two prior passes.
     """
     gamma_v, gamma_e, keep_v, keep_e, kept, threshold = _keep_flags(g, ins, outs, beam)
-    res = restrict(g, [v for v in range(g.n) if keep_v[v]], keep_arcs=kept)
+    res = _subgraph(g, [v for v in range(g.n) if keep_v[v]], kept)
     return PruneResult(
         gamma_vertices=gamma_v,
         gamma_arcs=gamma_e,

@@ -15,9 +15,11 @@ traversal order.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .core import Hypergraph, Query, ValidationError, _check_vertex, _Record, restrict
+from .core import (
+    Hypergraph, Query, ValidationError, _check_vertex, _closed_arcs, _Record, _subgraph
+)
 
 
 class ReachResult(_Record):
@@ -83,9 +85,7 @@ def reach_to(g: Hypergraph, target: int) -> ReachResult:
     return _mark_to(g, target, g._dtails)
 
 
-def _mark_to(
-    g: Hypergraph, target: int, dtails: list[tuple[tuple[int, int], ...]]
-) -> ReachResult:
+def _mark_to(g: Hypergraph, target: int, dtails: Sequence[tuple]) -> ReachResult:
     """The marking loop of :func:`reach_to`, reading the distinct tails of
     arc ``i`` from ``dtails[i]``; an arc given no tails marks nothing."""
     reached = [False] * g.n
@@ -135,6 +135,27 @@ class ReduceResult(_Record):
     pass2_vertices: frozenset[int]
 
 
+def _useful(g: Hypergraph, query: Query) -> tuple[ReachResult, tuple[bool, ...], list[int]]:
+    """:func:`reduce`'s passes: the forward pass's result, the backward
+    pass's marks (none when the target is not derivable) and the useful
+    arcs. The backward pass sees only the arcs closed over the forward
+    pass's vertices, and marks every tail of such an arc whose head it
+    marks, so the useful arcs, those with a marked head, are closed over the
+    marks."""
+    forward = reach_from(g, query.source_vertices())
+    if query.target >= g.n:
+        raise ValidationError(f"target vertex {query.target} out of range (n={g.n})")
+    if not forward.reached[query.target]:
+        return forward, (False,) * g.n, []
+    closed = _closed_arcs(g, forward.reached, g.arc_indices)
+    dtails, heads = g._dtails, g._heads
+    masked: list[tuple] = [()] * len(dtails)
+    for i in closed:
+        masked[i] = dtails[i]
+    marked = _mark_to(g, query.target, masked).reached
+    return forward, marked, [i for i in closed if marked[heads[i]]]
+
+
 def reduce(g: Hypergraph, query: Query) -> ReduceResult:
     """Drop every vertex and arc not derivable from the sources or not able
     to participate in reaching the target.
@@ -144,37 +165,12 @@ def reduce(g: Hypergraph, query: Query) -> ReduceResult:
     from the sources to the target as ``g``. If the target is not derivable
     the result is the empty hypergraph, flagged via ``target_reachable``.
     """
-    forward = reach_from(g, query.source_vertices())
-    if query.target >= g.n:
-        raise ValidationError(f"target vertex {query.target} out of range (n={g.n})")
-    in1 = forward.reached
-    pass2: tuple[int, ...] = ()
-    if in1[query.target]:
-        # The second pass runs on g, seeing only the arcs that restricting g
-        # to pass1 would keep: those whose head and tails all lie in pass1.
-        masked: list[tuple] = []
-        for h, d in zip(g._heads, g._dtails):
-            if in1[h]:
-                for v, _ in d:
-                    if not in1[v]:
-                        break
-                else:
-                    masked.append(d)
-                    continue
-            masked.append(())
-        pass2 = _mark_to(g, query.target, masked).vertices()
-    # pass2 lies inside pass1, so restricting g to it once gives the same
-    # graph and maps as restricting the pass-1 restriction again.
-    res = restrict(g, pass2)
-    sources = tuple((res.vertex_map[v], c) for v, c in query.sources if v in res.vertex_map)
+    forward, marked, arcs = _useful(g, query)
+    pass2 = [v for v in range(g.n) if marked[v]]
+    res = _subgraph(g, pass2, arcs)
+    sources = tuple((res.vertex_map[v], c) for v, c in query.sources if marked[v])
     target = res.vertex_map.get(query.target)
     return ReduceResult(
-        graph=res.graph,
-        vertex_map=res.vertex_map,
-        arc_map=res.arc_map,
-        sources=sources,
-        target=target,
-        target_reachable=target is not None,
-        pass1_vertices=frozenset(forward.vertices()),
-        pass2_vertices=frozenset(pass2),
+        res.graph, res.vertex_map, res.arc_map, sources, target, target is not None,
+        frozenset(forward.vertices()), frozenset(pass2),
     )

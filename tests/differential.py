@@ -28,6 +28,10 @@ a repr over 4 KiB by its SHA-256):
   random graphs made by ``build`` with unnamed vertices (every other group
   parses its graph from text, which names every vertex), compared by the
   serialized result;
+- ``restrict`` on parsed random graphs and on random graphs made by
+  ``build`` with unnamed vertices, keeping no vertex, a random multiset of
+  vertices in random order, and every vertex, compared by the serialized
+  graph and both index maps;
 - the benchmark grammar through prune, ``serialize_grammar`` and
   ``best_derivation`` at the benchmark's beams;
 - ``parse_grammar`` then ``serialize_grammar`` on every input of
@@ -40,8 +44,9 @@ a repr over 4 KiB by its SHA-256):
 - CLI ``prune``, with text and JSON reports, on random graphs at the
   boundary beam of each arc and vertex and the float just below it.
 
-Prints the number of differing results per group and exits 1 if any differ.
-This is a script, not a pytest module.
+Prints the number of differing results per group, with the seconds each
+side's worker spent on the group's jobs, and exits 1 if any differ. This is
+a script, not a pytest module.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from random import Random
@@ -88,6 +94,11 @@ def _derivation_table(deriv) -> list:
         stack.append((node, True))
         stack.extend((c, False) for c in node.children)
     return [list(index), index[key_of[id(deriv)]]]
+
+
+def _restricted(hp, g, keep: list[int]):
+    res = hp.restrict(g, keep)
+    return hp.serialize_hypergraph(res.graph), sorted(res.vertex_map.items()), sorted(res.arc_map.items())
 
 
 def _run_job(hp, texts: list[str], graphs: dict, job: list):
@@ -124,10 +135,12 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         return pruned, _derivation_table(deriv), weight
     if kind == "grammar text":
         return hp.serialize_grammar(hp.parse_grammar(texts[job[1]]))
-    if kind in ("unnamed reduce", "unnamed prune"):
-        names, arcs, sources, target = job[1:5]
+    if kind in ("unnamed reduce", "unnamed prune", "unnamed restrict"):
+        names, arcs = job[1:3]
         g = hp.build(names, [hp.Hyperarc(h, tuple(map(tuple, t)), x) for h, t, x in arcs])
-        sources = tuple(map(tuple, sources))
+        if kind == "unnamed restrict":
+            return _restricted(hp, g, job[3])
+        sources, target = tuple(map(tuple, job[3])), job[4]
         if kind == "unnamed reduce":
             red = hp.reduce(g, hp.Query(sources, target))
             return hp.serialize_hypergraph(red.graph, red.sources, red.target)
@@ -138,6 +151,8 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         graphs[job[1]] = hp.parse_hypergraph(texts[job[1]])
     parsed = graphs[job[1]]
     g = parsed.graph
+    if kind == "restrict":
+        return _restricted(hp, g, job[2])
     if kind == "reduce ids":  # vertex ids, which may be out of range
         red = hp.reduce(g, hp.Query(tuple(map(tuple, job[2])), job[3]))
         return hp.serialize_hypergraph(red.graph, red.sources, red.target), sorted(red.arc_map.items())
@@ -181,15 +196,17 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
 
 def worker(src: str, jobs_path: str, out_path: str) -> None:
     """Run every job of ``jobs_path`` in the current directory, which the
-    CLI jobs fill with their files, and write the results' reprs."""
+    CLI jobs fill with their files, and write the results' reprs and the
+    seconds each job took, its repr included."""
     import hyperpaths as hp
 
     if not Path(hp.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {hp.__file__}, not the tree under {src}")
     with open(jobs_path, encoding="utf-8") as handle:
         data = json.load(handle)
-    texts, graphs, results = data["texts"], {}, []
+    texts, graphs, results, seconds = data["texts"], {}, [], []
     for job in data["jobs"]:
+        start = time.perf_counter()
         try:
             result = _run_job(hp, texts, graphs, job)
         except Exception as exc:  # a crash is a result to compare too
@@ -198,8 +215,9 @@ def worker(src: str, jobs_path: str, out_path: str) -> None:
         if len(text) > 4096:  # keeps the result files small; equal digests, equal reprs
             text = f"{text[:300]}... sha256 {hashlib.sha256(text.encode()).hexdigest()}"
         results.append(text)
+        seconds.append(time.perf_counter() - start)
     with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle)
+        json.dump({"results": results, "seconds": seconds}, handle)
 
 
 # -- driver: builds the jobs, runs both trees, compares ------------------------
@@ -350,6 +368,22 @@ def build_jobs() -> tuple[dict, list[str]]:
             for beam in (0.0, 0.5, math.inf):
                 add("unnamed prune", ["unnamed prune", *spec, target, beam])
 
+    rng = Random(17)
+    for k in range(300):
+        if k % 2:
+            g = random_hypergraph(rng)
+            job = ["restrict", add_text(hp.serialize_hypergraph(g))]
+        else:
+            g, _ = random_weighted_instance(rng)
+            names = [None if rng.random() < 0.5 else f"v{rng.randrange(g.n)}" for _ in range(g.n)]
+            names = [None if name in names[:v] else name for v, name in enumerate(names)]
+            job = ["unnamed restrict", names, [[a.head, a.tails, a.length] for a in g.arcs]]
+        some = [v for v in range(g.n) if rng.random() < 0.6]
+        some += rng.choices(some, k=len(some) // 3) if some else []
+        rng.shuffle(some)
+        for keep in ([], some, rng.sample(range(g.n), g.n)):
+            add("restrict random", [*job, keep])
+
     for seed in SEEDS:
         instances = [(inst, [(inst.sources, inst.target)]) for inst in gen.charts(seed)]
         horn, queries = gen.horn(seed)
@@ -470,21 +504,24 @@ def main(argv: list[str]) -> int:
             if proc.wait() != 0:
                 print(f"worker for {side} failed", file=sys.stderr)
                 return 2
-        results = {side: json.loads(out.read_text(encoding="utf-8")) for side, (_, out) in procs.items()}
-    counts: dict[str, list[int]] = {}
+        outputs = {side: json.loads(out.read_text(encoding="utf-8")) for side, (_, out) in procs.items()}
+    results = {side: output["results"] for side, output in outputs.items()}
+    counts: dict[str, list] = {}
     shown = 0
     for j, (group, rev, got) in enumerate(zip(groups, results["REV"], results["checkout"])):
         differs = got != rev
-        counts.setdefault(group, [0, 0])
+        counts.setdefault(group, [0, 0, 0.0, 0.0])
         counts[group][0] += differs
         counts[group][1] += 1
+        counts[group][2] += outputs["REV"]["seconds"][j]
+        counts[group][3] += outputs["checkout"]["seconds"][j]
         if differs and shown < 5:
             shown += 1
             print(f"differs: {group} job {data['jobs'][j][:2]}\n  REV: {rev[:300]}\n"
                   f"  now: {got[:300]}")
     total = 0
-    for group, (bad, runs) in counts.items():
-        print(f"{group}: {bad} of {runs} differ")
+    for group, (bad, runs, rev_s, now_s) in counts.items():
+        print(f"{group}: {bad} of {runs} differ ({rev_s:.1f} s on REV, {now_s:.1f} s here)")
         total += bad
     print(f"total: {total} differences against {argv[0]}")
     return 1 if total else 0

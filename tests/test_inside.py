@@ -348,6 +348,15 @@ def test_extract_unreachable_raises(f1):
         extract_best_tree(f1, result, 0)
 
 
+def test_extract_rejects_an_inside_result_of_another_size(f1):
+    # In the larger graph S's best arc is arc 5, which f1 does not have.
+    bigger = build(5, [*f1.arcs, Hyperarc(3, ((0, 1),), 0.25)])
+    for g, other in ((f1, bigger), (bigger, f1)):
+        result = viterbi_inside(other, [(0, 0.0)])
+        with pytest.raises(ValidationError, match="^inside result does not match this hypergraph$"):
+            extract_best_tree(g, result, 3)
+
+
 def test_extract_cost_matches_inside_random():
     rng = Random(204)
     for _ in range(60):

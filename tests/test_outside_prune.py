@@ -193,6 +193,17 @@ def test_prune_infinite_beam_equals_reduce(f1, f1_query):
     assert set(pr.arc_map) == set(red.arc_map)
 
 
+def test_prune_keeping_everything_returns_its_input(f1):
+    ins, outs = _f1_results(f1)
+    pr = prune_relatively_useless(f1, ins, outs, math.inf)
+    assert all(pr.keep_vertices) and all(pr.keep_arcs[1:])
+    assert pr.graph is f1
+    assert pr.vertex_map == {v: v for v in range(f1.n)}
+    assert pr.arc_map == {i: i for i in f1.arc_indices}
+    # Dropping one arc gives a copy.
+    assert prune_relatively_useless(f1, ins, outs, 1.0).graph is not f1
+
+
 def test_prune_rejects_negative_beam(f1):
     ins, outs = _f1_results(f1)
     with pytest.raises(ValidationError, match="nonnegative"):

@@ -34,7 +34,7 @@ from hyperpaths import (
     viterbi_inside,
     viterbi_outside,
 )
-from hyperpaths import core, outside, reachability, textio
+from hyperpaths import cli, core, outside, reachability, textio
 from hyperpaths.cli import main
 
 from conftest import F1_GRAMMAR_TEXT
@@ -68,16 +68,14 @@ def random_named_graph(rng: Random):
     return build(names, g.arcs)
 
 
-def reference_restrict(g, keep, keep_arcs=None):
+def reference_restrict(g, keep):
     """``restrict`` spelled out through the validating ``build``."""
     kept = sorted(set(keep))
     vmap = {v: k for k, v in enumerate(kept)}
     arcs = [
         Hyperarc(vmap[a.head], tuple((vmap[v], m) for v, m in a.tails), a.length)
-        for i, a in enumerate(g.arcs, start=1)
-        if (keep_arcs is None or i in keep_arcs)
-        and a.head in vmap
-        and all(v in vmap for v, _ in a.tails)
+        for a in g.arcs
+        if a.head in vmap and all(v in vmap for v, _ in a.tails)
     ]
     return build([g.names[v] for v in kept], arcs)
 
@@ -108,16 +106,8 @@ def test_restrict_stores_what_build_stores():
             # that are not next to each other.
             g = random_hypergraph(rng, n_range=(2, 4), max_tail=5)
         keep = [v for v in range(g.n) if rng.random() < 0.7]
-        ids = [i for i in g.arc_indices if rng.random() < 0.6]
-        form = rng.randrange(4)
-        if form >= 2:
-            # Ids outside 1..m and repeats are ignored, in any order.
-            ids += [0, -1, g.num_arcs + 1, *ids[::2]]
-            rng.shuffle(ids)
-        # No filter, a set, a list, and a one-shot iterator.
-        keep_arcs = (None, set(ids), ids, iter(ids))[form]
-        res = restrict(g, keep, keep_arcs=keep_arcs)
-        expected = reference_restrict(g, keep, None if form == 0 else ids)
+        res = restrict(g, keep)
+        expected = reference_restrict(g, keep)
         assert stored(res.graph) == stored(expected)
         assert merged_arcs(res.graph) == merged_arcs(expected)
         spread_kept += sum(spread_repeat(t) for t in res.graph._tails)
@@ -140,11 +130,6 @@ def test_keep_all_restrict_returns_its_input():
         for bad in (g.n, -1):
             with pytest.raises(ValidationError, match="out of range"):
                 restrict(g, [bad, *everything[1:]])
-
-        keep_arcs = {i for i in g.arc_indices if rng.random() < 0.5}
-        res = restrict(g, everything, keep_arcs=keep_arcs)
-        assert stored(res.graph) == stored(reference_restrict(g, everything, keep_arcs))
-        assert res.arc_map == {i: k for k, i in enumerate(sorted(keep_arcs), start=1)}
 
 
 def test_parse_of_serialize_stores_the_graph():
@@ -305,27 +290,62 @@ def test_forward_pipeline_work_counts(graph_count, name_checks):
     assert graph_count[0] == 2, "one graph from the parser, one from the prune"
 
 
-def test_cli_prune_builds_only_the_parsed_graph(graph_count, monkeypatch, tmp_path):
+@pytest.fixture
+def copy_calls(monkeypatch):
+    """Counts calls to ``restrict`` and ``_subgraph``, the renumbering copy,
+    through every module that imports them."""
+    count = [0]
+
+    def counted(fn):
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+
+        return counting
+
+    for module in (core, outside, reachability, cli):
+        for name in ("restrict", "_subgraph"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    return count
+
+
+def test_cli_prune_builds_only_the_parsed_graph(graph_count, copy_calls, tmp_path):
     """`prune` writes the kept lines off the keep flags: the parsed graph is
-    the only graph it builds, and nothing restricts it."""
+    the only graph it builds, and nothing restricts or copies it."""
     g, sources, target = layered_hypergraph(Random(47), 3000, width=20)
     path = tmp_path / "layered.hg"
     path.write_text(serialize_hypergraph(g, sources, target), encoding="utf-8")
-    restricted = [0]
-
-    def counting(*args, **kwargs):
-        restricted[0] += 1
-        return restrict(*args, **kwargs)
-
-    for module in (core, outside, reachability):
-        monkeypatch.setattr(module, "restrict", counting)
     graph_count[0] = 0
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         assert main(["prune", "--beam", "1", str(path)]) == 0
     assert "arc " in out.getvalue()
     assert graph_count[0] == 1, "the parsed graph only"
-    assert restricted[0] == 0
+    assert copy_calls[0] == 0
+
+
+def test_cli_reduce_builds_only_the_parsed_graph(graph_count, copy_calls, tmp_path):
+    """`reduce` writes the input's useful lines off the two passes' marks:
+    the parsed graph is the only graph it builds, also when the passes
+    drop vertices and arcs."""
+    text = (
+        "arc A <- s @ 1\narc T <- A @ 1\narc B <- A @ 2\narc T <- C @ 1\n"
+        "arc D <- s C @ 1\nsource s 0\nsource u 0.5\ntarget T\n"
+    )
+    path = tmp_path / "small.hg"
+    path.write_text(text, encoding="utf-8")
+    parsed = parse_hypergraph(text)
+    red = reduce(parsed.graph, parsed.query())
+    assert red.pass2_vertices < red.pass1_vertices, "pass 2 drops something"
+    graph_count[0] = copy_calls[0] = 0
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(["reduce", str(path)]) == 0
+    assert out.getvalue() == serialize_hypergraph(red.graph, red.sources, red.target)
+    assert "arc T <- A @ 1\n" in out.getvalue() and "B" not in out.getvalue()
+    assert graph_count[0] == 1, "the parsed graph only"
+    assert copy_calls[0] == 0
 
 
 def test_arc_accessors_build_on_demand(hyperarc_count, f1):
