@@ -231,9 +231,14 @@ def _check_multiplicity(m: object) -> int:
     return m
 
 
-def _check_vertex(v: object) -> int:
+def _check_vertex(v: object, n: float = INF, what: str = "") -> int:
+    """``v`` if it is a vertex id below ``n``, a non-bool ``int``; ``what``, such as
+    ``"source "``, names its role in the range error. Loops over many ids
+    test ``v.__class__ is int and 0 <= v < n`` inline and call it only when that fails."""
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ValidationError(f"vertex id must be a nonnegative integer, got {v!r}")
+    if v >= n:
+        raise ValidationError(f"{what}vertex {v} out of range (n={n})")
     return v
 
 
@@ -254,17 +259,26 @@ def _distinct_tails(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int]
     return pairs if len(total) == len(pairs) else tuple(total.items())
 
 
-def check_sources(sources: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
+def check_sources(
+    sources: Iterable[tuple[int, float]], n: float = INF
+) -> tuple[tuple[int, float], ...]:
     """Validate a source set: at least one ``(vertex, initial cost)`` pair,
-    distinct vertices, finite nonnegative costs. Returns the pairs with the
-    costs as floats. Vertex ranges are the caller's to check."""
+    distinct vertex ids below ``n``, costs that ``float`` takes to finite
+    nonnegative values. Returns the pairs with the costs as floats."""
     out: dict[int, float] = {}
-    for v, c in sources:
-        if v.__class__ is not int or v < 0:
-            _check_vertex(v)
+    for pair in sources:
+        try:
+            v, c = pair
+        except (TypeError, ValueError):
+            raise ValidationError(f"source must be a (vertex, cost) pair, got {pair!r}") from None
+        if v.__class__ is not int or not 0 <= v < n:
+            _check_vertex(v, n, "source ")
         if v in out:
             raise ValidationError(f"duplicate source vertex {v}")
-        c = float(c)
+        try:
+            c = float(c)
+        except (TypeError, ValueError):
+            raise ValidationError(f"source {v}: initial cost must be a number, got {c!r}") from None
         if not 0 <= c < INF:
             if math.isnan(c) or c == INF:
                 raise ValidationError(f"source {v}: initial cost must be finite and nonnegative")
@@ -299,7 +313,10 @@ class Hyperarc(_Record):
         if not pairs:
             raise ValidationError("hyperarc must have at least one tail")
         object.__setattr__(self, "tails", pairs)
-        length = float(length)
+        try:
+            length = float(length)
+        except (TypeError, ValueError):
+            raise ValidationError(f"arc length must be a number, got {length!r}") from None
         if math.isnan(length):
             raise ValidationError("arc length may not be NaN")
         if length < 0:
@@ -428,13 +445,15 @@ class Hypergraph:
 
     def arc(self, i: int) -> Hyperarc:
         """The hyperarc at 1-based index ``i``, built on demand."""
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise ValidationError(f"arc index must be an integer, got {i!r}")
         if not 1 <= i <= self.num_arcs:
             raise ValidationError(f"arc index {i} out of range 1..{self.num_arcs}")
         return Hyperarc(self._heads[i], self._tails[i], self._lengths[i])
 
     def name_of(self, v: int) -> str:
         """Name of vertex ``v``."""
-        return self.names[v]
+        return self.names[_check_vertex(v, self.n)]
 
     def id_of(self, name: str) -> int:
         """Id of the vertex named ``name``."""
@@ -536,10 +555,10 @@ def build(vertices: int | Sequence[str | None], arcs: Iterable[Hyperarc]) -> Hyp
         if not isinstance(arc, Hyperarc):
             raise ValidationError(f"arc {i}: expected a Hyperarc, got {type(arc).__name__}")
         if arc.head >= n:
-            raise ValidationError(f"arc {i}: head vertex {arc.head} out of range (n={n})")
+            _check_vertex(arc.head, n, f"arc {i}: head ")
         for v, _ in arc.tails:
             if v >= n:
-                raise ValidationError(f"arc {i}: tail vertex {v} out of range (n={n})")
+                _check_vertex(v, n, f"arc {i}: tail ")
         heads.append(arc.head)
         tails.append(arc.tails)
         lengths.append(arc.length)
@@ -570,10 +589,8 @@ def restrict(g: Hypergraph, keep: Iterable[int]) -> RestrictResult:
     """
     kept = set(keep)
     for v in kept:
-        if v.__class__ is not int:
-            _check_vertex(v)
-        if not 0 <= v < g.n:
-            raise ValidationError(f"vertex {v} out of range (n={g.n})")
+        if v.__class__ is not int or not 0 <= v < g.n:
+            _check_vertex(v, g.n)
     if len(kept) == g.n:
         return _subgraph(g, range(g.n), g.arc_indices)
     flags = [v in kept for v in range(g.n)]

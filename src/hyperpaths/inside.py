@@ -100,17 +100,15 @@ def viterbi_inside(
     docstring). The sort costs O(|S| log |S|) once, in place of |S| heap
     pops whose comparisons fall through to the vertex when costs tie.
     """
-    sources = check_sources(sources)
     n = g.n
+    sources = check_sources(sources, n)
     stop_at, beam = stop if stop is not None else (-1, INF)
-    if stop is not None and not 0 <= _check_vertex(stop_at) < n:
-        raise ValidationError(f"stop vertex {stop_at} out of range (n={n})")
+    if stop is not None:
+        _check_vertex(stop_at, n, "stop ")
     beam = _check_beam(beam)
     inside = [INF] * n
     pi = [0] * n
     for v, c in sources:
-        if v >= n:
-            raise ValidationError(f"source vertex {v} out of range (n={n})")
         inside[v] = c
     # By (cost, vertex) descending, the least last: two stable key sorts,
     # faster than one sort of the tuples when many costs tie.
@@ -206,50 +204,35 @@ def extract_best_tree(g: Hypergraph, result: InsideResult, vertex: int) -> Hyper
     has no tree, :class:`InternalInvariantError` on a cyclic predecessor
     chain (impossible for results produced by :func:`viterbi_inside`).
     """
-    if not 0 <= _check_vertex(vertex) < g.n:
-        raise ValidationError(f"vertex {vertex} out of range (n={g.n})")
+    _check_vertex(vertex, g.n)
     inside, pi = result.inside, result.pi
     if len(inside) != g.n or len(pi) != g.n:
         raise ValidationError("inside result does not match this hypergraph")
     if inside[vertex] == INF:
         raise UnreachableTargetError(f"vertex '{g.name_of(vertex)}' is unreachable")
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state: dict[int, int] = {}
-    order: list[int] = []
-    stack: list[tuple[int, int]] = [(vertex, 0)]
+    nodes: dict[int, HyperpathTree | None] = {}  # built as its DFS finishes; None before
+    stack: list[tuple[int, bool]] = [(vertex, False)]
     while stack:
-        v, phase = stack.pop()
-        if phase:
-            state[v] = BLACK
-            order.append(v)
-            continue
-        st = state.get(v, WHITE)
-        if st == BLACK:
-            continue
-        if st == GRAY:
-            raise InternalInvariantError("cycle in predecessor pointers")
-        state[v] = GRAY
-        stack.append((v, 1))
-        if pi[v]:
-            for t, _ in g._dtails[pi[v]]:
-                ts = state.get(t, WHITE)
-                if ts == GRAY:
-                    raise InternalInvariantError("cycle in predecessor pointers")
-                if ts == WHITE:
-                    stack.append((t, 0))
-
-    nodes: dict[int, HyperpathTree] = {}
-    for v in order:
+        v, finish = stack.pop()
         i = pi[v]
-        if i == 0:
-            nodes[v] = HyperpathTree(0, v, (), inside[v])
-        else:
+        if finish:
             kids = tuple(nodes[t] for t, m in g._tails[i] for _ in range(m))
             cost = g._lengths[i]
             for kid in kids:
                 cost += kid.cost
             nodes[v] = HyperpathTree(i, v, kids, cost)
+        elif v not in nodes:
+            if i == 0:
+                nodes[v] = HyperpathTree(0, v, (), inside[v])
+                continue
+            nodes[v] = None
+            stack.append((v, True))
+            for t, _ in g._dtails[i]:
+                if t not in nodes:
+                    stack.append((t, False))
+                elif nodes[t] is None:
+                    raise InternalInvariantError("cycle in predecessor pointers")
     return nodes[vertex]
 
 

@@ -79,8 +79,7 @@ def viterbi_outside(
     :func:`_keep_flags`.
     """
     beam = _check_beam(beam)
-    if not 0 <= _check_vertex(target) < g.n:
-        raise ValidationError(f"target vertex {target} out of range (n={g.n})")
+    _check_vertex(target, g.n, "target ")
     if len(ins.inside) != g.n:
         raise ValidationError("inside result does not match this hypergraph")
     if ins.inside[target] == INF:

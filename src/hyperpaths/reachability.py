@@ -49,10 +49,8 @@ def reach_from(g: Hypergraph, sources: Iterable[int]) -> ReachResult:
     if not stack:
         raise ValidationError("source set must be nonempty")
     for v in stack:
-        if v.__class__ is not int:
-            _check_vertex(v)
-        if not 0 <= v < g.n:
-            raise ValidationError(f"source vertex {v} out of range (n={g.n})")
+        if v.__class__ is not int or not 0 <= v < g.n:
+            _check_vertex(v, g.n, "source ")
         reached[v] = True
     heads = g._heads
     forward = g.forward
@@ -80,8 +78,7 @@ def reach_to(g: Hypergraph, target: int) -> ReachResult:
     vertex of ``g`` is already derivable from the sources (run
     :func:`reach_from` and restrict first); the pass itself does not check.
     """
-    if not 0 <= _check_vertex(target) < g.n:
-        raise ValidationError(f"target vertex {target} out of range (n={g.n})")
+    _check_vertex(target, g.n, "target ")
     return _mark_to(g, target, g._dtails)
 
 
@@ -143,8 +140,7 @@ def _useful(g: Hypergraph, query: Query) -> tuple[ReachResult, tuple[bool, ...],
     marks, so the useful arcs, those with a marked head, are closed over the
     marks."""
     forward = reach_from(g, query.source_vertices())
-    if query.target >= g.n:
-        raise ValidationError(f"target vertex {query.target} out of range (n={g.n})")
+    _check_vertex(query.target, g.n, "target ")
     if not forward.reached[query.target]:
         return forward, (False,) * g.n, []
     closed = _closed_arcs(g, forward.reached, g.arc_indices)

@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python tests/differential.py REV
+    python tests/differential.py REV [GROUP ...]
 
 ``src/`` at git revision ``REV`` is extracted with ``git archive`` into a
 temporary directory. The same seeded inputs then run through that tree and
@@ -42,11 +42,15 @@ a repr over 4 KiB by its SHA-256):
   cyclic grammars with tied weights, at beams 0, 0.0625, 1, 16 and inf and
   at the boundary beam of each arc and vertex and the float just below it;
 - CLI ``prune``, with text and JSON reports, on random graphs at the
-  boundary beam of each arc and vertex and the float just below it.
+  boundary beam of each arc and vertex and the float just below it;
+- every public call that takes a vertex or arc id, with the bad ids
+  ``True``, ``1.5``, ``None``, ``"3"``, ``-1`` and the two least ids out of
+  range, on random graphs ("vertex ids").
 
-Prints the number of differing results per group, with the seconds each
-side's worker spent on the group's jobs, and exits 1 if any differ. This is
-a script, not a pytest module.
+Each GROUP given, such as ``"vertex ids"``, limits the run to that group's
+jobs; with none, every group runs. Prints the number of differing results
+per group, with the seconds each side's worker spent on the group's jobs,
+and exits 1 if any differ. This is a script, not a pytest module.
 """
 
 from __future__ import annotations
@@ -71,6 +75,11 @@ GRAMMAR_BEAMS = (0.0625, 0.125, 0.25, 0.5, 1.0, 16.0, float("inf"))
 PRUNE_BEAMS = ("0", "0.5", "inf")
 CHART_BEAM = 0.1
 STOP_BEAMS = (0.0, 1.0, math.inf)
+ID_CALLS = (
+    "restrict", "reach_from", "reach_to", "reduce source", "reduce target", "inside source",
+    "inside stop", "extract_best_tree", "viterbi_outside", "serialize source",
+    "serialize target", "name_of", "build head", "build tail", "arc",
+)
 
 
 # -- worker: runs jobs on whichever hyperpaths is on sys.path ------------------
@@ -99,6 +108,30 @@ def _derivation_table(deriv) -> list:
 def _restricted(hp, g, keep: list[int]):
     res = hp.restrict(g, keep)
     return hp.serialize_hypergraph(res.graph), sorted(res.vertex_map.items()), sorted(res.arc_map.items())
+
+
+def _id_call(hp, parsed, call: str, bad):
+    """Run ``call``, one public call that takes a vertex or arc id, with
+    ``bad`` as that id, on a parsed graph with sources and a target."""
+    g, sources, target = parsed.graph, parsed.sources, parsed.target
+    run = {
+        "restrict": lambda: hp.restrict(g, [0, bad]),
+        "reach_from": lambda: hp.reach_from(g, [*[v for v, _ in sources], bad]),
+        "reach_to": lambda: hp.reach_to(g, bad),
+        "reduce source": lambda: hp.reduce(g, hp.Query((*sources, (bad, 0.0)), target)),
+        "reduce target": lambda: hp.reduce(g, hp.Query(sources, bad)),
+        "inside source": lambda: hp.viterbi_inside(g, (*sources, (bad, 0.0))),
+        "inside stop": lambda: hp.viterbi_inside(g, sources, stop=(bad, 1.0)),
+        "extract_best_tree": lambda: hp.extract_best_tree(g, hp.viterbi_inside(g, sources), bad),
+        "viterbi_outside": lambda: hp.viterbi_outside(g, hp.viterbi_inside(g, sources), bad),
+        "serialize source": lambda: hp.serialize_hypergraph(g, (*sources, (bad, 0.0)), target),
+        "serialize target": lambda: hp.serialize_hypergraph(g, sources, bad),
+        "name_of": lambda: g.name_of(bad),
+        "build head": lambda: hp.build(g.n, [hp.Hyperarc(bad, ((0, 1),), 1.0)]),
+        "build tail": lambda: hp.build(g.n, [hp.Hyperarc(0, ((bad, 1),), 1.0)]),
+        "arc": lambda: g.arc(bad),
+    }[call]
+    return run()
 
 
 def _run_job(hp, texts: list[str], graphs: dict, job: list):
@@ -153,6 +186,8 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
     g = parsed.graph
     if kind == "restrict":
         return _restricted(hp, g, job[2])
+    if kind == "vertex id":
+        return _id_call(hp, parsed, job[2], job[3])
     if kind == "reduce ids":  # vertex ids, which may be out of range
         red = hp.reduce(g, hp.Query(tuple(map(tuple, job[2])), job[3]))
         return hp.serialize_hypergraph(red.graph, red.sources, red.target), sorted(red.arc_map.items())
@@ -465,6 +500,15 @@ def build_jobs() -> tuple[dict, list[str]]:
             for report in ("text", "json"):
                 argv = ["prune", "--beam", repr(beam), "--report", report, "in.hg"]
                 add("prune beams", ["cli", argv, {"in.hg": ti}])
+
+    rng = Random(18)
+    for _ in range(20):
+        g = random_hypergraph(rng)
+        ti = add_text(hp.serialize_hypergraph(g, random_sources(rng, g), rng.randrange(g.n)))
+        for call in ID_CALLS:
+            out_of_range = (0, g.num_arcs + 1) if call == "arc" else (g.n, g.n + 1)
+            for bad in (True, 1.5, None, "3", -1, *out_of_range):
+                add("vertex ids", ["vertex id", ti, call, bad])
     return {"texts": texts, "jobs": jobs}, groups
 
 
@@ -482,13 +526,22 @@ def main(argv: list[str]) -> int:
     if len(argv) == 4 and argv[0] == "--worker":
         worker(*argv[1:])
         return 0
-    if len(argv) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+    if not argv:
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
+    data, groups = build_jobs()
+    if argv[1:]:
+        unknown = set(argv[1:]).difference(groups)
+        if unknown:
+            print(f"unknown groups {sorted(unknown)}; the groups are {sorted(set(groups))}",
+                  file=sys.stderr)
+            return 2
+        chosen = [j for j, group in enumerate(groups) if group in argv[1:]]
+        data["jobs"] = [data["jobs"][j] for j in chosen]
+        groups = [groups[j] for j in chosen]
     with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
         tmp_dir = Path(tmp)
         trees = {"REV": extract(argv[0], tmp_dir / "rev"), "checkout": ROOT / "src"}
-        data, groups = build_jobs()
         jobs_path = tmp_dir / "jobs.json"
         jobs_path.write_text(json.dumps(data), encoding="utf-8")
         procs = {}

@@ -58,6 +58,14 @@ def test_usage_error_exit_1(capsys, f1_file):
     assert code == 1 and "beam" in err
 
 
+def test_internal_invariant_exit_3(capsys, monkeypatch, f1_file):
+    # Every distinct-tails entry now disagrees with the one validate re-derives.
+    monkeypatch.setattr("hyperpaths.core._distinct_tails", lambda pairs: ())
+    code, out, err = run(capsys, "validate", f1_file)
+    assert (code, out) == (3, "")
+    assert err == "internal error: arc 1: distinct tails disagree with its tails\n"
+
+
 def test_unknown_subcommand_exit_1(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1

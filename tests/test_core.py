@@ -7,14 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperpaths import (
+    Hypergraph,
     Hyperarc,
+    InternalInvariantError,
     Query,
     ValidationError,
     build,
     parse_hypergraph,
     restrict,
     serialize_hypergraph,
+    viterbi_inside,
 )
+from hyperpaths.core import check_sources
 from hyperpaths.textio import format_float
 
 from support import random_hypergraph, random_sources
@@ -94,6 +98,66 @@ def test_query_validation():
         Query(((0, -1.0),), 1)
     with pytest.raises(ValidationError, match="at least one source"):
         Query((), 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: viterbi_inside(g, [(0, "x")]), "source 0: initial cost must be a number, got 'x'"),
+        (lambda g: viterbi_inside(g, [(0, None)]), "source 0: initial cost must be a number, got None"),
+        (lambda g: viterbi_inside(g, [(0,)]), "source must be a (vertex, cost) pair, got (0,)"),
+        (lambda g: viterbi_inside(g, [0]), "source must be a (vertex, cost) pair, got 0"),
+        (lambda g: Hyperarc(0, ((1, 1),), "x"), "arc length must be a number, got 'x'"),
+        (lambda g: Hyperarc(0, ((1, 1),), None), "arc length must be a number, got None"),
+    ],
+    ids=["cost x", "cost None", "short pair", "bare vertex", "length x", "length None"],
+)
+def test_malformed_library_input_is_a_validation_error(f1, call, message):
+    with pytest.raises(ValidationError) as info:
+        call(f1)
+    assert str(info.value) == message
+
+
+def test_numbers_as_strings_stay_accepted():
+    assert check_sources([(0, "1.5"), (1, 2)]) == ((0, 1.5), (1, 2.0))
+    assert Hyperarc(0, ((1, 1),), "2").length == 2.0
+
+
+def test_build_rejects_a_negative_count_and_a_non_arc():
+    with pytest.raises(ValidationError, match="^vertex count must be nonnegative$"):
+        build(-1, [])
+    with pytest.raises(ValidationError, match="^arc 1: expected a Hyperarc, got object$"):
+        build(2, [object()])
+
+
+def test_arc_index_is_checked(f1):
+    assert f1.arc(4) == Hyperarc(3, ((1, 2),), 3.0)
+    for bad in (0, 5, -1):
+        with pytest.raises(ValidationError, match=rf"^arc index {bad} out of range 1\.\.4$"):
+            f1.arc(bad)
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(ValidationError) as info:
+            f1.arc(bad)
+        assert str(info.value) == f"arc index must be an integer, got {bad!r}"
+
+
+def test_validate_reports_each_broken_invariant():
+    """Each check of ``validate``, on graphs the unchecked constructor made."""
+    names, one = ("a", "b"), ((0, 1),)
+    # A negative id indexes the adjacency from the end, so the constructor runs.
+    with pytest.raises(ValidationError, match="^arc 1: head vertex -1 out of range$"):
+        Hypergraph(names, [0, -1], [(), one], [0.0, 1.0]).validate()
+    with pytest.raises(ValidationError, match="^arc 1: tail vertex -2 out of range$"):
+        Hypergraph(names, [0, 1], [(), ((-2, 1),)], [0.0, 1.0]).validate()
+    with pytest.raises(InternalInvariantError, match="^arc 1: distinct tails disagree"):
+        Hypergraph(names, [0, 1], [(), ((0, 1), (0, 1))], [0.0, 1.0], [(), one]).validate()
+    with pytest.raises(ValidationError, match="^duplicate vertex name 'a'$"):
+        Hypergraph(("a", "a"), [0, 1], [(), one], [0.0, 1.0]).validate()
+    for attr in ("forward", "backward"):
+        g = Hypergraph(names, [0, 1], [(), one], [0.0, 1.0])
+        setattr(g, attr, ((), ()))
+        with pytest.raises(InternalInvariantError, match=f"^{attr} adjacency disagrees with arcs$"):
+            g.validate()
 
 
 def test_restrict_identity(f1):

@@ -62,6 +62,11 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     **_grammar_cases("empty.gr"),
     **_grammar_cases("sparse.gr"),
     "bad beam": (["prune", "--beam", "soup", "f1.hg"], []),
+    "negative beam": (["prune", "--beam", "-1", "f1.hg"], []),
+    "nan beam": (["prune", "--beam", "nan", "f1.hg"], []),
+    "unknown vertex": (["best-tree", "--vertex", "NOPE", "f1.hg"], []),
+    "inside without a source line": (["inside", "noquery.hg"], []),
+    "reach-to without a target line": (["reach-to", "noquery.hg"], []),
     "missing file": (["inside", "no-such-file.hg"], []),
 }
 

@@ -157,6 +157,24 @@ def test_wrtg_rejects_unwritable_symbols_when_built():
         Wrtg(frozenset({"a"}), ("a b",), "a b", (Production("a b", ("a",), 0.5),))
 
 
+@pytest.mark.parametrize(
+    "nonterminals, start, production, message",
+    [
+        (("S", "S"), "S", Production("S", ("a",), 0.5), "duplicate nonterminal"),
+        (("S",), "T", Production("S", ("a",), 0.5), "start symbol 'T' is not a nonterminal"),
+        (("S",), "S", Production("a", ("a",), 0.5), "production 1: lhs 'a' is not a nonterminal"),
+        (("S",), "S", Production("S", ("a", "b"), 0.5), "production 1: unknown symbol 'b'"),
+        (("S",), "S", Production("S", RhsTree("S", (RhsTree("a"),)), 0.5),
+         "production 1: nonterminal 'S' used as an internal node"),
+    ],
+    ids=["duplicate nonterminal", "start", "lhs", "unknown symbol", "internal nonterminal"],
+)
+def test_wrtg_constructor_checks(nonterminals, start, production, message):
+    with pytest.raises(GrammarError) as info:
+        Wrtg(frozenset({"a"}), nonterminals, start, (production,))
+    assert str(info.value) == message
+
+
 def test_wrtg_rejects_a_symbol_ending_in_a_newline():
     # Written out and read back, it would silently become the symbol 'x'.
     with pytest.raises(GrammarError, match=r"invalid symbol 'x\\n'"):

@@ -14,6 +14,9 @@ import pytest
 from hyperpaths import (
     INF,
     Hyperarc,
+    InsideResult,
+    InternalInvariantError,
+    Query,
     UnreachableTargetError,
     ValidationError,
     build,
@@ -22,7 +25,9 @@ from hyperpaths import (
     iter_nodes,
     reach_from,
     reach_to,
+    reduce,
     restrict,
+    serialize_hypergraph,
     viterbi_inside,
     viterbi_outside,
 )
@@ -88,25 +93,53 @@ def test_stop_vertex_is_checked_before_any_work(f1, monkeypatch):
         viterbi_inside(f1, [(0, 0.0)], stop=(4, 0.0))
 
 
-@pytest.mark.parametrize("bad", [True, 1.5])
+def _vertex_calls(g, bad) -> dict:
+    """The public calls that take a vertex id of ``g``, with ``bad`` as that
+    id; the stop vertex has its own test above."""
+    ins = viterbi_inside(g, [(0, 0.0)])
+    return {
+        "viterbi_outside": lambda: viterbi_outside(g, ins, bad),
+        "extract_best_tree": lambda: extract_best_tree(g, ins, bad),
+        "reach_to": lambda: reach_to(g, bad),
+        "reach_from": lambda: reach_from(g, [bad]),
+        "restrict": lambda: restrict(g, [0, bad]),
+        "viterbi_inside": lambda: viterbi_inside(g, [(0, 0.0), (bad, 1.0)]),
+        "reduce": lambda: reduce(g, Query(((0, 0.0),), bad)),
+        "serialize_source": lambda: serialize_hypergraph(g, ((0, 0.0), (bad, 1.0))),
+        "serialize_target": lambda: serialize_hypergraph(g, ((0, 0.0),), bad),
+        "name_of": lambda: g.name_of(bad),
+    }
+
+
+VERTEX_CALLS = [
+    "viterbi_outside", "extract_best_tree", "reach_to", "reach_from", "restrict",
+    "viterbi_inside", "reduce", "serialize_source", "serialize_target", "name_of",
+]
+
+
 @pytest.mark.parametrize(
-    "call", ["viterbi_outside", "extract_best_tree", "reach_to", "reach_from", "restrict"]
+    "call,bad",
+    [(call, bad) for call in VERTEX_CALLS for bad in (True, 1.5, -1, None, "3")
+     if (call, bad) != ("serialize_target", None)],  # no target is no target line
 )
 def test_vertex_arguments_are_type_checked(f1, call, bad):
     """A target, tree, source or kept vertex is type-checked as the stop
-    vertex is: ``True`` does not run as vertex 1, and ``1.5`` raises no bare
-    ``TypeError``."""
-    ins = viterbi_inside(f1, [(0, 0.0)])
-    run = {
-        "viterbi_outside": lambda: viterbi_outside(f1, ins, bad),
-        "extract_best_tree": lambda: extract_best_tree(f1, ins, bad),
-        "reach_to": lambda: reach_to(f1, bad),
-        "reach_from": lambda: reach_from(f1, [bad]),
-        "restrict": lambda: restrict(f1, [0, bad]),
-    }[call]
+    vertex is: ``True`` does not run as vertex 1, ``1.5`` raises no bare
+    ``TypeError``, and ``-1`` is not the last vertex."""
     with pytest.raises(ValidationError) as info:
-        run()
+        _vertex_calls(f1, bad)[call]()
     assert str(info.value) == f"vertex id must be a nonnegative integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("call", VERTEX_CALLS)
+def test_vertex_arguments_are_range_checked(f1, call):
+    role = {"viterbi_outside": "target ", "reach_to": "target ", "reduce": "target ",
+            "serialize_target": "target ", "reach_from": "source ", "viterbi_inside": "source ",
+            "serialize_source": "source "}.get(call, "")
+    for bad in (4, 5):
+        with pytest.raises(ValidationError) as info:
+            _vertex_calls(f1, bad)[call]()
+        assert str(info.value) == f"{role}vertex {bad} out of range (n=4)"
 
 
 def test_check_sources_precedence_and_messages():
@@ -355,6 +388,17 @@ def test_extract_rejects_an_inside_result_of_another_size(f1):
         result = viterbi_inside(other, [(0, 0.0)])
         with pytest.raises(ValidationError, match="^inside result does not match this hypergraph$"):
             extract_best_tree(g, result, 3)
+
+
+def test_extract_rejects_a_cyclic_predecessor_chain(f2):
+    # S's predecessor is its self-loop; in g, A and B are each other's.
+    g = build(3, [Hyperarc(1, ((2, 1),), 1.0), Hyperarc(2, ((1, 1), (0, 1)), 1.0)])
+    for graph, result, v in (
+        (f2, InsideResult((0.0, 1.0), (0, 2), 0), 1),
+        (g, InsideResult((0.0, 1.0, 1.0), (0, 1, 2), 0), 1),
+    ):
+        with pytest.raises(InternalInvariantError, match="^cycle in predecessor pointers$"):
+            extract_best_tree(graph, result, v)
 
 
 def test_extract_cost_matches_inside_random():

@@ -76,6 +76,13 @@ CASES: dict[str, str] = {
     "source cost -1": "vertex A\nsource A -1\n",
     "source cost -0": "vertex A\nsource A -0\n",
     "duplicate source": "vertex A\nsource A\nsource A 1\n",
+    "source cost x": "vertex A\nsource A x\n",
+    # directives with the wrong number of tokens, and a second target
+    "arc without @": "arc S <- A B C D\n",
+    "vertex with two names": "vertex A\nvertex B C\n",
+    "source with two costs": "vertex A\nsource A 1 2\n",
+    "target with two names": "vertex A\ntarget A B\n",
+    "duplicate target": "vertex A\ntarget A\ntarget A\n",
     # '@' among the tails
     "@ as the only tail": "arc S <- @ @ 1\n",
     "@ as a later tail": "arc S <- A @ B @ 1\n",

@@ -127,8 +127,8 @@ def test_keep_all_restrict_returns_its_input():
         assert stored(res.graph) == stored(reference_restrict(g, everything))
 
         # The range check runs before the shortcut.
-        for bad in (g.n, -1):
-            with pytest.raises(ValidationError, match="out of range"):
+        for bad, message in ((g.n, "out of range"), (-1, "nonnegative integer")):
+            with pytest.raises(ValidationError, match=message):
                 restrict(g, [bad, *everything[1:]])
 
 
