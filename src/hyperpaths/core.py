@@ -42,14 +42,6 @@ def _beam_bounds(threshold: float) -> tuple[float, float]:
     return cutoff, min(cutoff + 1e-9 * scale, math.nextafter(INF, 0.0))
 
 
-def _check_beam(beam: float) -> float:
-    """``beam`` as a float, which must be nonnegative (``inf`` is fine)."""
-    beam = float(beam)
-    if not beam >= 0:
-        raise ValidationError(f"beam must be nonnegative, got {beam!r}")
-    return beam
-
-
 class ValidationError(ValueError):
     """A hypergraph, arc, or query violates a structural invariant."""
 
@@ -231,6 +223,20 @@ def _check_multiplicity(m: object) -> int:
     return m
 
 
+def _check_number(x: object, what: str, finite: bool = True) -> float:
+    """``x`` as a float in ``0 <= x < inf``, or ``<= inf`` if not ``finite`` (a beam);
+    ``what``, such as ``"arc length"``, names it in the error. Loops over many
+    numbers test ``x.__class__ is float and 0 <= x < INF`` inline and call it if that fails."""
+    try:
+        y = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be a number, got {x!r}") from None
+    if not (0 <= y < INF or y == INF and not finite):
+        domain = "finite and nonnegative" if finite else "nonnegative"
+        raise ValidationError(f"{what} must be {domain}, got {y!r}")
+    return y
+
+
 def _check_vertex(v: object, n: float = INF, what: str = "") -> int:
     """``v`` if it is a vertex id below ``n``, a non-bool ``int``; ``what``, such as
     ``"source "``, names its role in the range error. Loops over many ids
@@ -275,16 +281,8 @@ def check_sources(
             _check_vertex(v, n, "source ")
         if v in out:
             raise ValidationError(f"duplicate source vertex {v}")
-        try:
-            c = float(c)
-        except (TypeError, ValueError):
-            raise ValidationError(f"source {v}: initial cost must be a number, got {c!r}") from None
-        if not 0 <= c < INF:
-            if math.isnan(c) or c == INF:
-                raise ValidationError(f"source {v}: initial cost must be finite and nonnegative")
-            raise ValidationError(
-                f"negative initial cost {c!r} for source {v}; it must be nonnegative"
-            )
+        if c.__class__ is not float or not 0 <= c < INF:
+            c = _check_number(c, f"source {v}: initial cost")
         out[v] = c
     if not out:
         raise ValidationError("need at least one source vertex")
@@ -313,16 +311,8 @@ class Hyperarc(_Record):
         if not pairs:
             raise ValidationError("hyperarc must have at least one tail")
         object.__setattr__(self, "tails", pairs)
-        try:
-            length = float(length)
-        except (TypeError, ValueError):
-            raise ValidationError(f"arc length must be a number, got {length!r}") from None
-        if math.isnan(length):
-            raise ValidationError("arc length may not be NaN")
-        if length < 0:
-            raise ValidationError(f"negative length {length!r}")
-        if length == INF:
-            raise ValidationError("arc length must be finite")
+        if length.__class__ is not float or not 0 <= length < INF:
+            length = _check_number(length, "arc length")
         object.__setattr__(self, "length", length)
 
     def occurrences(self) -> tuple[int, ...]:
@@ -587,13 +577,11 @@ def restrict(g: Hypergraph, keep: Iterable[int]) -> RestrictResult:
     the result's graph is ``g`` itself, with identity maps; a graph is
     immutable, so sharing it is safe.
     """
-    kept = set(keep)
-    for v in kept:
-        if v.__class__ is not int or not 0 <= v < g.n:
-            _check_vertex(v, g.n)
-    if len(kept) == g.n:
-        return _subgraph(g, range(g.n), g.arc_indices)
-    flags = [v in kept for v in range(g.n)]
+    n = g.n  # each id is checked before it is hashed, in the caller's order
+    kept = {v if v.__class__ is int and 0 <= v < n else _check_vertex(v, n) for v in keep}
+    if len(kept) == n:
+        return _subgraph(g, range(n), g.arc_indices)
+    flags = [v in kept for v in range(n)]
     return _subgraph(g, sorted(kept), _closed_arcs(g, flags, g.arc_indices))
 
 

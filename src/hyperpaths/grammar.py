@@ -52,7 +52,10 @@ class Production(_Record):
     __slots__ = ("lhs", "rhs", "weight")
 
     def __init__(self, lhs: str, rhs: Rhs, weight: float) -> None:
-        w = float(weight)
+        try:
+            w = float(weight)
+        except (TypeError, ValueError, OverflowError):
+            raise GrammarError(f"production {lhs!r}: weight {weight!r} is not a number") from None
         if not (w > 0) or w == math.inf:
             raise GrammarError(f"production {lhs!r}: weight must be finite and > 0, got {w!r}")
         object.__setattr__(self, "lhs", lhs)

@@ -35,7 +35,7 @@ from .core import (
     UnreachableTargetError,
     ValidationError,
     _beam_bounds,
-    _check_beam,
+    _check_number,
     _check_vertex,
     _Record,
     _Tree,
@@ -102,10 +102,13 @@ def viterbi_inside(
     """
     n = g.n
     sources = check_sources(sources, n)
-    stop_at, beam = stop if stop is not None else (-1, INF)
+    try:
+        stop_at, beam = (-1, INF) if stop is None else stop
+    except (TypeError, ValueError):
+        raise ValidationError(f"stop must be a (vertex, beam) pair, got {stop!r}") from None
     if stop is not None:
         _check_vertex(stop_at, n, "stop ")
-    beam = _check_beam(beam)
+        beam = _check_number(beam, "beam", finite=False)
     inside = [INF] * n
     pi = [0] * n
     for v, c in sources:

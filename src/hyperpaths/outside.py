@@ -29,7 +29,7 @@ from .core import (
     UnreachableTargetError,
     ValidationError,
     _beam_bounds,
-    _check_beam,
+    _check_number,
     _check_vertex,
     _closed_arcs,
     _Record,
@@ -78,7 +78,7 @@ def viterbi_outside(
     prune at ``beam`` are then those of the full passes: see
     :func:`_keep_flags`.
     """
-    beam = _check_beam(beam)
+    beam = _check_number(beam, "beam", finite=False)
     _check_vertex(target, g.n, "target ")
     if len(ins.inside) != g.n:
         raise ValidationError("inside result does not match this hypergraph")
@@ -205,9 +205,8 @@ def _keep_flags(
     1e-9·max(1, |threshold|) above it); it never gives a kept vertex its
     value. So kept elements read bitwise the full passes' values. The
     other values are the full ones or larger (``inf`` above the limit), so
-    an element not kept stays not kept.
+    an element not kept stays not kept. ``beam`` must be a checked float.
     """
-    beam = _check_beam(beam)
     best = ins.inside[outs.target]
     if best == INF:
         raise UnreachableTargetError("target is unreachable; nothing to prune")
@@ -242,6 +241,7 @@ def prune_relatively_useless(
     the best cost; kept sets grow monotonically with the beam. O(t) given
     the two prior passes.
     """
+    beam = _check_number(beam, "beam", finite=False)
     gamma_v, gamma_e, keep_v, keep_e, kept, threshold = _keep_flags(g, ins, outs, beam)
     res = _subgraph(g, [v for v in range(g.n) if keep_v[v]], kept)
     return PruneResult(
@@ -249,7 +249,7 @@ def prune_relatively_useless(
         gamma_arcs=gamma_e,
         keep_vertices=keep_v,
         keep_arcs=tuple(keep_e),
-        beam=float(beam),
+        beam=beam,
         threshold=threshold,
         graph=res.graph,
         vertex_map=res.vertex_map,

@@ -45,13 +45,15 @@ def reach_from(g: Hypergraph, sources: Iterable[int]) -> ReachResult:
     once: O(t) in the total input size.
     """
     reached = [False] * g.n
-    stack = list(dict.fromkeys(sources))  # checked in the caller's order
-    if not stack:
-        raise ValidationError("source set must be nonempty")
-    for v in stack:
+    stack: list[int] = []
+    for v in sources:  # checked in the caller's order, each before it is used
         if v.__class__ is not int or not 0 <= v < g.n:
             _check_vertex(v, g.n, "source ")
-        reached[v] = True
+        if not reached[v]:
+            reached[v] = True
+            stack.append(v)
+    if not stack:
+        raise ValidationError("source set must be nonempty")
     heads = g._heads
     forward = g.forward
     remaining = g._arity.copy()

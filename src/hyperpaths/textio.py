@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 import re
 
-from .core import INF, FormatError, Hypergraph, Query, ValidationError, _check_vertex, _Record
+from .core import (
+    INF, FormatError, Hypergraph, Query, ValidationError, _check_vertex, _Record, check_sources
+)
 
 # A vertex name, applied with fullmatch; '<-' alone would read as an arrow.
 _NAME_RE = re.compile(r"(?!<-\Z)[^\s#*@(),:]+")
@@ -181,7 +183,7 @@ def serialize_hypergraph(
     target: int | None = None,
 ) -> str:
     """Canonical text form: all vertices, then arcs, sources, target."""
-    sources = [(_check_vertex(v, g.n, "source "), c) for v, c in sources]
+    sources = check_sources(sources, g.n) if sources else ()
     if target is not None:
         _check_vertex(target, g.n, "target ")
     return _serialize(g, range(g.n), g.arc_indices, sources, target)

@@ -45,7 +45,11 @@ a repr over 4 KiB by its SHA-256):
   boundary beam of each arc and vertex and the float just below it;
 - every public call that takes a vertex or arc id, with the bad ids
   ``True``, ``1.5``, ``None``, ``"3"``, ``-1`` and the two least ids out of
-  range, on random graphs ("vertex ids").
+  range, on random graphs ("vertex ids");
+- every public call that takes a cost, length, beam or weight, with the
+  values ``"x"``, ``None``, ``nan``, ``-1.0``, ``-inf``, ``10**400`` and
+  ``inf`` and the accepted ``"1.5"``, ``2``, ``True`` and ``-0.0``, on random
+  graphs ("numbers").
 
 Each GROUP given, such as ``"vertex ids"``, limits the run to that group's
 jobs; with none, every group runs. Prints the number of differing results
@@ -80,6 +84,11 @@ ID_CALLS = (
     "inside stop", "extract_best_tree", "viterbi_outside", "serialize source",
     "serialize target", "name_of", "build head", "build tail", "arc",
 )
+NUMBER_CALLS = (
+    "inside source cost", "Query source cost", "serialize source cost", "Hyperarc length",
+    "outside beam", "prune beam", "inside stop beam", "Production weight",
+)
+NUMBERS = ("x", None, math.nan, -1.0, -math.inf, 10**400, math.inf, "1.5", 2, True, -0.0)
 
 
 # -- worker: runs jobs on whichever hyperpaths is on sys.path ------------------
@@ -132,6 +141,30 @@ def _id_call(hp, parsed, call: str, bad):
         "arc": lambda: g.arc(bad),
     }[call]
     return run()
+
+
+def _number_call(hp, parsed, call: str, x):
+    """Run ``call``, one public call that takes a number, with ``x`` as that
+    number, on a parsed graph with sources and a target the sources reach."""
+    g, sources, target = parsed.graph, parsed.sources, parsed.target
+    costed = ((sources[0][0], x), *sources[1:])
+    if call == "inside source cost":
+        return hp.viterbi_inside(g, costed)
+    if call == "Query source cost":
+        return hp.Query(costed, target)
+    if call == "serialize source cost":
+        return hp.serialize_hypergraph(g, costed, target)
+    if call == "Hyperarc length":
+        return hp.Hyperarc(0, ((0, 1),), x)
+    if call == "Production weight":
+        return hp.Production("S", ("a",), x)
+    if call == "inside stop beam":
+        return hp.viterbi_inside(g, sources, stop=(target, x))
+    ins = hp.viterbi_inside(g, sources)
+    if call == "outside beam":
+        return hp.viterbi_outside(g, ins, target, beam=x)
+    pr = hp.prune_relatively_useless(g, ins, hp.viterbi_outside(g, ins, target), x)
+    return pr.beam, pr.keep_vertices, pr.keep_arcs
 
 
 def _run_job(hp, texts: list[str], graphs: dict, job: list):
@@ -188,6 +221,8 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         return _restricted(hp, g, job[2])
     if kind == "vertex id":
         return _id_call(hp, parsed, job[2], job[3])
+    if kind == "number":
+        return _number_call(hp, parsed, job[2], job[3])
     if kind == "reduce ids":  # vertex ids, which may be out of range
         red = hp.reduce(g, hp.Query(tuple(map(tuple, job[2])), job[3]))
         return hp.serialize_hypergraph(red.graph, red.sources, red.target), sorted(red.arc_map.items())
@@ -509,6 +544,16 @@ def build_jobs() -> tuple[dict, list[str]]:
             out_of_range = (0, g.num_arcs + 1) if call == "arc" else (g.n, g.n + 1)
             for bad in (True, 1.5, None, "3", -1, *out_of_range):
                 add("vertex ids", ["vertex id", ti, call, bad])
+
+    rng = Random(19)
+    for _ in range(10):
+        g, sources = random_weighted_instance(rng)
+        ins = hp.viterbi_inside(g, sources)
+        target = rng.choice([v for v in range(g.n) if ins.inside[v] < math.inf])
+        ti = add_text(hp.serialize_hypergraph(g, sources, target))
+        for call in NUMBER_CALLS:
+            for x in NUMBERS:
+                add("numbers", ["number", ti, call, x])
     return {"texts": texts, "jobs": jobs}, groups
 
 

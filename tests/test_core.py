@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from random import Random
 
 import pytest
@@ -7,16 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperpaths import (
+    GrammarError,
     Hypergraph,
     Hyperarc,
     InternalInvariantError,
+    Production,
     Query,
     ValidationError,
     build,
     parse_hypergraph,
+    prune_relatively_useless,
     restrict,
     serialize_hypergraph,
     viterbi_inside,
+    viterbi_outside,
 )
 from hyperpaths.core import check_sources
 from hyperpaths.textio import format_float
@@ -52,8 +57,9 @@ def test_build_trivial():
 
 
 def test_negative_length_rejected():
-    with pytest.raises(ValidationError, match="negative length"):
+    with pytest.raises(ValidationError) as info:
         Hyperarc(0, ((0, 1),), -1.0)
+    assert str(info.value) == "arc length must be finite and nonnegative, got -1.0"
 
 
 def test_zero_multiplicity_rejected():
@@ -67,8 +73,9 @@ def test_empty_tails_rejected():
 
 
 def test_nan_length_rejected():
-    with pytest.raises(ValidationError, match="NaN"):
+    with pytest.raises(ValidationError) as info:
         Hyperarc(0, ((0, 1),), float("nan"))
+    assert str(info.value) == "arc length must be finite and nonnegative, got nan"
 
 
 def test_out_of_range_vertex_names_arc():
@@ -94,7 +101,7 @@ def test_query_validation():
     Query(((0, 0.0), (1, 0.5)), 2)
     with pytest.raises(ValidationError, match="duplicate source"):
         Query(((0, 0.0), (0, 1.0)), 1)
-    with pytest.raises(ValidationError, match="negative initial cost"):
+    with pytest.raises(ValidationError, match="source 0: initial cost must be finite and nonnegative"):
         Query(((0, -1.0),), 1)
     with pytest.raises(ValidationError, match="at least one source"):
         Query((), 1)
@@ -121,6 +128,86 @@ def test_malformed_library_input_is_a_validation_error(f1, call, message):
 def test_numbers_as_strings_stay_accepted():
     assert check_sources([(0, "1.5"), (1, 2)]) == ((0, 1.5), (1, 2.0))
     assert Hyperarc(0, ((1, 1),), "2").length == 2.0
+
+
+# Every number argument of the library: a call on f1 that passes ``x`` there
+# and returns the number as stored (the result where nothing stores it), and
+# its two error messages, for a value ``float`` cannot convert and for one
+# out of range.
+COST = (
+    "source 0: initial cost must be a number, got {!r}",
+    "source 0: initial cost must be finite and nonnegative, got {!r}",
+)
+BEAM = ("beam must be a number, got {!r}", "beam must be nonnegative, got {!r}")
+NUMBER_ARGUMENTS = {
+    "inside source cost": (lambda g, x: viterbi_inside(g, [(0, x)]).inside[0], *COST),
+    "Query source cost": (lambda g, x: Query([(0, x)], 3).sources[0][1], *COST),
+    "serialize source cost": (lambda g, x: serialize_hypergraph(g, [(0, x)]), *COST),
+    "Hyperarc length": (
+        lambda g, x: Hyperarc(0, ((1, 1),), x).length,
+        "arc length must be a number, got {!r}",
+        "arc length must be finite and nonnegative, got {!r}",
+    ),
+    "outside beam": (
+        lambda g, x: viterbi_outside(g, viterbi_inside(g, [(0, 0.0)]), 3, beam=x), *BEAM
+    ),
+    "prune beam": (
+        lambda g, x: prune_relatively_useless(
+            g, ins := viterbi_inside(g, [(0, 0.0)]), viterbi_outside(g, ins, 3), x
+        ).beam,
+        *BEAM,
+    ),
+    "inside stop beam": (lambda g, x: viterbi_inside(g, [(0, 0.0)], stop=(3, x)), *BEAM),
+    "Production weight": (
+        lambda g, x: Production("S", ("a",), x).weight,
+        "production 'S': weight {!r} is not a number",
+        "production 'S': weight must be finite and > 0, got {!r}",
+    ),
+}
+BAD_NUMBERS = ("x", None, math.nan, -1.0, -math.inf, 10**400, math.inf)
+
+
+@pytest.mark.parametrize(
+    "argument, bad",
+    [
+        pytest.param(argument, bad, id=f"{argument}-{bad!r:.12}")
+        for argument, (_, _, out_of_range) in NUMBER_ARGUMENTS.items()
+        for bad in BAD_NUMBERS
+        if not (bad == math.inf and out_of_range == BEAM[1])  # a beam may be inf
+    ],
+)
+def test_number_arguments_are_checked_by_one_rule(f1, argument, bad):
+    call, not_a_number, out_of_range = NUMBER_ARGUMENTS[argument]
+    with pytest.raises((ValidationError, GrammarError)) as info:
+        call(f1, bad)
+    expected = GrammarError if argument == "Production weight" else ValidationError
+    assert type(info.value) is expected
+    try:
+        message = out_of_range.format(float(bad))
+    except (TypeError, ValueError, OverflowError):
+        message = not_a_number.format(bad)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("argument", NUMBER_ARGUMENTS)
+def test_number_arguments_accept_what_float_takes(f1, argument):
+    call, _, out_of_range = NUMBER_ARGUMENTS[argument]
+    good = ["1.5", 2, True]
+    good += [] if argument == "Production weight" else [-0.0]  # a weight is above 0
+    good += [math.inf] if out_of_range == BEAM[1] else []
+    for x in good:
+        got = call(f1, x)
+        assert not isinstance(got, float) or (type(got) is float and got == float(x))
+
+
+def test_serialize_checks_its_sources_as_the_passes_do(f1):
+    """Text the parser would reject is never written."""
+    with pytest.raises(ValidationError, match="^duplicate source vertex 0$"):
+        serialize_hypergraph(f1, [(0, 0.0), (0, 1.0)])
+    with pytest.raises(ValidationError, match=r"^source must be a \(vertex, cost\) pair, got 0$"):
+        serialize_hypergraph(f1, [0])
+    assert serialize_hypergraph(f1, [(0, True)]).endswith("source omega 1\n")
+    assert serialize_hypergraph(f1, ()) == serialize_hypergraph(f1)
 
 
 def test_build_rejects_a_negative_count_and_a_non_arc():

@@ -85,12 +85,16 @@ def test_stop_vertex_is_checked_before_any_work(f1, monkeypatch):
         raise AssertionError("the pass ran before the stop vertex was checked")
 
     monkeypatch.setattr(heapq, "heappush", fail)
-    for bad in (1.5, True, None, -1, "3"):
+    for bad in (1.5, True, None, -1, "3", [0]):
         with pytest.raises(ValidationError) as info:
             viterbi_inside(f1, [(0, 0.0)], stop=(bad, 0.0))
         assert str(info.value) == f"vertex id must be a nonnegative integer, got {bad!r}"
     with pytest.raises(ValidationError, match=r"stop vertex 4 out of range \(n=4\)"):
         viterbi_inside(f1, [(0, 0.0)], stop=(4, 0.0))
+    for bad in ((3,), (3, 0.0, 1.0), 3):
+        with pytest.raises(ValidationError) as info:
+            viterbi_inside(f1, [(0, 0.0)], stop=bad)
+        assert str(info.value) == f"stop must be a (vertex, beam) pair, got {bad!r}"
 
 
 def _vertex_calls(g, bad) -> dict:
@@ -119,16 +123,25 @@ VERTEX_CALLS = [
 
 @pytest.mark.parametrize(
     "call,bad",
-    [(call, bad) for call in VERTEX_CALLS for bad in (True, 1.5, -1, None, "3")
+    [(call, bad) for call in VERTEX_CALLS for bad in (True, 1.5, -1, None, "3", [0])
      if (call, bad) != ("serialize_target", None)],  # no target is no target line
 )
 def test_vertex_arguments_are_type_checked(f1, call, bad):
     """A target, tree, source or kept vertex is type-checked as the stop
-    vertex is: ``True`` does not run as vertex 1, ``1.5`` raises no bare
-    ``TypeError``, and ``-1`` is not the last vertex."""
+    vertex is: ``True`` does not run as vertex 1, ``1.5`` and the unhashable
+    ``[0]`` raise no bare ``TypeError``, and ``-1`` is not the last vertex."""
     with pytest.raises(ValidationError) as info:
         _vertex_calls(f1, bad)[call]()
     assert str(info.value) == f"vertex id must be a nonnegative integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("run", [reach_from, restrict], ids=["reach_from", "restrict"])
+def test_each_id_is_checked_before_duplicates_are_dropped(f1, run):
+    """``True`` equals 1, so dropping duplicates first would let it pass
+    unchecked after a 1."""
+    with pytest.raises(ValidationError) as info:
+        run(f1, [1, True])
+    assert str(info.value) == "vertex id must be a nonnegative integer, got True"
 
 
 @pytest.mark.parametrize("call", VERTEX_CALLS)
@@ -161,10 +174,11 @@ def test_check_sources_precedence_and_messages():
     assert v is Vertex.B and c == 1.0 and type(c) is float
     ((_, zero),) = check_sources([(0, -0.0)])
     assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
-    with pytest.raises(ValidationError, match="negative initial cost -inf for source 0"):
-        check_sources([(0, -INF)])
-    with pytest.raises(ValidationError, match="negative initial cost -0.5 for source 3"):
-        check_sources([(3, -0.5)])
+    for v, bad in ((0, -INF), (3, -0.5)):
+        with pytest.raises(ValidationError) as info:
+            check_sources([(v, bad)])
+        message = f"source {v}: initial cost must be finite and nonnegative, got {bad!r}"
+        assert str(info.value) == message
     for bad in (math.nan, INF):
         with pytest.raises(ValidationError, match="source 0: initial cost must be finite"):
             check_sources([(0, bad)])
