@@ -30,8 +30,7 @@ _HOME = {
         "grammar": "DerivationTree GrammarHypergraphMap Production RhsTree Wrtg "
         "best_derivation derivation_grammar from_pruned parse_grammar serialize_grammar "
         "to_hypergraph yield_nonterminals",
-        "inside": "HyperpathTree InsideResult extract_best_tree format_tree iter_nodes "
-        "viterbi_inside",
+        "inside": "HyperpathTree InsideResult extract_best_tree format_tree viterbi_inside",
         "outside": "OutsideResult PruneResult prune_relatively_useless utilities "
         "viterbi_outside",
         "reachability": "ReachResult ReduceResult reach_from reach_to reduce",

@@ -148,7 +148,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
     parsed = _load(args.file)
     query = parsed.query()
-    _, useful, arcs = _useful(parsed.graph, query)
+    useful, arcs = _useful(parsed.graph, query)
     _write_kept(parsed.graph, useful, arcs, query)
     if not useful[query.target]:
         print("target unreachable; reduced hypergraph is empty", file=sys.stderr)
@@ -238,7 +238,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     g = parsed.graph
     query = parsed.query()
     ins, outs = _inside_outside(g, query)
-    gamma_v, gamma_e, keep_v, keep_e, kept, _ = _keep_flags(g, ins, outs, beam)
+    gamma_v, gamma_e, keep_v, keep_e, kept = _keep_flags(g, ins, outs, beam)
 
     _write_kept(g, keep_v, kept, query)  # the target is kept
 

@@ -315,20 +315,6 @@ class Hyperarc(_Record):
             length = _check_number(length, "arc length")
         object.__setattr__(self, "length", length)
 
-    def occurrences(self) -> tuple[int, ...]:
-        """Tail vertices expanded by multiplicity, in pair order."""
-        out: list[int] = []
-        for v, m in self.tails:
-            out.extend([v] * m)
-        return tuple(out)
-
-    def distinct_tails(self) -> tuple[tuple[int, int], ...]:
-        """One ``(vertex, total multiplicity)`` pair per distinct tail vertex.
-
-        Order follows the first occurrence of each vertex in ``tails``.
-        """
-        return _distinct_tails(self.tails)
-
 
 class Query(_Record):
     """A source set with initial costs, plus a single target vertex."""
@@ -454,23 +440,6 @@ class Hypergraph:
         except KeyError:
             raise ValidationError(f"unknown vertex name {name!r}") from None
 
-    def arc_total_cost(self, i: int, costs: Sequence[float]) -> float:
-        """Arc length plus the multiplicity-weighted costs of its tails.
-
-        Returns ``inf`` as soon as any tail cost is infinite. This is the
-        reference summation: the inside firing step and the outside
-        relaxation, which also gives each arc's utility, inline the same sum,
-        length first and then ``mult * cost`` per distinct tail in stored
-        order, so their values agree with it bitwise.
-        """
-        c = self._lengths[i]
-        for t, m in self._dtails[i]:
-            ct = costs[t]
-            if ct == INF:
-                return INF
-            c += m * ct
-        return c
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
@@ -516,20 +485,26 @@ class Hypergraph:
 def build(vertices: int | Sequence[str | None], arcs: Iterable[Hyperarc]) -> Hypergraph:
     """Build and validate a hypergraph.
 
-    ``vertices`` is either a vertex count (all unnamed) or a sequence of
-    optional names; ids are assigned by position. An unnamed vertex ``i`` is
-    named ``v<i>``, prefixed with ``_`` until the name is unused, and keeps
-    that name in every graph :func:`restrict` makes from this one. Arc order
-    is preserved and arcs keep their stable 1-based indices. This is the
-    validating entry point: each :class:`Hyperarc` has checked its own
-    fields, and ``build`` checks that names are distinct and every endpoint
-    is in range before unpacking the arcs into the graph's arrays.
+    ``vertices`` is a vertex count, a non-``bool`` ``int``, or a sequence
+    other than a ``str`` of names and ``None``s; ids are assigned by
+    position. An unnamed vertex ``i`` is named ``v<i>``, prefixed with ``_``
+    until the name is unused, and keeps that name in every graph
+    :func:`restrict` makes from this one. Arc order is preserved and arcs
+    keep their stable 1-based indices. This is the validating entry point:
+    each :class:`Hyperarc` has checked its own fields, and ``build`` checks
+    the vertices, that names are distinct and that every endpoint is in
+    range before unpacking the arcs into the graph's arrays.
     """
-    if isinstance(vertices, int):
+    if isinstance(vertices, int) and not isinstance(vertices, bool):
         if vertices < 0:
             raise ValidationError("vertex count must be nonnegative")
         vertices = (None,) * vertices
+    elif isinstance(vertices, str) or not isinstance(vertices, Sequence):
+        raise ValidationError(f"vertices must be a count or a sequence of names, got {vertices!r}")
     names = list(vertices)
+    for name in names:
+        if name is not None and not isinstance(name, str):
+            raise ValidationError(f"vertex name must be a string or None, got {name!r}")
     taken = set(names)
     for v, name in enumerate(names):
         if name is None:

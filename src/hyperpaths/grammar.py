@@ -106,19 +106,29 @@ class Wrtg(_Record):
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
+        for field, kind, item in (("alphabet", frozenset, str), ("nonterminals", tuple, str),
+                                  ("productions", tuple, Production)):
+            value = getattr(self, field)
+            if not isinstance(value, kind):
+                raise GrammarError(f"{field} must be a {kind.__name__}, got {value!r}")
+            for x in value:
+                if not isinstance(x, item):
+                    raise GrammarError(f"{field} item {x!r} is not a {item.__name__}")
         # Every symbol must be writable, so serialize_grammar need not check.
         for sym in (*self.nonterminals, *sorted(self.alphabet)):
             _check_symbol(sym)
         nts = set(self.nonterminals)
         if len(nts) != len(self.nonterminals):
             raise GrammarError("duplicate nonterminal")
-        if self.start not in nts:
+        if not isinstance(self.start, str) or self.start not in nts:
             raise GrammarError(f"start symbol {self.start!r} is not a nonterminal")
         for idx, p in enumerate(self.productions, start=1):
-            if p.lhs not in nts:
+            if not isinstance(p.lhs, str) or p.lhs not in nts:
                 raise GrammarError(f"production {idx}: lhs {p.lhs!r} is not a nonterminal")
+            if p.rhs.__class__ is not tuple and not isinstance(p.rhs, RhsTree):
+                raise GrammarError(f"production {idx}: rhs {p.rhs!r} is not a tuple or an RhsTree")
             for sym, internal in _rhs_symbols(p.rhs):
-                if sym not in nts and sym not in self.alphabet:
+                if not isinstance(sym, str) or sym not in nts and sym not in self.alphabet:
                     raise GrammarError(f"production {idx}: unknown symbol {sym!r}")
                 if internal and sym in nts:
                     raise GrammarError(
@@ -154,17 +164,17 @@ class GrammarHypergraphMap(_Record):
 
     ``production_for_arc`` maps each arc to its production index and
     ``vertex_for_nonterminal`` each nonterminal to its vertex; ``sink`` is
-    the fictitious source vertex, ``None`` once a restriction dropped it.
+    the fictitious source vertex, ``None`` once a restriction dropped it,
+    and ``graph.names[sink]`` its name.
     After restricting or pruning the hypergraph, compose with the index maps
     via :meth:`after_restriction`; both maps then cover exactly the
     surviving arcs and vertices.
     """
 
-    __slots__ = ("production_for_arc", "vertex_for_nonterminal", "sink", "sink_name")
+    __slots__ = ("production_for_arc", "vertex_for_nonterminal", "sink")
     production_for_arc: dict[int, int]
     vertex_for_nonterminal: dict[str, int]
     sink: int | None
-    sink_name: str
 
     def after_restriction(
         self, vertex_map: dict[int, int], arc_map: dict[int, int]
@@ -183,7 +193,6 @@ class GrammarHypergraphMap(_Record):
             production_for_arc=pfa,
             vertex_for_nonterminal=vfn,
             sink=vertex_map.get(self.sink) if self.sink is not None else None,
-            sink_name=self.sink_name,
         )
 
 
@@ -240,7 +249,6 @@ def to_hypergraph(g: Wrtg) -> tuple[Hypergraph, Query, GrammarHypergraphMap]:
         production_for_arc={i: i for i in graph.arc_indices},
         vertex_for_nonterminal=vertex_of,
         sink=sink,
-        sink_name=sink_name,
     )
     return graph, query, gmap
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .core import (
     INF,
@@ -67,9 +67,10 @@ def viterbi_inside(
     """Cheapest hyperpath-tree cost from ``sources`` to every vertex.
 
     ``sources`` is an iterable of (vertex, initial cost) pairs with distinct
-    vertices and finite nonnegative costs. An arc's cost is its length plus
-    ``mult * inside[t]`` over its distinct tails, summed in
-    :meth:`Hypergraph.arc_total_cost`'s order, so the two agree bitwise.
+    vertices and finite nonnegative costs. An arc's cost is summed in one
+    order, which the outside pass shares, so the two agree bitwise: its
+    length first, then ``mult * inside[t]`` for each distinct tail, in
+    stored order.
     Ties on extraction break toward the lower vertex id, and ``pi`` keeps
     the first arc reaching a vertex's minimum (improvements are strict), so
     outputs are deterministic.
@@ -153,8 +154,7 @@ def viterbi_inside(
             r = remaining[i] - 1
             remaining[i] = r
             if r == 0:
-                # All tails settled, so finite. Hypergraph.arc_total_cost
-                # inlined, in its order, so the value agrees with it bitwise.
+                # All tails settled, so finite; summed in the order above.
                 c = lengths[i]
                 for t, mm in dtails[i]:
                     c += mm * inside[t]
@@ -185,16 +185,6 @@ class HyperpathTree(_Tree):
         object.__setattr__(self, "vertex", vertex)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "cost", cost)
-
-
-def iter_nodes(tree: HyperpathTree) -> Iterator[HyperpathTree]:
-    """All nodes of the unfolded ``tree`` in preorder, iteratively: a shared subtree
-    once per occurrence, so the time can be exponential in the distinct nodes."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
 
 
 def extract_best_tree(g: Hypergraph, result: InsideResult, vertex: int) -> HyperpathTree:
@@ -239,14 +229,14 @@ def extract_best_tree(g: Hypergraph, result: InsideResult, vertex: int) -> Hyper
     return nodes[vertex]
 
 
-def format_tree(tree: HyperpathTree, name_of: Callable[[int], str] | None = None) -> str:
+def format_tree(tree: HyperpathTree, name_of: Callable[[int], str]) -> str:
     """Render a tree as an s-expression of arc indices.
 
     Source leaves are implicit except when the whole tree is a single leaf,
-    which renders as the vertex name.
+    which renders as ``name_of(vertex)``.
     """
     if tree.arc == 0:
-        return name_of(tree.vertex) if name_of else f"v{tree.vertex}"
+        return name_of(tree.vertex)
     out: list[str] = []
     stack: list[tuple[HyperpathTree, int]] = [(tree, 0)]
     while stack:

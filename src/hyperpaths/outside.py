@@ -109,8 +109,8 @@ def viterbi_outside(
         settled[x] = 1
         ox = outside[x]
         for i in backward[x]:
-            # Hypergraph.arc_total_cost inlined; an infinite tail makes the
-            # sum infinite, which is the value it returns early.
+            # The arc's cost, summed in the inside pass's order; an infinite
+            # tail makes it infinite.
             d = dtails[i]
             total = lengths[i]
             for t, m in d:
@@ -155,11 +155,10 @@ class PruneResult(_Record):
     """Utilities, keep flags, and the pruned hypergraph for a beam.
 
     ``keep`` flags are true exactly for elements whose utility is finite and
-    within the beam of the best cost; ``threshold`` is ``inside[target] +
-    beam``. ``graph`` restricts the input graph to the kept elements, so it
-    also lacks a kept arc whose endpoint rounding left unkept; it is the
-    input graph itself when every element is kept. Index maps relate the
-    input graph to ``graph``.
+    at most ``inside[target] + beam``. ``graph`` restricts the input graph
+    to the kept elements, so it also lacks a kept arc whose endpoint
+    rounding left unkept; it is the input graph itself when every element
+    is kept. Index maps relate the input graph to ``graph``.
     """
 
     __slots__ = (
@@ -167,8 +166,6 @@ class PruneResult(_Record):
         "gamma_arcs",
         "keep_vertices",
         "keep_arcs",
-        "beam",
-        "threshold",
         "graph",
         "vertex_map",
         "arc_map",
@@ -177,8 +174,6 @@ class PruneResult(_Record):
     gamma_arcs: tuple[float, ...]
     keep_vertices: tuple[bool, ...]
     keep_arcs: tuple[bool, ...]
-    beam: float
-    threshold: float
     graph: Hypergraph
     vertex_map: dict[int, int]
     arc_map: dict[int, int]
@@ -186,9 +181,9 @@ class PruneResult(_Record):
 
 def _keep_flags(
     g: Hypergraph, ins: InsideResult, outs: OutsideResult, beam: float
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...], list[bool], list[int], float]:
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...], list[bool], list[int]]:
     """Utilities and keep flags of a prune at ``beam``: ``(gamma_v, gamma_e,
-    keep_v, keep_e, kept, threshold)``, where ``kept`` lists, in increasing
+    keep_v, keep_e, kept)``, where ``kept`` lists, in increasing
     order, the arcs flagged kept whose endpoints are all flagged kept too:
     the arcs of the pruned graph.
 
@@ -202,7 +197,7 @@ def _keep_flags(
     tail above the limit, but a completion through such an arc makes a tree
     costing more than the limit, so the vertex it completes has utility
     above the cutoff by far more than rounding (the limit is
-    1e-9·max(1, |threshold|) above it); it never gives a kept vertex its
+    1e-9·max(1, |best + beam|) above it); it never gives a kept vertex its
     value. So kept elements read bitwise the full passes' values. The
     other values are the full ones or larger (``inf`` above the limit), so
     an element not kept stays not kept. ``beam`` must be a checked float.
@@ -212,8 +207,7 @@ def _keep_flags(
         raise UnreachableTargetError("target is unreachable; nothing to prune")
 
     gamma_v, gamma_e = utilities(g, ins, outs)
-    threshold = best + beam
-    cutoff, limit = _beam_bounds(threshold)
+    cutoff, limit = _beam_bounds(best + beam)
     keep_v = tuple(math.isfinite(x) and x <= cutoff for x in gamma_v)
     keep_e = [x <= cutoff and x < INF for x in gamma_e]
     flagged = [i for i in g.arc_indices if keep_e[i]]
@@ -226,7 +220,7 @@ def _keep_flags(
             for v in (g._heads[i], *[t for t, _ in g._dtails[i]]):
                 if not gamma_v[v] <= limit:
                     raise InternalInvariantError(f"arc {i} kept but endpoint vertex {v} is not")
-    return gamma_v, gamma_e, keep_v, keep_e, kept, threshold
+    return gamma_v, gamma_e, keep_v, keep_e, kept
 
 
 def prune_relatively_useless(
@@ -242,15 +236,13 @@ def prune_relatively_useless(
     the two prior passes.
     """
     beam = _check_number(beam, "beam", finite=False)
-    gamma_v, gamma_e, keep_v, keep_e, kept, threshold = _keep_flags(g, ins, outs, beam)
+    gamma_v, gamma_e, keep_v, keep_e, kept = _keep_flags(g, ins, outs, beam)
     res = _subgraph(g, [v for v in range(g.n) if keep_v[v]], kept)
     return PruneResult(
         gamma_vertices=gamma_v,
         gamma_arcs=gamma_e,
         keep_vertices=keep_v,
         keep_arcs=tuple(keep_e),
-        beam=beam,
-        threshold=threshold,
         graph=res.graph,
         vertex_map=res.vertex_map,
         arc_map=res.arc_map,

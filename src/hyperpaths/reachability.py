@@ -108,50 +108,36 @@ class ReduceResult(_Record):
     """Result of the two-phase reduction.
 
     Index maps are old id -> new id over the restriction of the input graph
-    to ``pass2_vertices``. The remapped query drops sources that turned out
-    useless for the target.
-    ``pass1_vertices`` / ``pass2_vertices`` expose, in original ids, the
-    vertex sets surviving each phase (pass2 is the final set).
+    to the useful vertices, the keys of ``vertex_map``. The remapped query
+    drops sources that turned out useless for the target; ``target`` is
+    ``None`` when the sources do not derive it.
     """
 
-    __slots__ = (
-        "graph",
-        "vertex_map",
-        "arc_map",
-        "sources",
-        "target",
-        "target_reachable",
-        "pass1_vertices",
-        "pass2_vertices",
-    )
+    __slots__ = ("graph", "vertex_map", "arc_map", "sources", "target")
     graph: Hypergraph
     vertex_map: dict[int, int]
     arc_map: dict[int, int]
     sources: tuple[tuple[int, float], ...]
     target: int | None
-    target_reachable: bool
-    pass1_vertices: frozenset[int]
-    pass2_vertices: frozenset[int]
 
 
-def _useful(g: Hypergraph, query: Query) -> tuple[ReachResult, tuple[bool, ...], list[int]]:
-    """:func:`reduce`'s passes: the forward pass's result, the backward
-    pass's marks (none when the target is not derivable) and the useful
-    arcs. The backward pass sees only the arcs closed over the forward
-    pass's vertices, and marks every tail of such an arc whose head it
-    marks, so the useful arcs, those with a marked head, are closed over the
-    marks."""
-    forward = reach_from(g, query.source_vertices())
+def _useful(g: Hypergraph, query: Query) -> tuple[tuple[bool, ...], list[int]]:
+    """:func:`reduce`'s passes: the backward pass's marks (none when the
+    target is not derivable) and the useful arcs. The backward pass sees
+    only the arcs closed over the forward pass's vertices, and marks every
+    tail of such an arc whose head it marks, so the useful arcs, those with
+    a marked head, are closed over the marks."""
+    reached = reach_from(g, query.source_vertices()).reached
     _check_vertex(query.target, g.n, "target ")
-    if not forward.reached[query.target]:
-        return forward, (False,) * g.n, []
-    closed = _closed_arcs(g, forward.reached, g.arc_indices)
+    if not reached[query.target]:
+        return (False,) * g.n, []
+    closed = _closed_arcs(g, reached, g.arc_indices)
     dtails, heads = g._dtails, g._heads
     masked: list[tuple] = [()] * len(dtails)
     for i in closed:
         masked[i] = dtails[i]
     marked = _mark_to(g, query.target, masked).reached
-    return forward, marked, [i for i in closed if marked[heads[i]]]
+    return marked, [i for i in closed if marked[heads[i]]]
 
 
 def reduce(g: Hypergraph, query: Query) -> ReduceResult:
@@ -161,14 +147,11 @@ def reduce(g: Hypergraph, query: Query) -> ReduceResult:
     The forward pass runs first, then the backward pass on the forward
     restriction; the resulting graph has exactly the same hyperpath-trees
     from the sources to the target as ``g``. If the target is not derivable
-    the result is the empty hypergraph, flagged via ``target_reachable``.
+    the result is the empty hypergraph, with ``target`` ``None``.
     """
-    forward, marked, arcs = _useful(g, query)
-    pass2 = [v for v in range(g.n) if marked[v]]
-    res = _subgraph(g, pass2, arcs)
+    marked, arcs = _useful(g, query)
+    res = _subgraph(g, [v for v in range(g.n) if marked[v]], arcs)
     sources = tuple((res.vertex_map[v], c) for v, c in query.sources if marked[v])
-    target = res.vertex_map.get(query.target)
     return ReduceResult(
-        res.graph, res.vertex_map, res.arc_map, sources, target, target is not None,
-        frozenset(forward.vertices()), frozenset(pass2),
+        res.graph, res.vertex_map, res.arc_map, sources, res.vertex_map.get(query.target)
     )

@@ -164,7 +164,7 @@ def _number_call(hp, parsed, call: str, x):
     if call == "outside beam":
         return hp.viterbi_outside(g, ins, target, beam=x)
     pr = hp.prune_relatively_useless(g, ins, hp.viterbi_outside(g, ins, target), x)
-    return pr.beam, pr.keep_vertices, pr.keep_arcs
+    return float(x), pr.keep_vertices, pr.keep_arcs
 
 
 def _run_job(hp, texts: list[str], graphs: dict, job: list):
@@ -232,8 +232,8 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         outs = hp.viterbi_outside(g, ins, g.id_of(job[3]))
         pr = hp.prune_relatively_useless(g, ins, outs, job[4])
         return (
-            pr.gamma_vertices, pr.gamma_arcs, pr.keep_vertices, pr.keep_arcs, pr.beam,
-            pr.threshold, hp.serialize_hypergraph(pr.graph),
+            pr.gamma_vertices, pr.gamma_arcs, pr.keep_vertices, pr.keep_arcs, job[4],
+            ins.inside[outs.target] + job[4], hp.serialize_hypergraph(pr.graph),
             sorted(pr.vertex_map.items()), sorted(pr.arc_map.items()),
         )
     if kind == "reduce":
@@ -242,9 +242,9 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
             hp.serialize_hypergraph(red.graph, red.sources, red.target),
             sorted(red.vertex_map.items()),
             sorted(red.arc_map.items()),
-            red.target_reachable,
-            sorted(red.pass1_vertices),
-            sorted(red.pass2_vertices),
+            red.target is not None,
+            sorted(hp.reach_from(g, [v for v, _ in sources]).vertices()),
+            sorted(red.vertex_map),
         )
     if kind == "inside":
         res = hp.viterbi_inside(g, sources)

@@ -21,7 +21,6 @@ from hyperpaths import (
     RhsTree,
     Wrtg,
     build,
-    iter_nodes,
     reduce,
     utilities,
     viterbi_inside,
@@ -107,6 +106,34 @@ def oracle_inside_table(
             return None
         mins.append(enum.min_cost())
     return mins
+
+
+def iter_nodes(tree: HyperpathTree):
+    """All nodes of the unfolded ``tree`` in preorder, iteratively: a shared
+    subtree once per occurrence."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def occurrences(arc: Hyperarc) -> tuple[int, ...]:
+    """The arc's tail vertices expanded by multiplicity, in pair order."""
+    return tuple(v for v, m in arc.tails for _ in range(m))
+
+
+def arc_total_cost(g: Hypergraph, i: int, costs) -> float:
+    """Arc ``i``'s length plus ``mult * costs[t]`` for each distinct tail, in
+    stored order, the reference summation that the inside firing step and
+    the outside relaxation must match bitwise; ``inf`` as soon as a tail
+    cost is infinite."""
+    c = g._lengths[i]
+    for t, m in g._dtails[i]:
+        if costs[t] == INF:
+            return INF
+        c += m * costs[t]
+    return c
 
 
 def tree_elements(tree: HyperpathTree) -> tuple[set[int], set[int]]:
@@ -203,7 +230,7 @@ def reduced_oracle_instance(rng: Random, max_trees: int = 300_000) -> ReducedIns
         return None
     target = rng.choice(candidates)
     red = reduce(g, Query(sources, target))
-    if not red.target_reachable:
+    if red.target is None:
         return None
     g2, sources2, target2 = red.graph, red.sources, red.target
     assert target2 is not None

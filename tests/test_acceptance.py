@@ -160,12 +160,13 @@ def test_criterion_4_prune_safety_tightness(capsys, reduced_instances):
                     assert previous_vertices <= kept_vertices
                 previous_arcs, previous_vertices = kept_arcs, kept_vertices
                 witnessed: set[int] = set()
+                threshold = inst.inside.inside[inst.target] + beam
                 for tree in inst.trees:
                     vs, arcs = tree_elements(tree)
-                    if tree.cost <= pr.threshold:
+                    if tree.cost <= threshold:
                         # (a) near-best trees use only kept elements
                         assert vs <= kept_vertices and arcs <= kept_arcs
-                    if tree.cost <= pr.threshold + 1e-9:
+                    if tree.cost <= threshold + 1e-9:
                         witnessed |= arcs
                 # (b) every kept arc is on some tree within the beam
                 assert kept_arcs <= witnessed
@@ -183,8 +184,8 @@ def test_criterion_5_two_phase_order(capsys, f3):
         query = Query(((0, 0.0),), 2)
         correct = reduce(f3, query)
         # the sound order removes U (indeed everything: the target collapses)
-        assert correct.pass2_vertices == frozenset()
-        assert not correct.target_reachable
+        assert correct.vertex_map == {}
+        assert correct.target is None
         # the backward pass alone, run first, wrongly retains U
         assert reach_to(f3, 2).vertices() == (0, 1, 2)
 

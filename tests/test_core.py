@@ -23,10 +23,10 @@ from hyperpaths import (
     viterbi_inside,
     viterbi_outside,
 )
-from hyperpaths.core import check_sources
+from hyperpaths.core import _distinct_tails, check_sources
 from hyperpaths.textio import format_float
 
-from support import random_hypergraph, random_sources
+from support import arc_total_cost, occurrences, random_hypergraph, random_sources
 
 
 def test_build_f1(f1):
@@ -39,7 +39,7 @@ def test_build_f1(f1):
     for i in f1.arc_indices:
         arc = f1.arc(i)
         bwd[arc.head].append(i)
-        for v, _ in arc.distinct_tails():
+        for v, _ in _distinct_tails(arc.tails):
             fwd[v].append(i)
     assert f1.forward == tuple(map(tuple, fwd))
     assert f1.backward == tuple(map(tuple, bwd))
@@ -92,8 +92,8 @@ def test_duplicate_names_rejected():
 
 def test_distinct_tails_aggregates_spread_pairs():
     arc = Hyperarc(0, ((1, 1), (2, 1), (1, 1)), 1.0)
-    assert arc.occurrences() == (1, 2, 1)
-    assert dict(arc.distinct_tails()) == {1: 2, 2: 1}
+    assert occurrences(arc) == (1, 2, 1)
+    assert _distinct_tails(arc.tails) == ((1, 2), (2, 1))
     assert build(3, (arc,)).input_size == 3 + 1 + 3
 
 
@@ -154,7 +154,7 @@ NUMBER_ARGUMENTS = {
     "prune beam": (
         lambda g, x: prune_relatively_useless(
             g, ins := viterbi_inside(g, [(0, 0.0)]), viterbi_outside(g, ins, 3), x
-        ).beam,
+        ),
         *BEAM,
     ),
     "inside stop beam": (lambda g, x: viterbi_inside(g, [(0, 0.0)], stop=(3, x)), *BEAM),
@@ -215,6 +215,25 @@ def test_build_rejects_a_negative_count_and_a_non_arc():
         build(-1, [])
     with pytest.raises(ValidationError, match="^arc 1: expected a Hyperarc, got object$"):
         build(2, [object()])
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        (True, "vertices must be a count or a sequence of names, got True"),
+        (2.5, "vertices must be a count or a sequence of names, got 2.5"),
+        (None, "vertices must be a count or a sequence of names, got None"),
+        ([1, 2], "vertex name must be a string or None, got 1"),
+        ("ab", "vertices must be a count or a sequence of names, got 'ab'"),
+    ],
+    ids=["bool", "float", "None", "int names", "str"],
+)
+def test_build_checks_its_vertices(vertices, message):
+    with pytest.raises(ValidationError) as info:
+        build(vertices, [])
+    assert str(info.value) == message
+    assert build(2, []).names == ("v0", "v1")
+    assert build(["a", None], []).names == ("a", "v1")
 
 
 def test_arc_index_is_checked(f1):
@@ -354,5 +373,5 @@ def test_arc_cost_matches_direct_sum(pairs, length):
     arc = Hyperarc(0, tuple(pairs), length)
     g = build(4, (arc,))
     costs = [0.5, 1.25, 2.0, 3.5]
-    expected = length + sum(m * costs[v] for v, m in arc.distinct_tails())
-    assert abs(g.arc_total_cost(1, costs) - expected) < 1e-12
+    expected = length + sum(m * costs[v] for v, m in _distinct_tails(arc.tails))
+    assert abs(arc_total_cost(g, 1, costs) - expected) < 1e-12

@@ -35,6 +35,7 @@ from oracle import EnumerationBudget, enumerate_trees
 from support import (
     enumerate_derivations,
     hyperpath_shape,
+    occurrences,
     random_acyclic_grammar,
     weighted_multisets_equal,
     yield_from_rhs,
@@ -137,7 +138,7 @@ def test_to_hypergraph_preserves_interleaved_occurrences():
     graph, _, _ = to_hypergraph(g)
     # interleaved yield keeps its occurrence order; only consecutive repeats group
     assert graph.arc(1).tails == ((1, 1), (2, 1), (1, 1))
-    assert graph.arc(1).occurrences() == (1, 2, 1)
+    assert occurrences(graph.arc(1)) == (1, 2, 1)
     g2 = Wrtg(
         frozenset({"b"}),
         ("S", "A"),
@@ -147,7 +148,7 @@ def test_to_hypergraph_preserves_interleaved_occurrences():
     graph2, _, _ = to_hypergraph(g2)
     # the terminal drops out of the yield, so the A's become consecutive
     assert graph2.arc(1).tails == ((1, 2),)
-    assert graph2.arc(1).occurrences() == (1, 1)
+    assert occurrences(graph2.arc(1)) == (1, 1)
 
 
 def test_wrtg_rejects_unwritable_symbols_when_built():
@@ -175,6 +176,39 @@ def test_wrtg_constructor_checks(nonterminals, start, production, message):
     assert str(info.value) == message
 
 
+_P = Production("S", ("a",), 0.5)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((frozenset(), (5,), 5, ()), "nonterminals item 5 is not a str"),
+        ((frozenset({"a", 1}), ("S",), "S", ()), "alphabet item 1 is not a str"),
+        ((frozenset({"a"}), ("S",), "S", ("S -> a",)),
+         "productions item 'S -> a' is not a Production"),
+        ((frozenset({"a"}), ("S",), "S", (Production("S", ["a"], 0.5),)),
+         "production 1: rhs ['a'] is not a tuple or an RhsTree"),
+        ((frozenset({"a"}), ("S",), "S", (Production("S", 5, 0.5),)),
+         "production 1: rhs 5 is not a tuple or an RhsTree"),
+        ((frozenset({"a"}), "S", "S", (_P,)), "nonterminals must be a tuple, got 'S'"),
+        (("a", ("S",), "S", (_P,)), "alphabet must be a frozenset, got 'a'"),
+        ((frozenset({"a"}), ("S",), "S", [_P]), f"productions must be a tuple, got {[_P]!r}"),
+        ((frozenset({"a"}), ("S",), ["S"], (_P,)), "start symbol ['S'] is not a nonterminal"),
+        ((frozenset({"a"}), ("S",), "S", (Production(["S"], ("a",), 0.5),)),
+         "production 1: lhs ['S'] is not a nonterminal"),
+        ((frozenset({"a"}), ("S",), "S", (Production("S", ("a", [1]), 0.5),)),
+         "production 1: unknown symbol [1]"),
+    ],
+    ids=["int nonterminal", "int letter", "str production", "list rhs", "int rhs",
+         "str nonterminals", "str alphabet", "list productions", "list start", "list lhs",
+         "list rhs item"],
+)
+def test_wrtg_constructor_names_the_bad_field(fields, message):
+    with pytest.raises(GrammarError) as info:
+        Wrtg(*fields)
+    assert str(info.value) == message
+
+
 def test_wrtg_rejects_a_symbol_ending_in_a_newline():
     # Written out and read back, it would silently become the symbol 'x'.
     with pytest.raises(GrammarError, match=r"invalid symbol 'x\\n'"):
@@ -197,7 +231,7 @@ def test_weight_one_gives_zero_length():
 def test_sink_name_avoids_collision():
     g = Wrtg(frozenset({"a"}), ("_OMEGA_",), "_OMEGA_", (Production("_OMEGA_", ("a",), 0.5),))
     graph, _, gmap = to_hypergraph(g)
-    assert gmap.sink_name == "_OMEGA_1"
+    assert graph.names[gmap.sink] == "_OMEGA_1"
     assert graph.names == ("_OMEGA_", "_OMEGA_1")
 
 
@@ -297,11 +331,11 @@ def test_best_derivation_rejects_a_tree_its_map_does_not_cover():
     g = _f1_grammar()
     graph, query, gmap = to_hypergraph(g)
     tree = extract_best_tree(graph, viterbi_inside(graph, query.sources), query.target)
-    nts, sink, sink_name = gmap.vertex_for_nonterminal, gmap.sink, gmap.sink_name
-    unmapped = GrammarHypergraphMap({1: 1, 3: 3}, nts, sink, sink_name)
+    nts, sink = gmap.vertex_for_nonterminal, gmap.sink
+    unmapped = GrammarHypergraphMap({1: 1, 3: 3}, nts, sink)
     with pytest.raises(ValidationError, match="^arc 2 maps to no production$"):
         best_derivation(g, tree, unmapped)
-    other_sink = GrammarHypergraphMap(gmap.production_for_arc, nts, 0, sink_name)
+    other_sink = GrammarHypergraphMap(gmap.production_for_arc, nts, 0)
     with pytest.raises(ValidationError, match="^tree leaf is not the grammar sink$"):
         best_derivation(g, tree, other_sink)
 

@@ -22,7 +22,6 @@ from hyperpaths import (
     build,
     extract_best_tree,
     format_tree,
-    iter_nodes,
     reach_from,
     reach_to,
     reduce,
@@ -31,9 +30,15 @@ from hyperpaths import (
     viterbi_inside,
     viterbi_outside,
 )
-from hyperpaths.core import _beam_bounds, check_sources
+from hyperpaths.core import _beam_bounds, _distinct_tails, check_sources
 
-from support import oracle_inside_table, random_weighted_instance, recompute_tree_cost
+from support import (
+    arc_total_cost,
+    iter_nodes,
+    oracle_inside_table,
+    random_weighted_instance,
+    recompute_tree_cost,
+)
 
 
 def test_inside_f1(f1):
@@ -210,7 +215,7 @@ def reference_inside(g, sources, use_guard=True, limit=INF, bound_sum=False):
     heap = [(inside[v], v) for v, _ in sources]
     heapq.heapify(heap)
     arcs = (None, *g.arcs)
-    remaining = [len(a.distinct_tails()) if a else 0 for a in arcs]
+    remaining = [len(_distinct_tails(a.tails)) if a else 0 for a in arcs]
     bound = [defaultdict(float) for _ in arcs]
     settled = [False] * g.n
     binds = 0
@@ -229,7 +234,7 @@ def reference_inside(g, sources, use_guard=True, limit=INF, bound_sum=False):
             bound[i][y] = inside[y]
             remaining[i] -= 1
             if remaining[i] == 0:
-                c = g.arc_total_cost(i, bound[i] if bound_sum else inside)
+                c = arc_total_cost(g, i, bound[i] if bound_sum else inside)
                 if c < inside[h]:
                     inside[h], pi[h] = c, i
                     heapq.heappush(heap, (c, h))
@@ -330,7 +335,7 @@ def test_pi_consistency_random():
                 continue
             assert g.arc(i).head == v
             # Exact: the firing step sums in arc_total_cost's order.
-            assert result.inside[v] == g.arc_total_cost(i, result.inside)
+            assert result.inside[v] == arc_total_cost(g, i, result.inside)
 
 
 @pytest.mark.parametrize("bound_sum", [False, True], ids=["default", "AdditiveCost"])
@@ -350,7 +355,7 @@ def test_guard_is_pure_optimization(bound_sum):
 
 def test_bind_counts(f1, f2):
     # fully reachable, guardless: exactly one bind per (arc, distinct tail)
-    total_slots = sum(len(f1.arc(i).distinct_tails()) for i in f1.arc_indices)
+    total_slots = sum(len(_distinct_tails(f1.arc(i).tails)) for i in f1.arc_indices)
     assert reference_inside(f1, [(0, 0.0)], use_guard=False)[2] == total_slots
     # the guard skips the self-loop bind entirely
     assert viterbi_inside(f2, [(0, 0.0)]).binds == 1

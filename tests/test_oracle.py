@@ -9,6 +9,7 @@ from hyperpaths import Hyperarc, build
 from oracle import EnumerationBudget, enumerate_trees, fixpoint_reach
 from support import (
     digest,
+    occurrences,
     random_weighted_instance,
     recompute_tree_cost,
     tree_elements,
@@ -80,7 +81,7 @@ def test_enumerated_trees_validate(f1):
                 continue
             arc = f1.arc(node.arc)
             assert arc.head == node.vertex
-            assert tuple(c.vertex for c in node.children) == arc.occurrences()
+            assert tuple(c.vertex for c in node.children) == occurrences(arc)
             stack.extend(node.children)
         assert recompute_tree_cost(f1, tree, src) == pytest.approx(tree.cost, abs=1e-12)
 

@@ -27,8 +27,10 @@ from hyperpaths.core import _beam_bounds
 from hyperpaths.outside import _keep_flags
 
 from support import (
+    arc_total_cost,
     boundary_beams,
     collect_reduced_instances,
+    occurrences,
     oracle_gamma_tables,
     random_hypergraph,
     random_sources,
@@ -160,7 +162,7 @@ def test_outside_records_each_arcs_utility():
             assert len(outs.gamma_arcs) == g.num_arcs + 1 and outs.gamma_arcs[0] == INF
             for i in g.arc_indices:
                 head = outs.outside[g._heads[i]]
-                total = g.arc_total_cost(i, ins_r.inside)
+                total = arc_total_cost(g, i, ins_r.inside)
                 expected = INF if INF in (head, total) else head + total
                 assert outs.gamma_arcs[i].hex() == expected.hex()
             assert utilities(g, ins_r, outs)[1] is outs.gamma_arcs
@@ -170,7 +172,7 @@ def test_outside_records_each_arcs_utility():
 def test_prune_f1_beam_one_removes_e4(f1):
     ins, outs = _f1_results(f1)
     pr = prune_relatively_useless(f1, ins, outs, 1.0)
-    assert pr.threshold == 4.5
+    assert ins.inside[outs.target] + 1.0 == 4.5  # the threshold
     assert pr.keep_vertices == (True, True, True, True)
     assert pr.keep_arcs[1:] == (True, True, True, False)
     assert sorted(pr.arc_map) == [1, 2, 3]
@@ -258,7 +260,7 @@ def test_prune_drops_a_kept_arc_whose_endpoint_rounding_left_unkept():
     assert 7 not in pr.arc_map
     for i in pr.arc_map:
         assert pr.keep_arcs[i]
-        assert all(pr.keep_vertices[v] for v in (g.arc(i).head, *g.arc(i).occurrences()))
+        assert all(pr.keep_vertices[v] for v in (g.arc(i).head, *occurrences(g.arc(i))))
 
 
 def test_prune_rejects_a_kept_arc_with_an_endpoint_far_above_the_cutoff():
@@ -311,7 +313,7 @@ def test_gamma_bounds(reduced_instances):
         # Exact: utilities sums in arc_total_cost's order.
         g = inst.graph
         for i in g.arc_indices:
-            expected = inst.outside.outside[g._heads[i]] + g.arc_total_cost(i, inst.inside.inside)
+            expected = inst.outside.outside[g._heads[i]] + arc_total_cost(g, i, inst.inside.inside)
             assert inst.gamma_e[i] == expected
 
 
@@ -323,7 +325,7 @@ def test_psi_consistency(reduced_instances):
     while len(cases) < 350:
         g, sources = random_weighted_instance(rng)
         red = reduce(g, Query(sources, rng.randrange(g.n)))
-        if red.target_reachable:
+        if red.target is not None:
             ins = viterbi_inside(red.graph, red.sources)
             cases.append((red.graph, ins, viterbi_outside(red.graph, ins, red.target)))
     for g, ins, outs in cases:
@@ -333,7 +335,7 @@ def test_psi_consistency(reduced_instances):
                 continue
             arc = g.arc(i)
             assert v in {t for t, _ in arc.tails}
-            expected = outs.outside[arc.head] + g.arc_total_cost(i, ins.inside) - ins.inside[v]
+            expected = outs.outside[arc.head] + arc_total_cost(g, i, ins.inside) - ins.inside[v]
             # Exact: the relaxation sums in arc_total_cost's order.
             assert outs.outside[v] == expected
 
@@ -350,7 +352,7 @@ def test_prune_safety_and_monotonicity(reduced_instances):
                 assert previous <= kept_arcs
             previous = kept_arcs
             for tree in inst.trees:
-                if tree.cost <= pr.threshold:
+                if tree.cost <= inst.inside.inside[inst.target] + beam:
                     vs, arcs = tree_elements(tree)
                     assert vs <= kept_vertices
                     assert arcs <= kept_arcs
@@ -403,7 +405,7 @@ def test_forward_restriction_changes_no_result():
             assert pr.gamma_arcs == _read_back(pr1.gamma_arcs, amap, arcs, INF)
             assert pr.keep_vertices == _read_back(pr1.keep_vertices, vmap, vertices, False)
             assert pr.keep_arcs == _read_back(pr1.keep_arcs, amap, arcs, False)
-            assert (pr.beam, pr.threshold) == (pr1.beam, pr1.threshold)
+            assert ins.inside[target] == ins1.inside[vmap[target]]  # so the thresholds agree
             assert pr.graph == pr1.graph
             composed_v = [(v, pr1.vertex_map[k]) for v, k in vmap.items() if k in pr1.vertex_map]
             composed_a = [(i, pr1.arc_map[k]) for i, k in rr.arc_map.items() if k in pr1.arc_map]

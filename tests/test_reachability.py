@@ -61,7 +61,7 @@ def test_reduce_f1_keeps_everything(f1, f1_query):
     assert red.graph == f1
     assert red.vertex_map == {v: v for v in range(4)}
     assert red.arc_map == {i: i for i in range(1, 5)}
-    assert red.target_reachable and red.target == 3
+    assert red.target == 3
 
 
 def test_reduce_keeps_arc_on_expensive_tree_only(f1, f1_query):
@@ -80,7 +80,6 @@ def test_reduce_keeps_arc_on_expensive_tree_only(f1, f1_query):
 
 def test_reduce_unreachable_target_is_empty(f3):
     red = reduce(f3, Query(((0, 0.0),), 2))
-    assert not red.target_reachable
     assert red.graph.n == 0 and red.graph.num_arcs == 0
     assert red.target is None and red.sources == ()
 
@@ -89,7 +88,7 @@ def test_two_phase_order_matters(f3):
     query = Query(((0, 0.0),), 2)
     correct = reduce(f3, query)
     # forward pass first: U is never derivable, the whole query collapses
-    assert correct.pass2_vertices == frozenset()
+    assert correct.vertex_map == {}
     # the backward pass alone, on the raw graph, wrongly certifies U as useful
     assert reach_to(f3, 2).vertices() == (0, 1, 2)
 
@@ -108,7 +107,7 @@ def test_reduce_idempotent_random():
         g = random_hypergraph(rng)
         query = Query(random_sources(rng, g), rng.randrange(g.n))
         red = reduce(g, query)
-        if not red.target_reachable:
+        if red.target is None:
             continue
         again = reduce(red.graph, Query(red.sources, red.target))
         assert again.graph == red.graph
@@ -123,7 +122,7 @@ def test_reduce_arcs_against_oracle_trees():
         g = random_hypergraph(rng, n_range=(1, 6), m_range=(0, 9))
         query = Query(random_sources(rng, g), rng.randrange(g.n))
         red = reduce(g, query)
-        if not red.target_reachable:
+        if red.target is None:
             continue
         enum = enumerate_trees(g, query.sources, query.target, budget)
         if not enum.complete:

@@ -55,13 +55,13 @@ CASES = {
     HyperpathTree: ((1, 1, (LEAF, LEAF), 1.0), (1, 1, (LEAF, TREE), 1.0)),
     OutsideResult: (((1.0, 0.0), (1, 0), 1, (INF, 1.0)), ((1.0, 0.0), (1, 0), 0, (INF, 1.0))),
     PruneResult: (
-        ((1.0, 1.0), (0.0, 1.0), (True, True), (False, True), 0.5, 1.5, GRAPH, {0: 0}, {1: 1}),
-        ((1.0, 1.0), (0.0, 1.0), (True, True), (False, False), 0.5, 1.5, GRAPH, {0: 0}, {1: 1}),
+        ((1.0, 1.0), (0.0, 1.0), (True, True), (False, True), GRAPH, {0: 0}, {1: 1}),
+        ((1.0, 1.0), (0.0, 1.0), (True, True), (False, False), GRAPH, {0: 0}, {1: 1}),
     ),
     ReachResult: (((True, False), 3), ((True, True), 3)),
     ReduceResult: (
-        (GRAPH, {0: 0}, {1: 1}, ((0, 0.0),), 1, True, frozenset({0, 1}), frozenset({0, 1})),
-        (GRAPH, {0: 0}, {1: 1}, ((0, 0.0),), None, False, frozenset({0, 1}), frozenset()),
+        (GRAPH, {0: 0}, {1: 1}, ((0, 0.0),), 1),
+        (GRAPH, {0: 0}, {1: 1}, ((0, 0.0),), None),
     ),
     ParsedHypergraph: ((GRAPH, ((0, 0.0),), 1), (GRAPH, ((0, 0.0),), None)),
     RhsTree: (("f", RHS.children), ("f", RHS.children[:1])),
@@ -70,7 +70,7 @@ CASES = {
         (frozenset({"b"}), ("A",), "A", (PRODUCTION,)),
         (frozenset({"b"}), ("A",), "A", (PRODUCTION, PRODUCTION)),
     ),
-    GrammarHypergraphMap: (({1: 1}, {"S": 0}, 1, "_OMEGA_"), ({1: 1}, {"S": 0}, None, "_OMEGA_")),
+    GrammarHypergraphMap: (({1: 1}, {"S": 0}, 1), ({1: 1}, {"S": 0}, None)),
     DerivationTree: ((1, (DerivationTree(2, ()),)), (1, (DerivationTree(3, ()),))),
 }
 TWINS = {
