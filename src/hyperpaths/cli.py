@@ -217,7 +217,7 @@ def _inside_outside(
     if ins.inside[query.target] == INF:
         from .reachability import reach_from
 
-        if not reach_from(g, query.source_vertices()).reached[query.target]:
+        if not reach_from(g, [v for v, _ in query.sources]).reached[query.target]:
             raise UnreachableTargetError(unreachable)
     return ins, viterbi_outside(g, ins, query.target, beam=beam)
 
@@ -270,15 +270,13 @@ def _cmd_from_grammar(args: argparse.Namespace) -> int:
     from .grammar import parse_grammar, to_hypergraph
 
     grammar = parse_grammar(_read_text(args.file))
-    graph, query, gmap = to_hypergraph(grammar)
+    graph, query, _ = to_hypergraph(grammar)
     map_path = args.map
     if map_path is None:
         if args.file == "-":
             raise _UsageError("--map is required when the grammar comes from stdin")
         map_path = args.file + ".map"
-    lines = "".join(
-        f"{arc} {production}\n" for arc, production in sorted(gmap.production_for_arc.items())
-    )
+    lines = "".join(f"{i} {i}\n" for i in graph.arc_indices)  # arc i is production i
     # The map first, so that a map that cannot be written leaves stdout empty.
     try:
         Path(map_path).write_text(lines, encoding="utf-8")

@@ -325,9 +325,6 @@ class Query(_Record):
         object.__setattr__(self, "sources", check_sources(sources))
         object.__setattr__(self, "target", _check_vertex(target))
 
-    def source_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.sources)
-
 
 class Hypergraph:
     """Immutable directed multi-hypergraph with both adjacency directions.

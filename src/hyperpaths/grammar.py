@@ -78,8 +78,10 @@ def yield_nonterminals(rhs: Rhs, nonterminals: frozenset[str] | set[str]) -> tup
     return tuple(out)
 
 
-def _rhs_symbols(rhs: Rhs) -> Iterable[tuple[str, bool]]:
-    """(symbol, is_internal_node) for every symbol of the rhs."""
+def _rhs_symbols(rhs: Rhs, idx: int = 0) -> Iterable[tuple[str, bool]]:
+    """(symbol, is_internal_node) for every symbol of the rhs; a tree node
+    that is not an ``RhsTree``, or whose children are not a tuple, raises
+    :class:`GrammarError` naming production ``idx``."""
     if isinstance(rhs, tuple):
         for s in rhs:
             yield s, False
@@ -87,8 +89,16 @@ def _rhs_symbols(rhs: Rhs) -> Iterable[tuple[str, bool]]:
     stack = [rhs]
     while stack:
         node = stack.pop()
-        yield node.label, bool(node.children)
-        stack.extend(node.children)
+        if not isinstance(node, RhsTree):
+            raise GrammarError(f"production {idx}: rhs child {node!r} is not an RhsTree")
+        children = node.children
+        yield node.label, bool(children)
+        if children.__class__ is not tuple:
+            raise GrammarError(
+                f"production {idx}: children {children!r} of rhs node {node.label!r} "
+                "are not a tuple"
+            )
+        stack.extend(children)
 
 
 class Wrtg(_Record):
@@ -127,16 +137,13 @@ class Wrtg(_Record):
                 raise GrammarError(f"production {idx}: lhs {p.lhs!r} is not a nonterminal")
             if p.rhs.__class__ is not tuple and not isinstance(p.rhs, RhsTree):
                 raise GrammarError(f"production {idx}: rhs {p.rhs!r} is not a tuple or an RhsTree")
-            for sym, internal in _rhs_symbols(p.rhs):
+            for sym, internal in _rhs_symbols(p.rhs, idx):
                 if not isinstance(sym, str) or sym not in nts and sym not in self.alphabet:
                     raise GrammarError(f"production {idx}: unknown symbol {sym!r}")
                 if internal and sym in nts:
                     raise GrammarError(
                         f"production {idx}: nonterminal {sym!r} used as an internal node"
                     )
-
-    def production_label(self, i: int) -> str:
-        return f"p{i}"
 
 
 def _trusted_wrtg(*values) -> Wrtg:
@@ -151,7 +158,7 @@ def derivation_grammar(g: Wrtg) -> Wrtg:
     trees of ``g``: each production's rhs becomes its label applied to the
     rhs nonterminal yield."""
     nts = frozenset(g.nonterminals)
-    labels = tuple(g.production_label(i) for i in range(1, len(g.productions) + 1))
+    labels = tuple(f"p{i}" for i in range(1, len(g.productions) + 1))
     productions = []
     for i, p in enumerate(g.productions, start=1):
         leaves = tuple(RhsTree(nt) for nt in yield_nonterminals(p.rhs, nts))
@@ -160,20 +167,19 @@ def derivation_grammar(g: Wrtg) -> Wrtg:
 
 
 class GrammarHypergraphMap(_Record):
-    """Index maps from a grammar's hypergraph image back to the grammar.
+    """The map from a grammar's hypergraph image back to the grammar.
 
-    ``production_for_arc`` maps each arc to its production index and
-    ``vertex_for_nonterminal`` each nonterminal to its vertex; ``sink`` is
-    the fictitious source vertex, ``None`` once a restriction dropped it,
-    and ``graph.names[sink]`` its name.
+    ``production_for_arc`` maps each arc to its production index; ``sink``
+    is the fictitious source vertex, ``None`` once a restriction dropped
+    it, and ``graph.names[sink]`` its name. Each nonterminal's vertex is
+    named after it, so ``graph.id_of(nt)`` is that vertex.
     After restricting or pruning the hypergraph, compose with the index maps
-    via :meth:`after_restriction`; both maps then cover exactly the
-    surviving arcs and vertices.
+    via :meth:`after_restriction`; ``production_for_arc`` then covers
+    exactly the surviving arcs.
     """
 
-    __slots__ = ("production_for_arc", "vertex_for_nonterminal", "sink")
+    __slots__ = ("production_for_arc", "sink")
     production_for_arc: dict[int, int]
-    vertex_for_nonterminal: dict[str, int]
     sink: int | None
 
     def after_restriction(
@@ -184,25 +190,20 @@ class GrammarHypergraphMap(_Record):
             for old, new in arc_map.items()
             if old in self.production_for_arc
         }
-        vfn = {
-            nt: vertex_map[v]
-            for nt, v in self.vertex_for_nonterminal.items()
-            if v in vertex_map
-        }
         return GrammarHypergraphMap(
             production_for_arc=pfa,
-            vertex_for_nonterminal=vfn,
             sink=vertex_map.get(self.sink) if self.sink is not None else None,
         )
 
 
 def to_hypergraph(g: Wrtg) -> tuple[Hypergraph, Query, GrammarHypergraphMap]:
-    """Convert a grammar to its hypergraph, query, and index maps.
+    """Convert a grammar to its hypergraph, query, and map.
 
-    Vertices are the nonterminals plus a fresh sink; arc i corresponds to
-    production i. Weights must lie in (0, 1] so arc lengths -ln(w) are
-    nonnegative, as the shortest-tree algorithms require; grammars with
-    weights above 1 are outside the supported class and rejected.
+    Vertex i is nonterminal i, named after it, and the last vertex a fresh
+    sink; arc i corresponds to production i. Weights must lie in (0, 1] so
+    arc lengths -ln(w) are nonnegative, as the shortest-tree algorithms
+    require; grammars with weights above 1 are outside the supported class
+    and rejected.
     """
     nts = frozenset(g.nonterminals)
     sink_name = SINK_NAME
@@ -245,11 +246,7 @@ def to_hypergraph(g: Wrtg) -> tuple[Hypergraph, Query, GrammarHypergraphMap]:
     # construction, so the graph is built unchecked.
     graph = Hypergraph(names, heads, tails, lengths)
     query = Query(((sink, 0.0),), vertex_of[g.start])
-    gmap = GrammarHypergraphMap(
-        production_for_arc={i: i for i in graph.arc_indices},
-        vertex_for_nonterminal=vertex_of,
-        sink=sink,
-    )
+    gmap = GrammarHypergraphMap(production_for_arc={i: i for i in graph.arc_indices}, sink=sink)
     return graph, query, gmap
 
 
@@ -257,12 +254,14 @@ def from_pruned(g: Wrtg, gmap: GrammarHypergraphMap, pruned: Hypergraph) -> Wrtg
     """Read a reduced grammar back off a pruned hypergraph.
 
     ``gmap`` must already be composed with the restriction maps that produced
-    ``pruned`` (see :meth:`GrammarHypergraphMap.after_restriction`). The
-    surviving productions keep their original order and weights; the start
-    symbol is unchanged. Raises :class:`GrammarError` when the start symbol
-    itself was pruned, since the remaining grammar derives nothing.
+    ``pruned`` (see :meth:`GrammarHypergraphMap.after_restriction`); only its
+    ``production_for_arc`` is read. The surviving productions keep their
+    original order and weights; the start symbol is unchanged. ``pruned``
+    keeps its vertices' names, so the start symbol was pruned when no vertex
+    of ``pruned`` bears its name; the remaining grammar then derives
+    nothing, and :class:`GrammarError` is raised.
     """
-    if g.start not in gmap.vertex_for_nonterminal:
+    if g.start not in pruned.names:
         raise GrammarError(f"language emptied: start symbol {g.start!r} was pruned")
     surviving: set[int] = set()
     for arc_index in pruned.arc_indices:

@@ -127,7 +127,7 @@ def _useful(g: Hypergraph, query: Query) -> tuple[tuple[bool, ...], list[int]]:
     only the arcs closed over the forward pass's vertices, and marks every
     tail of such an arc whose head it marks, so the useful arcs, those with
     a marked head, are closed over the marks."""
-    reached = reach_from(g, query.source_vertices()).reached
+    reached = reach_from(g, [v for v, _ in query.sources]).reached
     _check_vertex(query.target, g.n, "target ")
     if not reached[query.target]:
         return (False,) * g.n, []

@@ -198,10 +198,14 @@ _P = Production("S", ("a",), 0.5)
          "production 1: lhs ['S'] is not a nonterminal"),
         ((frozenset({"a"}), ("S",), "S", (Production("S", ("a", [1]), 0.5),)),
          "production 1: unknown symbol [1]"),
+        ((frozenset({"f", "a"}), ("S",), "S", (Production("S", RhsTree("f", ("a",)), 0.5),)),
+         "production 1: rhs child 'a' is not an RhsTree"),
+        ((frozenset({"f", "a"}), ("S",), "S", (Production("S", RhsTree("f", 5), 0.5),)),
+         "production 1: children 5 of rhs node 'f' are not a tuple"),
     ],
     ids=["int nonterminal", "int letter", "str production", "list rhs", "int rhs",
          "str nonterminals", "str alphabet", "list productions", "list start", "list lhs",
-         "list rhs item"],
+         "list rhs item", "str rhs child", "int rhs children"],
 )
 def test_wrtg_constructor_names_the_bad_field(fields, message):
     with pytest.raises(GrammarError) as info:
@@ -331,11 +335,10 @@ def test_best_derivation_rejects_a_tree_its_map_does_not_cover():
     g = _f1_grammar()
     graph, query, gmap = to_hypergraph(g)
     tree = extract_best_tree(graph, viterbi_inside(graph, query.sources), query.target)
-    nts, sink = gmap.vertex_for_nonterminal, gmap.sink
-    unmapped = GrammarHypergraphMap({1: 1, 3: 3}, nts, sink)
+    unmapped = GrammarHypergraphMap({1: 1, 3: 3}, gmap.sink)
     with pytest.raises(ValidationError, match="^arc 2 maps to no production$"):
         best_derivation(g, tree, unmapped)
-    other_sink = GrammarHypergraphMap(gmap.production_for_arc, nts, 0)
+    other_sink = GrammarHypergraphMap(gmap.production_for_arc, 0)
     with pytest.raises(ValidationError, match="^tree leaf is not the grammar sink$"):
         best_derivation(g, tree, other_sink)
 

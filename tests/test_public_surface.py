@@ -13,7 +13,9 @@ from hyperpaths import (
     Hyperarc,
     Hypergraph,
     PruneResult,
+    Query,
     ReduceResult,
+    Wrtg,
     format_tree,
 )
 
@@ -39,12 +41,14 @@ def test_record_fields_are_pinned():
         "gamma_vertices", "gamma_arcs", "keep_vertices", "keep_arcs", "graph", "vertex_map",
         "arc_map",
     )
-    assert GrammarHypergraphMap.__slots__ == ("production_for_arc", "vertex_for_nonterminal", "sink")
+    assert GrammarHypergraphMap.__slots__ == ("production_for_arc", "sink")
 
 
 def test_derived_views_are_not_public():
     assert not hasattr(Hyperarc, "occurrences") and not hasattr(Hyperarc, "distinct_tails")
     assert not hasattr(Hypergraph, "arc_total_cost")
+    assert not hasattr(Query, "source_vertices")
+    assert not hasattr(Wrtg, "production_label")
 
 
 def test_format_tree_takes_name_of_without_a_default():

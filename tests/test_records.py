@@ -70,7 +70,7 @@ CASES = {
         (frozenset({"b"}), ("A",), "A", (PRODUCTION,)),
         (frozenset({"b"}), ("A",), "A", (PRODUCTION, PRODUCTION)),
     ),
-    GrammarHypergraphMap: (({1: 1}, {"S": 0}, 1), ({1: 1}, {"S": 0}, None)),
+    GrammarHypergraphMap: (({1: 1}, 1), ({1: 1}, None)),
     DerivationTree: ((1, (DerivationTree(2, ()),)), (1, (DerivationTree(3, ()),))),
 }
 TWINS = {

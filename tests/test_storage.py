@@ -144,7 +144,7 @@ def test_parse_of_serialize_stores_the_graph():
 def two_restrict_reduce(g, query: Query):
     """The two-phase reduction as a composition of two restrictions."""
     target = query.target
-    p1 = reach_from(g, query.source_vertices())
+    p1 = reach_from(g, [v for v, _ in query.sources])
     if not p1.reached[target]:
         return restrict(g, ()).graph, {}, {}, set(p1.vertices()), set()
     r1 = restrict(g, p1.vertices())
@@ -337,7 +337,7 @@ def test_cli_reduce_builds_only_the_parsed_graph(graph_count, copy_calls, tmp_pa
     path.write_text(text, encoding="utf-8")
     parsed = parse_hypergraph(text)
     red = reduce(parsed.graph, parsed.query())
-    pass1 = reach_from(parsed.graph, parsed.query().source_vertices()).vertices()
+    pass1 = reach_from(parsed.graph, [v for v, _ in parsed.query().sources]).vertices()
     assert set(red.vertex_map) < set(pass1), "pass 2 drops something"
     graph_count[0] = copy_calls[0] = 0
     out = io.StringIO()
