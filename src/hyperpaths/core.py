@@ -248,14 +248,6 @@ def _check_vertex(v: object, n: float = INF, what: str = "") -> int:
     return v
 
 
-def _check_names(names: Sequence[str]) -> None:
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise ValidationError(f"duplicate vertex name {name!r}")
-        seen.add(name)
-
-
 def _distinct_tails(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """One ``(vertex, total multiplicity)`` pair per distinct tail vertex, in
     order of first occurrence; ``pairs`` itself when its vertices are distinct."""
@@ -349,8 +341,8 @@ class Hypergraph:
     :func:`build`. ``dtails``, when given, is taken as the distinct tails of
     every arc instead of deriving them; each entry must equal what
     ``_distinct_tails`` derives from the arc's tails, and be the tails
-    tuple itself when those hold no repeated vertex (:meth:`validate`
-    re-derives and compares them); only ``_subgraph`` gives it.
+    tuple itself when those hold no repeated vertex; only ``_subgraph``
+    gives it.
     """
 
     __slots__ = (
@@ -437,34 +429,6 @@ class Hypergraph:
         except KeyError:
             raise ValidationError(f"unknown vertex name {name!r}") from None
 
-    # -- validation ----------------------------------------------------------
-
-    def validate(self) -> None:
-        """Re-derive distinct tails and adjacency from the arc arrays and compare.
-
-        Raises :class:`InternalInvariantError` if the derived data disagree
-        with the arrays, :class:`ValidationError` for bad arc data.
-        """
-        fwd: list[list[int]] = [[] for _ in range(self.n)]
-        bwd: list[list[int]] = [[] for _ in range(self.n)]
-        for i in self.arc_indices:
-            head = self._heads[i]
-            if not 0 <= head < self.n:
-                raise ValidationError(f"arc {i}: head vertex {head} out of range")
-            bwd[head].append(i)
-            dtails = _distinct_tails(self._tails[i])
-            if dtails != self._dtails[i]:
-                raise InternalInvariantError(f"arc {i}: distinct tails disagree with its tails")
-            for v, _ in dtails:
-                if not 0 <= v < self.n:
-                    raise ValidationError(f"arc {i}: tail vertex {v} out of range")
-                fwd[v].append(i)
-        if tuple(map(tuple, fwd)) != self.forward:
-            raise InternalInvariantError("forward adjacency disagrees with arcs")
-        if tuple(map(tuple, bwd)) != self.backward:
-            raise InternalInvariantError("backward adjacency disagrees with arcs")
-        _check_names(self.names)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
@@ -502,7 +466,11 @@ def build(vertices: int | Sequence[str | None], arcs: Iterable[Hyperarc]) -> Hyp
     for name in names:
         if name is not None and not isinstance(name, str):
             raise ValidationError(f"vertex name must be a string or None, got {name!r}")
-    taken = set(names)
+    taken: set[str | None] = set()
+    for name in names:
+        if name in taken and name is not None:
+            raise ValidationError(f"duplicate vertex name {name!r}")
+        taken.add(name)
     for v, name in enumerate(names):
         if name is None:
             name = f"v{v}"
@@ -510,7 +478,6 @@ def build(vertices: int | Sequence[str | None], arcs: Iterable[Hyperarc]) -> Hyp
                 name = "_" + name
             taken.add(name)
             names[v] = name
-    _check_names(names)
     n = len(names)
     heads, tails, lengths = [0], [()], [0.0]
     for i, arc in enumerate(arcs, start=1):

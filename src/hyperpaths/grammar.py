@@ -259,15 +259,19 @@ def from_pruned(g: Wrtg, gmap: GrammarHypergraphMap, pruned: Hypergraph) -> Wrtg
     original order and weights; the start symbol is unchanged. ``pruned``
     keeps its vertices' names, so the start symbol was pruned when no vertex
     of ``pruned`` bears its name; the remaining grammar then derives
-    nothing, and :class:`GrammarError` is raised.
+    nothing, and :class:`GrammarError` is raised, as it is for an arc of
+    ``pruned`` that the map takes to no production of ``g``.
     """
     if g.start not in pruned.names:
         raise GrammarError(f"language emptied: start symbol {g.start!r} was pruned")
     surviving: set[int] = set()
+    count = len(g.productions)
     for arc_index in pruned.arc_indices:
         p = gmap.production_for_arc.get(arc_index)
         if p is None:
             raise GrammarError(f"pruned arc {arc_index} maps to no production")
+        if p.__class__ is not int or not 1 <= p <= count:
+            raise GrammarError(f"pruned arc {arc_index} maps to {p!r}, not a production 1..{count}")
         surviving.add(p)
     return _subgrammar(g, sorted(surviving))
 

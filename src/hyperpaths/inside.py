@@ -194,13 +194,16 @@ def extract_best_tree(g: Hypergraph, result: InsideResult, vertex: int) -> Hyper
     a vertex is unique per ``pi``), so construction is linear even when the
     unfolded tree is not. The tree's cost equals ``inside[vertex]`` up to
     float rounding. Raises :class:`UnreachableTargetError` when the vertex
-    has no tree, :class:`InternalInvariantError` on a cyclic predecessor
+    has no tree, :class:`ValidationError` when ``result`` is not of ``g``'s
+    size or a ``pi`` entry it follows is not an arc of ``g`` into that
+    vertex, and :class:`InternalInvariantError` on a cyclic predecessor
     chain (impossible for results produced by :func:`viterbi_inside`).
     """
     _check_vertex(vertex, g.n)
-    inside, pi = result.inside, result.pi
+    inside, pi, heads = result.inside, result.pi, g._heads
+    mismatch = "inside result does not match this hypergraph"
     if len(inside) != g.n or len(pi) != g.n:
-        raise ValidationError("inside result does not match this hypergraph")
+        raise ValidationError(mismatch)
     if inside[vertex] == INF:
         raise UnreachableTargetError(f"vertex '{g.name_of(vertex)}' is unreachable")
 
@@ -219,6 +222,8 @@ def extract_best_tree(g: Hypergraph, result: InsideResult, vertex: int) -> Hyper
             if i == 0:
                 nodes[v] = HyperpathTree(0, v, (), inside[v])
                 continue
+            if i.__class__ is not int or not 0 < i < len(heads) or heads[i] != v:
+                raise ValidationError(mismatch)
             nodes[v] = None
             stack.append((v, True))
             for t, _ in g._dtails[i]:

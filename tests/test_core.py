@@ -11,7 +11,6 @@ from hyperpaths import (
     GrammarError,
     Hypergraph,
     Hyperarc,
-    InternalInvariantError,
     Production,
     Query,
     ValidationError,
@@ -29,20 +28,31 @@ from hyperpaths.textio import format_float
 from support import arc_total_cost, occurrences, random_hypergraph, random_sources
 
 
+def assert_derived_arrays(g: Hypergraph) -> None:
+    """Derive each arc's distinct tails (one pair per tail vertex, in order
+    of first occurrence, multiplicities summed) and both adjacency lists
+    from ``g.arcs``, and compare them with what the constructor stored."""
+    fwd = [[] for _ in range(g.n)]
+    bwd = [[] for _ in range(g.n)]
+    for i, arc in enumerate(g.arcs, start=1):
+        total = {}
+        for v, m in arc.tails:
+            total[v] = total.get(v, 0) + m
+        assert g._dtails[i] == tuple(total.items())
+        if len(total) == len(arc.tails):
+            assert g._dtails[i] is g._tails[i]
+        assert g._arity[i] == len(total)
+        bwd[arc.head].append(i)
+        for v in total:
+            fwd[v].append(i)
+    assert g.forward == tuple(map(tuple, fwd))
+    assert g.backward == tuple(map(tuple, bwd))
+
+
 def test_build_f1(f1):
     assert f1.n == 4
     assert f1.num_arcs == 4
-    f1.validate()
-    # re-derive adjacency by hand and compare
-    fwd = [[] for _ in range(4)]
-    bwd = [[] for _ in range(4)]
-    for i in f1.arc_indices:
-        arc = f1.arc(i)
-        bwd[arc.head].append(i)
-        for v, _ in _distinct_tails(arc.tails):
-            fwd[v].append(i)
-    assert f1.forward == tuple(map(tuple, fwd))
-    assert f1.backward == tuple(map(tuple, bwd))
+    assert_derived_arrays(f1)
     # e4's doubled tail appears once in the adjacency
     assert f1.forward[1] == (3, 4)
     # n plus, per arc, the head and each tail pair
@@ -51,7 +61,7 @@ def test_build_f1(f1):
 
 def test_build_trivial():
     g = build(1, ())
-    g.validate()
+    assert_derived_arrays(g)
     assert g.n == 1 and g.num_arcs == 0
     assert g.forward == ((),)
 
@@ -247,25 +257,6 @@ def test_arc_index_is_checked(f1):
         assert str(info.value) == f"arc index must be an integer, got {bad!r}"
 
 
-def test_validate_reports_each_broken_invariant():
-    """Each check of ``validate``, on graphs the unchecked constructor made."""
-    names, one = ("a", "b"), ((0, 1),)
-    # A negative id indexes the adjacency from the end, so the constructor runs.
-    with pytest.raises(ValidationError, match="^arc 1: head vertex -1 out of range$"):
-        Hypergraph(names, [0, -1], [(), one], [0.0, 1.0]).validate()
-    with pytest.raises(ValidationError, match="^arc 1: tail vertex -2 out of range$"):
-        Hypergraph(names, [0, 1], [(), ((-2, 1),)], [0.0, 1.0]).validate()
-    with pytest.raises(InternalInvariantError, match="^arc 1: distinct tails disagree"):
-        Hypergraph(names, [0, 1], [(), ((0, 1), (0, 1))], [0.0, 1.0], [(), one]).validate()
-    with pytest.raises(ValidationError, match="^duplicate vertex name 'a'$"):
-        Hypergraph(("a", "a"), [0, 1], [(), one], [0.0, 1.0]).validate()
-    for attr in ("forward", "backward"):
-        g = Hypergraph(names, [0, 1], [(), one], [0.0, 1.0])
-        setattr(g, attr, ((), ()))
-        with pytest.raises(InternalInvariantError, match=f"^{attr} adjacency disagrees with arcs$"):
-            g.validate()
-
-
 def test_restrict_identity(f1):
     res = restrict(f1, range(4))
     assert res.graph == f1
@@ -310,10 +301,10 @@ def test_restrict_membership_predicate_random():
             assert (i in surviving) == expected
 
 
-def test_validate_random():
+def test_build_derives_the_arc_arrays_random():
     rng = Random(9)
     for _ in range(30):
-        random_hypergraph(rng).validate()
+        assert_derived_arrays(random_hypergraph(rng))
 
 
 def test_serialize_parse_roundtrip_bytes(f1):

@@ -306,6 +306,18 @@ def test_from_pruned_detects_emptied_language():
         from_pruned(g, gmap2, res.graph)
 
 
+def test_from_pruned_rejects_an_index_that_is_not_a_production():
+    w = parse_grammar("1: S -> a\n0.5: S -> f(S, S)\n")
+    graph, _, gmap = to_hypergraph(w)
+    for production_for_arc, message in (
+        ({1: 0, 2: 2}, "pruned arc 1 maps to 0, not a production 1..2"),
+        ({1: 1, 2: 5}, "pruned arc 2 maps to 5, not a production 1..2"),
+    ):
+        with pytest.raises(GrammarError) as info:
+            from_pruned(w, GrammarHypergraphMap(production_for_arc, gmap.sink), graph)
+        assert str(info.value) == message
+
+
 def test_best_derivation_f1():
     g = _f1_grammar()
     graph, query, gmap = to_hypergraph(g)

@@ -22,6 +22,7 @@ from hyperpaths import (
     build,
     extract_best_tree,
     format_tree,
+    parse_hypergraph,
     reach_from,
     reach_to,
     reduce,
@@ -407,6 +408,23 @@ def test_extract_rejects_an_inside_result_of_another_size(f1):
         result = viterbi_inside(other, [(0, 0.0)])
         with pytest.raises(ValidationError, match="^inside result does not match this hypergraph$"):
             extract_best_tree(g, result, 3)
+
+
+def test_extract_rejects_a_predecessor_that_is_not_an_arc_into_its_vertex():
+    g = parse_hypergraph("arc A <- S @ 1\narc B <- A A @ 2\narc C <- B @ 1\nsource S\n")
+    h = parse_hypergraph(
+        "arc A <- S @ 1\narc B <- A @ 1\narc B <- S @ 5\narc C <- B @ 1\nsource S\n"
+    )
+    assert g.graph.names == h.graph.names == ("A", "S", "B", "C")
+    ins = viterbi_inside(g.graph, g.require_sources())
+    assert ins.pi == (1, 0, 2, 3)
+    for result in (
+        viterbi_inside(h.graph, h.require_sources()),  # C's arc 4 is not in g
+        InsideResult(ins.inside, (1, 0, 1, 3), ins.binds),  # arc 1's head is A, not B
+        InsideResult(ins.inside, (1, 0, 2, -1), ins.binds),
+    ):
+        with pytest.raises(ValidationError, match="^inside result does not match this hypergraph$"):
+            extract_best_tree(g.graph, result, 3)
 
 
 def test_extract_rejects_a_cyclic_predecessor_chain(f2):

@@ -449,3 +449,13 @@ def test_passes_stopped_at_the_beam_keep_what_the_full_passes_keep():
             flags = _keep_flags(g, ins_b, viterbi_outside(g, ins_b, target, beam=beam), beam)
             assert flags[2:5] == _keep_flags(g, ins, outs, beam)[2:5]
     assert stopped >= 500, f"only {stopped} of {runs} inside passes stopped early"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: outside costs cancel against a large inside cost")
+def test_outside_cost_survives_a_large_source_cost():
+    # S -> A -> T with a source cost of 1e20: the completion of A and of S is
+    # T's arc alone, 0.001, but c - inside[t] cancels it to 0.0.
+    g = build(["S", "A", "T"], [Hyperarc(1, ((0, 1),), 0.0), Hyperarc(2, ((1, 1),), 0.001)])
+    outs = viterbi_outside(g, viterbi_inside(g, [(0, 1e20)]), 2)
+    assert outs.outside[1] == pytest.approx(0.001) and outs.outside[0] == pytest.approx(0.001)

@@ -46,7 +46,7 @@ def test_record_fields_are_pinned():
 
 def test_derived_views_are_not_public():
     assert not hasattr(Hyperarc, "occurrences") and not hasattr(Hyperarc, "distinct_tails")
-    assert not hasattr(Hypergraph, "arc_total_cost")
+    assert not hasattr(Hypergraph, "arc_total_cost") and not hasattr(Hypergraph, "validate")
     assert not hasattr(Query, "source_vertices")
     assert not hasattr(Wrtg, "production_label")
 

@@ -111,7 +111,6 @@ def test_restrict_stores_what_build_stores():
         assert stored(res.graph) == stored(expected)
         assert merged_arcs(res.graph) == merged_arcs(expected)
         spread_kept += sum(spread_repeat(t) for t in res.graph._tails)
-        res.graph.validate()
     assert spread_kept >= 50
 
 
@@ -138,7 +137,6 @@ def test_parse_of_serialize_stores_the_graph():
         g = random_named_graph(rng) if rng.random() < 0.5 else random_hypergraph(rng)
         parsed = parse_hypergraph(serialize_hypergraph(g)).graph
         assert stored(parsed) == stored(g)
-        parsed.validate()
 
 
 def two_restrict_reduce(g, query: Query):
