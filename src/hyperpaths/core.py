@@ -341,8 +341,8 @@ class Hypergraph:
     :func:`build`. ``dtails``, when given, is taken as the distinct tails of
     every arc instead of deriving them; each entry must equal what
     ``_distinct_tails`` derives from the arc's tails, and be the tails
-    tuple itself when those hold no repeated vertex; only ``_subgraph``
-    gives it.
+    tuple itself when those hold no repeated vertex; ``_subgraph`` and
+    :func:`~hyperpaths.textio.parse_hypergraph` give it.
     """
 
     __slots__ = (

@@ -311,9 +311,12 @@ def best_derivation(
     product of the used production weights.
 
     A subtree shared between repeated tails, as :func:`extract_best_tree`
-    builds them, is converted once and shared in the result too."""
+    builds them, is converted once and shared in the result too. A map entry
+    of a tree arc that is not a production index of ``g`` raises
+    :class:`GrammarError`."""
     if tree.arc == 0:
         raise ValidationError("a bare source leaf corresponds to no derivation")
+    count = len(g.productions)
 
     def convert(node: HyperpathTree, done: dict[int, DerivationTree | None]):
         if not node.arc:  # a sink leaf has no derivation node
@@ -323,6 +326,10 @@ def best_derivation(
         production = gmap.production_for_arc.get(node.arc)
         if production is None:
             raise ValidationError(f"arc {node.arc} maps to no production")
+        if production.__class__ is not int or not 1 <= production <= count:
+            raise GrammarError(
+                f"arc {node.arc} maps to {production!r}, not a production 1..{count}"
+            )
         return DerivationTree(production, tuple([done[id(c)] for c in node.children if c.arc]))
 
     return tree._fold(convert), math.exp(-tree.cost)

@@ -19,7 +19,8 @@ import math
 import re
 
 from .core import (
-    INF, FormatError, Hypergraph, Query, ValidationError, _check_vertex, _Record, check_sources
+    INF, FormatError, Hypergraph, Query, ValidationError, _check_vertex, _distinct_tails, _Record,
+    check_sources,
 )
 
 # A vertex name, applied with fullmatch; '<-' alone would read as an arrow.
@@ -110,37 +111,47 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
             raise FormatError(f"multiplicity must be >= 1 in {token!r}", line)
         return (vid(name, line), mult)
 
-    heads, tails, lengths = [0], [()], [0.0]
+    heads, tails, lengths, dtails = [0], [()], [0.0], [()]
     sources: list[tuple[int, float]] = []
     source_names: set[str] = set()
     target: int | None = None
+    get = known.get
+    comments = "#" in text
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
+        if comments and "#" in raw:
             raw = raw.split("#", 1)[0]
         tokens = raw.split()
         if not tokens:
             continue
         kind = tokens[0]
         if kind == "arc":
-            if len(tokens) < 6 or tokens[2] != "<-":
-                raise FormatError(
-                    "expected: arc <head> <- <tail>[*<mult>] ... @ <length>", lineno
-                )
-            try:
-                at = tokens.index("@")
-            except ValueError:
-                raise FormatError("arc line is missing '@ <length>'", lineno) from None
-            if at != len(tokens) - 2:
-                raise FormatError("expected a single length after '@'", lineno)
-            # The checks above leave at least one tail token, before ``at``.
-            pair = known.get(tokens[1])
-            heads.append(pair[0] if pair is not None else vid(tokens[1], lineno))
-            pairs = []
-            for tok in tokens[3:at]:
+            if (
+                len(tokens) == 7 and tokens[2] == "<-" and tokens[5] == "@"
+                and (head := get(tokens[1])) and (a := get(tokens[3])) and (b := get(tokens[4]))
+            ):
+                # The common line: two tails, every name known, no '*'.
+                heads.append(head[0])
+                pairs = (a, b)
+                dtails.append(pairs if a[0] != b[0] else _distinct_tails(pairs))
+            else:
+                if len(tokens) < 6 or tokens[2] != "<-":
+                    raise FormatError(
+                        "expected: arc <head> <- <tail>[*<mult>] ... @ <length>", lineno
+                    )
+                try:
+                    at = tokens.index("@")
+                except ValueError:
+                    raise FormatError("arc line is missing '@ <length>'", lineno) from None
+                if at != len(tokens) - 2:
+                    raise FormatError("expected a single length after '@'", lineno)
+                # The checks above leave at least one tail token, before ``at``.
+                head = get(tokens[1])
+                heads.append(head[0] if head is not None else vid(tokens[1], lineno))
                 # A known name holds no '*', so such a token is the name alone.
-                pairs.append(known.get(tok) or tail(tok, lineno))
-            tails.append(tuple(pairs))
+                pairs = tuple([get(tok) or tail(tok, lineno) for tok in tokens[3:at]])
+                dtails.append(pairs if len(pairs) == 1 else _distinct_tails(pairs))
+            tails.append(pairs)
             try:
                 length = float(tokens[-1])
             except ValueError:
@@ -173,7 +184,7 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
             raise FormatError(f"unknown directive {kind!r}", lineno)
 
     # Every token has been checked above, so the graph is built unchecked.
-    graph = Hypergraph(tuple(known), heads, tails, lengths)
+    graph = Hypergraph(tuple(known), heads, tails, lengths, dtails)
     return ParsedHypergraph(graph, tuple(sources), target)
 
 

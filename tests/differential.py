@@ -49,7 +49,13 @@ a repr over 4 KiB by its SHA-256):
 - every public call that takes a cost, length, beam or weight, with the
   values ``"x"``, ``None``, ``nan``, ``-1.0``, ``-inf``, ``10**400`` and
   ``inf`` and the accepted ``"1.5"``, ``2``, ``True`` and ``-0.0``, on random
-  graphs ("numbers").
+  graphs ("numbers");
+- ``parse_hypergraph`` on every input of ``tests/golden/parse_cases.json``,
+  every ``tests/golden/cli/*.hg`` file and every benchmark text of seeds 13
+  and 31, and on seeded single-token mutations of the benchmark texts (a
+  token dropped or doubled, an arc length set to ``nan``, ``-1``, ``inf`` or
+  ``x``, ``#`` or ``*2`` inserted), compared by every array the parsed graph
+  stores ("hypergraph parse").
 
 Each GROUP given, such as ``"vertex ids"``, limits the run to that group's
 jobs; with none, every group runs. Prints the number of differing results
@@ -89,6 +95,8 @@ NUMBER_CALLS = (
     "outside beam", "prune beam", "inside stop beam", "Production weight",
 )
 NUMBERS = ("x", None, math.nan, -1.0, -math.inf, 10**400, math.inf, "1.5", 2, True, -0.0)
+MUTATIONS = ("drop", "double", "nan", "-1", "inf", "x", "#", "*2")
+MUTANTS_PER_TEXT = 20
 
 
 # -- worker: runs jobs on whichever hyperpaths is on sys.path ------------------
@@ -167,6 +175,42 @@ def _number_call(hp, parsed, call: str, x):
     return float(x), pr.keep_vertices, pr.keep_arcs
 
 
+def _mutant(text: str, seed: int) -> str:
+    """``text`` with one seeded change to one line's tokens: a token dropped
+    or doubled, an arc line's length replaced, ``#`` inserted before a token
+    or ``*2`` appended to one."""
+    rng = Random(seed)
+    lines = text.splitlines(True)
+    what = rng.choice(MUTATIONS)
+    arcs = [k for k, line in enumerate(lines) if line.startswith("arc ")]
+    k = rng.choice(arcs) if arcs and what in ("nan", "-1", "inf", "x") else rng.randrange(len(lines))
+    tokens = lines[k].split()
+    j = rng.randrange(len(tokens))
+    if what == "drop":
+        del tokens[j]
+    elif what == "double":
+        tokens.insert(j, tokens[j])
+    elif what == "#":
+        tokens.insert(j, "#")
+    elif what == "*2":
+        tokens[j] += "*2"
+    else:
+        tokens[-1] = what
+    lines[k] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
+def _parsed_arrays(parsed) -> tuple:
+    """Everything a parse stores, with the arcs whose distinct tails are a
+    tuple of their own rather than the tails tuple itself."""
+    g = parsed.graph
+    merged = [i for i in g.arc_indices if g._dtails[i] is not g._tails[i]]
+    return (
+        g.names, g._heads, g._tails, g._lengths, g._dtails, merged, g._arity, g.forward,
+        g.backward, g.input_size, parsed.sources, parsed.target,
+    )
+
+
 def _run_job(hp, texts: list[str], graphs: dict, job: list):
     kind = job[0]
     if kind == "cli":
@@ -201,6 +245,9 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         return pruned, _derivation_table(deriv), weight
     if kind == "grammar text":
         return hp.serialize_grammar(hp.parse_grammar(texts[job[1]]))
+    if kind == "parse":  # job[2] seeds a mutation of the text, or is None
+        text = texts[job[1]] if job[2] is None else _mutant(texts[job[1]], job[2])
+        return _parsed_arrays(hp.parse_hypergraph(text))
     if kind in ("unnamed reduce", "unnamed prune", "unnamed restrict"):
         names, arcs = job[1:3]
         g = hp.build(names, [hp.Hyperarc(h, tuple(map(tuple, t)), x) for h, t, x in arcs])
@@ -346,6 +393,7 @@ def build_jobs() -> tuple[dict, list[str]]:
     import hyperpaths as hp
     from support import boundary_beams, random_hypergraph, random_sources, random_weighted_instance
     from test_grammar_parse_table import CASES as GRAMMAR_PARSE_CASES
+    from test_parse_table import CASES as PARSE_CASES
 
     texts: list[str] = []
     jobs: list[list] = []
@@ -454,6 +502,7 @@ def build_jobs() -> tuple[dict, list[str]]:
         for keep in ([], some, rng.sample(range(g.n), g.n)):
             add("restrict random", [*job, keep])
 
+    mutant_seeds = Random(20)
     for seed in SEEDS:
         instances = [(inst, [(inst.sources, inst.target)]) for inst in gen.charts(seed)]
         horn, queries = gen.horn(seed)
@@ -462,6 +511,9 @@ def build_jobs() -> tuple[dict, list[str]]:
         instances.append((grammar.hypergraph, [(grammar.hypergraph.sources, grammar.hypergraph.target)]))
         for inst, inst_queries in instances:
             ti = add_text(gen.hypergraph_text(inst))
+            add("hypergraph parse", ["parse", ti, None])
+            for _ in range(MUTANTS_PER_TEXT):
+                add("hypergraph parse", ["parse", ti, mutant_seeds.randrange(2**32)])
             for sources, target in inst_queries:
                 srcs = [[inst.names[v], c] for v, c in sources]
                 add("reduce benchmark", ["reduce", ti, srcs, inst.names[target]])
@@ -472,6 +524,10 @@ def build_jobs() -> tuple[dict, list[str]]:
         add("grammar pipeline benchmark", ["grammar", add_text(grammar.text)])
     for text in GRAMMAR_PARSE_CASES.values():
         add("grammar parse cases", ["grammar text", add_text(text)])
+    for text in PARSE_CASES.values():
+        add("hypergraph parse", ["parse", add_text(text), None])
+    for path in sorted((ROOT / "tests/golden/cli").glob("*.hg")):
+        add("hypergraph parse", ["parse", add_text(path.read_text(encoding="utf-8")), None])
 
     # CLI: golden inputs, one chart, the horn graph and grammar of each seed,
     # and random graphs.

@@ -136,6 +136,29 @@ def arc_total_cost(g: Hypergraph, i: int, costs) -> float:
     return c
 
 
+def assert_derived_arrays(g: Hypergraph) -> None:
+    """Derive each arc's distinct tails (one pair per tail vertex, in order
+    of first occurrence, multiplicities summed) and both adjacency lists
+    from ``g.arcs``, and compare them with what the constructor stored. An
+    arc whose tails repeat no vertex must store its tails tuple itself as
+    its distinct tails, as the constructor requires of a given ``dtails``."""
+    fwd = [[] for _ in range(g.n)]
+    bwd = [[] for _ in range(g.n)]
+    for i, arc in enumerate(g.arcs, start=1):
+        total = {}
+        for v, m in arc.tails:
+            total[v] = total.get(v, 0) + m
+        assert g._dtails[i] == tuple(total.items())
+        if len(total) == len(arc.tails):
+            assert g._dtails[i] is g._tails[i]
+        assert g._arity[i] == len(total)
+        bwd[arc.head].append(i)
+        for v in total:
+            fwd[v].append(i)
+    assert g.forward == tuple(map(tuple, fwd))
+    assert g.backward == tuple(map(tuple, bwd))
+
+
 def tree_elements(tree: HyperpathTree) -> tuple[set[int], set[int]]:
     """(vertices, arcs) used by a tree: arc heads, source leaves, arc labels."""
     vertices: set[int] = set()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hyperpaths import (
     GrammarError,
-    Hypergraph,
     Hyperarc,
     Production,
     Query,
@@ -25,28 +24,9 @@ from hyperpaths import (
 from hyperpaths.core import _distinct_tails, check_sources
 from hyperpaths.textio import format_float
 
-from support import arc_total_cost, occurrences, random_hypergraph, random_sources
-
-
-def assert_derived_arrays(g: Hypergraph) -> None:
-    """Derive each arc's distinct tails (one pair per tail vertex, in order
-    of first occurrence, multiplicities summed) and both adjacency lists
-    from ``g.arcs``, and compare them with what the constructor stored."""
-    fwd = [[] for _ in range(g.n)]
-    bwd = [[] for _ in range(g.n)]
-    for i, arc in enumerate(g.arcs, start=1):
-        total = {}
-        for v, m in arc.tails:
-            total[v] = total.get(v, 0) + m
-        assert g._dtails[i] == tuple(total.items())
-        if len(total) == len(arc.tails):
-            assert g._dtails[i] is g._tails[i]
-        assert g._arity[i] == len(total)
-        bwd[arc.head].append(i)
-        for v in total:
-            fwd[v].append(i)
-    assert g.forward == tuple(map(tuple, fwd))
-    assert g.backward == tuple(map(tuple, bwd))
+from support import (
+    arc_total_cost, assert_derived_arrays, occurrences, random_hypergraph, random_sources
+)
 
 
 def test_build_f1(f1):

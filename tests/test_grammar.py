@@ -318,6 +318,21 @@ def test_from_pruned_rejects_an_index_that_is_not_a_production():
         assert str(info.value) == message
 
 
+def test_best_derivation_rejects_an_index_that_is_not_a_production():
+    w = parse_grammar("1: S -> a\n0.5: S -> f(S, S)\n")
+    graph, query, gmap = to_hypergraph(w)
+    tree = extract_best_tree(graph, viterbi_inside(graph, query.sources), query.target)
+    assert tree.arc == 1 and best_derivation(w, tree, gmap)[0].production == 1
+    for production_for_arc, message in (
+        ({1: 99, 2: 0}, "arc 1 maps to 99, not a production 1..2"),
+        ({1: 0, 2: 1}, "arc 1 maps to 0, not a production 1..2"),
+        ({1: True, 2: 2}, "arc 1 maps to True, not a production 1..2"),
+    ):
+        with pytest.raises(GrammarError) as info:
+            best_derivation(w, tree, GrammarHypergraphMap(production_for_arc, gmap.sink))
+        assert str(info.value) == message
+
+
 def test_best_derivation_f1():
     g = _f1_grammar()
     graph, query, gmap = to_hypergraph(g)

@@ -20,6 +20,9 @@ import pytest
 HERE = Path(__file__).resolve().parent
 OUTCOMES = HERE / "golden" / "parse_cases.json"
 
+# Declares every name of the "declared:" cases before their arc lines.
+DECLARED = "vertex S\nvertex A\nvertex B\n"
+
 # name -> input text
 CASES: dict[str, str] = {
     # invalid names, at their first mention and on later lines or tokens
@@ -102,6 +105,34 @@ CASES: dict[str, str] = {
     # whitespace
     "tabs between tokens": "vertex\tA\narc\tS\t<-\tA\tB*2\t@\t1.5\nsource\tA\t0.25\ntarget\tS\n",
     "tabs and spaces mixed": " \tarc S\t <- \tA  @\t\t1 \t\n",
+    # two-tail arc lines whose names are all declared before them
+    "declared: plain": DECLARED + "arc S <- A B @ 1.5\narc A <- S S @ 0\n",
+    "declared: length x": DECLARED + "arc S <- A B @ x\n",
+    "declared: length nan": DECLARED + "arc S <- A B @ nan\n",
+    "declared: length -NaN": DECLARED + "arc S <- A B @ -NaN\n",
+    "declared: length -1": DECLARED + "arc S <- A B @ -1\n",
+    "declared: length -1e-300": DECLARED + "arc S <- A B @ -1e-300\n",
+    "declared: length -0": DECLARED + "arc S <- A B @ -0\n",
+    "declared: length inf": DECLARED + "arc S <- A B @ inf\n",
+    "declared: length -inf": DECLARED + "arc S <- A B @ -inf\n",
+    "declared: length 1e999": DECLARED + "arc S <- A B @ 1e999\n",
+    "declared: length 1_0": DECLARED + "arc S <- A B @ 1_0\n",
+    "declared: @ before the last tail": DECLARED + "arc S <- A @ B 1\n",
+    "declared: @ twice": DECLARED + "arc S <- A @ @ 1\n",
+    "declared: @ as the first tail": DECLARED + "arc S <- @ A @ 1\n",
+    "declared: no @": DECLARED + "arc S <- A B C 1\n",
+    "declared: <- as a tail": DECLARED + "arc S <- A <- @ 1\n",
+    "declared: -> for <-": DECLARED + "arc S -> A B @ 1\n",
+    "declared: A*2": DECLARED + "arc S <- A*2 B @ 1\n",
+    "declared: B*1": DECLARED + "arc S <- A B*1 @ 1\n",
+    "declared: B*0": DECLARED + "arc S <- A B*0 @ 1\n",
+    "declared: repeated tail": DECLARED + "arc A <- B B @ 1\narc S <- A A @ 2\n",
+    "declared: head is new": DECLARED + "arc T <- A B @ 1\n",
+    "declared: tail is new": DECLARED + "arc S <- A C @ 1\n",
+    "declared: seven tokens, not an arc": DECLARED + "vertex A B C D E F\n",
+    "declared: CRLF": DECLARED.replace("\n", "\r\n") + "arc S <- A B @ 1\r\narc B <- A A @ 2\r\n",
+    "declared: trailing comment": DECLARED + "arc S <- A B @ 1 # note\narc B <- A S @ 2#x\n",
+    "declared: comment after the arc lines": DECLARED + "arc S <- A B @ 1\n# end\n",
 }
 
 

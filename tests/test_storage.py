@@ -39,7 +39,7 @@ from hyperpaths.cli import main
 
 from conftest import F1_GRAMMAR_TEXT
 from oracle import enumerate_trees
-from support import layered_hypergraph, random_hypergraph, random_sources
+from support import assert_derived_arrays, layered_hypergraph, random_hypergraph, random_sources
 
 
 def stored(g) -> tuple:
@@ -132,11 +132,38 @@ def test_keep_all_restrict_returns_its_input():
 
 
 def test_parse_of_serialize_stores_the_graph():
+    """The parser stores what ``build`` stores, through both of its arc
+    branches: a two-tail line over declared names without '*' (repeated
+    tails included), and every other line, as when the text declares no
+    names or a tail carries a multiplicity."""
     rng = Random(42)
-    for _ in range(100):
-        g = random_named_graph(rng) if rng.random() < 0.5 else random_hypergraph(rng)
-        parsed = parse_hypergraph(serialize_hypergraph(g)).graph
+    shapes = {"plain": 0, "plain repeated": 0, "undeclared": 0, "star": 0}
+    for k in range(240):
+        if k % 3 == 0:
+            g = random_named_graph(rng)
+        elif k % 3 == 1:
+            g = random_hypergraph(rng)
+        else:
+            # Few vertices and no multiplicities: plain two-tail arcs often
+            # repeat their tail vertex.
+            g = random_hypergraph(rng, n_range=(1, 4), max_mult=1)
+        text = serialize_hypergraph(g)
+        parsed = parse_hypergraph(text).graph
         assert stored(parsed) == stored(g)
+        assert_derived_arrays(parsed)
+        # Without its vertex lines, each name is declared where it first occurs.
+        undeclared = "".join(line for line in text.splitlines(True) if line.startswith("arc"))
+        reparsed = parse_hypergraph(undeclared).graph
+        assert stored(reparsed) == stored(build(reparsed.names, reparsed.arcs))
+        assert_derived_arrays(reparsed)
+        for line in undeclared.splitlines():
+            tokens = line.split()
+            if "*" in line:
+                shapes["star"] += 1
+            elif len(tokens) == 7:
+                shapes["plain repeated" if tokens[3] == tokens[4] else "plain"] += 1
+        shapes["undeclared"] += reparsed.n
+    assert min(shapes.values()) >= 50, shapes
 
 
 def two_restrict_reduce(g, query: Query):
