@@ -31,8 +31,7 @@ _HOME = {
         "best_derivation derivation_grammar from_pruned parse_grammar serialize_grammar "
         "to_hypergraph yield_nonterminals",
         "inside": "HyperpathTree InsideResult extract_best_tree format_tree viterbi_inside",
-        "outside": "OutsideResult PruneResult prune_relatively_useless utilities "
-        "viterbi_outside",
+        "outside": "OutsideResult PruneResult prune_relatively_useless viterbi_outside",
         "reachability": "ReachResult ReduceResult reach_from reach_to reduce",
         "textio": "ParsedHypergraph format_float parse_hypergraph serialize_hypergraph",
     }.items()

@@ -237,21 +237,20 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     g = parsed.graph
     query = parsed.query()
     ins, outs = _inside_outside(g, query)
-    gamma_v, gamma_e, keep_v, keep_e, kept = _keep_flags(g, ins, outs, beam)
+    gamma_v, keep_v, keep_e, kept = _keep_flags(g, ins, outs, beam)
 
     _write_kept(g, keep_v, kept, query)  # the target is kept
 
     vertices = (g.names, ins.inside, outs.outside, gamma_v, keep_v)
-    arcs = (g.arc_indices, gamma_e[1:], keep_e[1:])
+    arcs = (g.arc_indices, outs.gamma_arcs[1:], keep_e[1:])
     best = ins.inside[query.target]
     if args.report == "json":
         sys.stderr.write(_json_report(g, vertices, arcs, best))
     else:
-        sys.stderr.write(
-            _rows("vertex %s inside %.17g outside %.17g gamma %.17g keep %d\n", *vertices)
-            + _rows("arc %d gamma %.17g keep %d\n", *arcs)
-            + "best %.17g\n" % best
-        )
+        write = sys.stderr.write  # one write a part: the report is never one string
+        write(_rows("vertex %s inside %.17g outside %.17g gamma %.17g keep %d\n", *vertices))
+        write(_rows("arc %d gamma %.17g keep %d\n", *arcs))
+        write("best %.17g\n" % best)
     return EXIT_OK
 
 
@@ -299,7 +298,7 @@ def _cmd_prune_grammar(args: argparse.Namespace) -> int:
     ins, outs = _inside_outside(
         graph, query, "target unreachable: the grammar derives nothing", beam
     )
-    kept = _keep_flags(graph, ins, outs, beam)[4]
+    kept = _keep_flags(graph, ins, outs, beam)[3]
     sys.stdout.write(serialize_grammar(_subgrammar(grammar, kept)))
     return EXIT_OK
 

@@ -15,7 +15,9 @@ File format (``#`` comments)::
 
 Items are bare identifiers. Identifiers that appear on some left-hand side
 are the nonterminals; everything else is a terminal. A parenthesized rhs
-like ``sigma(A, b)`` is a tree; a flat item list is a CFG string.
+like ``sigma(A, b)`` is a tree; a flat item list is a CFG string. A
+``<weight>`` is any string Python's ``float`` takes, as the graph format's
+numbers are (``0_5`` reads as 5); it must be finite and above 0.
 """
 
 from __future__ import annotations

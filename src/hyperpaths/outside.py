@@ -13,7 +13,7 @@ exactly for vertices on some cheapest tree; vertices off every best tree get
 strictly larger completions.
 
 Each arc is relaxed from its head's outside cost plus its full cost. That sum
-is the arc's utility, which the pass returns for :func:`utilities` and pruning.
+is the arc's utility, which the pass returns for pruning.
 """
 
 from __future__ import annotations
@@ -69,7 +69,10 @@ def viterbi_outside(
 
     The relaxation's ``c = outside[head] + (length + Σ mult·inside[tail])``
     is the arc's utility and goes to ``gamma_arcs``; an arc never relaxed
-    (its head not settled, or a tail unreached) keeps ``inf``.
+    (its head not settled, or a tail unreached) keeps ``inf``. The pop test
+    needs no settled flag: relaxations skip settled tails, so a settled cost
+    never changes, and each push lowers a cost, so leftover entries fail
+    ``key > outside[x]``.
 
     A finite ``beam`` ends the pass at the first key above the limit of
     :func:`prune_relatively_useless` for ``inside[target] + beam``; a vertex
@@ -102,7 +105,7 @@ def viterbi_outside(
 
     while heap:
         key, x = pop(heap)
-        if settled[x] or key > outside[x]:
+        if key > outside[x]:
             continue
         if key > limit:
             break
@@ -131,24 +134,6 @@ def viterbi_outside(
         psi = [a if o <= limit else 0 for o, a in zip(outside, psi)]
         outside = [o if o <= limit else INF for o in outside]
     return OutsideResult(tuple(outside), tuple(psi), target, tuple(gamma_e))
-
-
-def utilities(
-    g: Hypergraph, ins: InsideResult, outs: OutsideResult
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-vertex and per-arc utility: cost of the cheapest complete
-    hyperpath-tree from the sources to the target using that element.
-
-    A vertex's utility is ``inside + outside``; an arc's is its head's
-    outside plus its full default cost, as :func:`viterbi_outside` recorded
-    it in ``outs.gamma_arcs``. Any infinite operand yields ``inf`` (the
-    element is on no finite tree). The per-arc array is indexed 1..m with
-    slot 0 unused (``inf``).
-    """
-    inside, outside = ins.inside, outs.outside
-    if len(inside) != g.n or len(outside) != g.n or len(outs.gamma_arcs) != g.num_arcs + 1:
-        raise ValidationError("results do not match this hypergraph")
-    return tuple(map(operator.add, inside, outside)), outs.gamma_arcs
 
 
 class PruneResult(_Record):
@@ -181,11 +166,12 @@ class PruneResult(_Record):
 
 def _keep_flags(
     g: Hypergraph, ins: InsideResult, outs: OutsideResult, beam: float
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...], list[bool], list[int]]:
-    """Utilities and keep flags of a prune at ``beam``: ``(gamma_v, gamma_e,
-    keep_v, keep_e, kept)``, where ``kept`` lists, in increasing
-    order, the arcs flagged kept whose endpoints are all flagged kept too:
-    the arcs of the pruned graph.
+) -> tuple[tuple[float, ...], tuple[bool, ...], list[bool], list[int]]:
+    """Vertex utilities and keep flags of a prune at ``beam``: ``(gamma_v,
+    keep_v, keep_e, kept)``, where ``kept`` lists, in increasing order, the
+    arcs flagged kept whose endpoints are all flagged kept too: the arcs of
+    the pruned graph. It trusts its inputs (passes on ``g`` that reach the
+    target, a checked ``beam``); :func:`prune_relatively_useless` checks them.
 
     The flags read only values at most the limit, so passes stopped there
     (``viterbi_inside(..., stop=(target, beam))`` and ``viterbi_outside(...,
@@ -200,16 +186,12 @@ def _keep_flags(
     1e-9·max(1, |best + beam|) above it); it never gives a kept vertex its
     value. So kept elements read bitwise the full passes' values. The
     other values are the full ones or larger (``inf`` above the limit), so
-    an element not kept stays not kept. ``beam`` must be a checked float.
+    an element not kept stays not kept.
     """
-    best = ins.inside[outs.target]
-    if best == INF:
-        raise UnreachableTargetError("target is unreachable; nothing to prune")
-
-    gamma_v, gamma_e = utilities(g, ins, outs)
-    cutoff, limit = _beam_bounds(best + beam)
+    gamma_v = tuple(map(operator.add, ins.inside, outs.outside))
+    cutoff, limit = _beam_bounds(ins.inside[outs.target] + beam)
     keep_v = tuple(math.isfinite(x) and x <= cutoff for x in gamma_v)
-    keep_e = [x <= cutoff and x < INF for x in gamma_e]
+    keep_e = [x <= cutoff and x < INF for x in outs.gamma_arcs]
     flagged = [i for i in g.arc_indices if keep_e[i]]
     kept = _closed_arcs(g, keep_v, flagged)
     if len(kept) < len(flagged):
@@ -220,7 +202,7 @@ def _keep_flags(
             for v in (g._heads[i], *[t for t, _ in g._dtails[i]]):
                 if not gamma_v[v] <= limit:
                     raise InternalInvariantError(f"arc {i} kept but endpoint vertex {v} is not")
-    return gamma_v, gamma_e, keep_v, keep_e, kept
+    return gamma_v, keep_v, keep_e, kept
 
 
 def prune_relatively_useless(
@@ -233,14 +215,21 @@ def prune_relatively_useless(
     lying on any finite-cost tree to the target. The best tree always
     survives, so re-running the inside pass on the pruned graph reproduces
     the best cost; kept sets grow monotonically with the beam. O(t) given
-    the two prior passes.
+    the two prior passes. Before it reads a value, it raises
+    :class:`ValidationError` for results sized for another graph or a
+    target that is not a vertex id, and :class:`UnreachableTargetError` for
+    an unreached target.
     """
     beam = _check_number(beam, "beam", finite=False)
-    gamma_v, gamma_e, keep_v, keep_e, kept = _keep_flags(g, ins, outs, beam)
+    if not len(ins.inside) == len(outs.outside) == g.n or len(outs.gamma_arcs) != g.num_arcs + 1:
+        raise ValidationError("results do not match this hypergraph")
+    if ins.inside[_check_vertex(outs.target, g.n, "target ")] == INF:
+        raise UnreachableTargetError("target is unreachable; nothing to prune")
+    gamma_v, keep_v, keep_e, kept = _keep_flags(g, ins, outs, beam)
     res = _subgraph(g, [v for v in range(g.n) if keep_v[v]], kept)
     return PruneResult(
         gamma_vertices=gamma_v,
-        gamma_arcs=gamma_e,
+        gamma_arcs=outs.gamma_arcs,
         keep_vertices=keep_v,
         keep_arcs=tuple(keep_e),
         graph=res.graph,

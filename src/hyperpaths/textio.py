@@ -11,6 +11,11 @@ Grammar of a file (``#`` starts a comment, blank lines ignored)::
 of a name declares it. Vertex ids are assigned in order of first appearance.
 Floats are printed with 17 significant digits so that serialize -> parse ->
 serialize is byte-identical.
+
+A ``<length>`` or ``<initialCost>`` is any string Python's ``float`` takes:
+``+2`` and ``.5`` too, ``1_0`` reads as 10 and ``١٢`` as 12. The range
+check then rejects NaN, negative and infinite values. Such spellings are
+written back in canonical form.
 """
 
 from __future__ import annotations

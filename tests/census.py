@@ -11,13 +11,17 @@ query once with its ``check``, and every CLI command of ``cli`` through
 ``hyperpaths.cli.main`` with its check. Then it replays every recorded CLI
 transcript of ``tests/golden/cli/transcripts.json`` through ``main`` in a
 scratch directory holding copies of the golden inputs. It prints, per
-module, the executable lines (those with bytecode) that never ran. It reads
-``perfbench/`` and writes only to temporary directories. This is a script,
-not a pytest module.
+module, the executable lines (those with bytecode) that never ran, then the
+public functions of ``hyperpaths.__all__`` that this traffic never calls
+from outside the package. That list flags names for review, not for
+deletion: ``build``, for one, is the validating entry point for library
+users. It reads ``perfbench/`` and writes only to temporary directories.
+This is a script, not a pytest module.
 """
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import os
@@ -96,11 +100,15 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     prefix = str(PACKAGE) + os.sep
     ran: dict[str, set[int]] = {}
+    entered = set()  # code objects of package frames whose caller is outside it
 
     def trace(frame, event, arg):  # only package frames get a line tracer
         filename = frame.f_code.co_filename
         if not filename.startswith(prefix):
             return None
+        caller = frame.f_back
+        if caller is None or not caller.f_code.co_filename.startswith(prefix):
+            entered.add(frame.f_code)
         seen = ran.setdefault(filename, set())
         seen.add(frame.f_lineno)
 
@@ -124,6 +132,11 @@ def main(argv: list[str]) -> int:
         if missed:
             print("  " + ", ".join(spans(missed, sorted(lines))))
     print(f"total: {never} of {total} executable lines never ran (seed {seed})")
+    import hyperpaths
+
+    public = [(name, getattr(hyperpaths, name)) for name in hyperpaths.__all__]
+    uncalled = [n for n, f in public if inspect.isfunction(f) and f.__code__ not in entered]
+    print("public functions never called from outside the package:", ", ".join(uncalled) or "none")
     return 0
 
 

@@ -19,7 +19,8 @@ a repr over 4 KiB by its SHA-256):
   the same graphs;
 - ``viterbi_outside`` on the same graphs and targets, after the full inside
   pass and with ``beam=`` 0, 1 and inf after the inside pass stopped at that
-  beam, compared by outside costs, ``psi`` and both ``utilities`` tuples;
+  beam, compared by outside costs, ``psi`` and both utility tuples
+  (``inside + outside`` per vertex and ``gamma_arcs``);
 - ``reduce`` with sources or a target out of range, in several orders;
 - ``prune_relatively_useless`` on random graphs at beams 0, 0.5 and inf and
   at each arc's boundary beam (the least beam that keeps the arc) and the
@@ -69,6 +70,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -120,6 +122,12 @@ def _derivation_table(deriv) -> list:
         stack.append((node, True))
         stack.extend((c, False) for c in node.children)
     return [list(index), index[key_of[id(deriv)]]]
+
+
+def _utilities(ins, outs) -> tuple:
+    """The vertex and arc utilities of two passes: ``inside + outside`` per
+    vertex, and the outside pass's ``gamma_arcs``."""
+    return tuple(map(operator.add, ins.inside, outs.outside)), outs.gamma_arcs
 
 
 def _restricted(hp, g, keep: list[int]):
@@ -307,7 +315,7 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         else:
             ins = hp.viterbi_inside(g, sources, stop=(target, beam))
             outs = hp.viterbi_outside(g, ins, target, beam=beam)
-        return outs.outside, outs.psi, hp.utilities(g, ins, outs)
+        return outs.outside, outs.psi, _utilities(ins, outs)
     raise ValueError(f"unknown job kind {kind!r}")
 
 
@@ -374,7 +382,7 @@ def _boundary_beams(hp, graph, sources, target: int) -> list[float]:
     best = ins.inside[target]
     if best == math.inf:
         return []
-    gamma_v, gamma_e = hp.utilities(graph, ins, hp.viterbi_outside(graph, ins, target))
+    gamma_v, gamma_e = _utilities(ins, hp.viterbi_outside(graph, ins, target))
     xs = [x for x in gamma_e[1:] + gamma_v if x < math.inf]
     return sorted({b for x in xs for b in boundary_beams(best, x) if b >= 0})
 
@@ -464,7 +472,7 @@ def build_jobs() -> tuple[dict, list[str]]:
         target = rng.choice(targets)
         ti = add_text(hp.serialize_hypergraph(g))
         best = ins.inside[target]
-        _, gamma_e = hp.utilities(g, ins, hp.viterbi_outside(g, ins, target))
+        _, gamma_e = _utilities(ins, hp.viterbi_outside(g, ins, target))
         beams = [0.0, 0.5, math.inf]
         for x in gamma_e[1:]:
             if x < math.inf:
@@ -580,7 +588,7 @@ def build_jobs() -> tuple[dict, list[str]]:
         g, sources = random_weighted_instance(rng)
         ins = hp.viterbi_inside(g, sources)
         target = rng.choice([v for v in range(g.n) if ins.inside[v] < math.inf])
-        gamma_v, gamma_e = hp.utilities(g, ins, hp.viterbi_outside(g, ins, target))
+        gamma_v, gamma_e = _utilities(ins, hp.viterbi_outside(g, ins, target))
         if taken >= 100 and not any(
             gamma_v[t] > gamma_e[i] for i in g.arc_indices for t, _ in g._dtails[i]
         ):

@@ -21,8 +21,8 @@ from hyperpaths import (
     RhsTree,
     Wrtg,
     build,
+    prune_relatively_useless,
     reduce,
-    utilities,
     viterbi_inside,
     viterbi_outside,
 )
@@ -259,7 +259,8 @@ def reduced_oracle_instance(rng: Random, max_trees: int = 300_000) -> ReducedIns
     assert target2 is not None
     ins = viterbi_inside(g2, sources2)
     outs = viterbi_outside(g2, ins, target2)
-    gv, ge = utilities(g2, ins, outs)
+    pr = prune_relatively_useless(g2, ins, outs, INF)
+    gv, ge = pr.gamma_vertices, pr.gamma_arcs
     finite = [x for x in list(gv) + list(ge[1:]) if x != INF]
     horizon = (max(finite) if finite else ins.inside[target2]) + 1.0
     budget = EnumerationBudget(

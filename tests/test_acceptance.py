@@ -27,7 +27,6 @@ from hyperpaths import (
     reach_to,
     reduce,
     to_hypergraph,
-    utilities,
     viterbi_inside,
     viterbi_outside,
 )
@@ -300,12 +299,11 @@ def test_criterion_8_fixture_regressions(capsys, f1):
         for v in range(f1.n):
             assert outs.outside[v] == golden["outside"][name_of(v)]
             assert outs.psi[v] == golden["psi"][name_of(v)]
-        gv, ge = utilities(f1, ins, outs)
-        for v in range(f1.n):
-            assert gv[v] == golden["gamma_vertices"][name_of(v)]
-        for i in f1.arc_indices:
-            assert ge[i] == golden["gamma_arcs"][str(i)]
         pr = prune_relatively_useless(f1, ins, outs, golden["prune_beam"])
+        for v in range(f1.n):
+            assert pr.gamma_vertices[v] == golden["gamma_vertices"][name_of(v)]
+        for i in f1.arc_indices:
+            assert pr.gamma_arcs[i] == golden["gamma_arcs"][str(i)]
         removed = [i for i in f1.arc_indices if i not in pr.arc_map]
         assert removed == golden["removed_arcs"]
         assert ins.inside[3] == golden["best_cost"]

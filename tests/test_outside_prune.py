@@ -19,7 +19,6 @@ from hyperpaths import (
     reach_from,
     reduce,
     restrict,
-    utilities,
     viterbi_inside,
     viterbi_outside,
 )
@@ -75,7 +74,8 @@ def test_outside_unreachable_target_raises(f3):
 
 def test_utilities_f1(f1):
     ins, outs = _f1_results(f1)
-    gv, ge = utilities(f1, ins, outs)
+    pr = prune_relatively_useless(f1, ins, outs, INF)
+    gv, ge = pr.gamma_vertices, pr.gamma_arcs
     assert gv == (3.5, 3.5, 3.5, 3.5)
     assert ge[0] == INF
     assert ge[1:] == (3.5, 3.5, 3.5, 5.0)
@@ -87,26 +87,53 @@ def test_utilities_infinite_for_useless_vertex():
     g = build(("omega", "S", "D"), arcs)
     ins = viterbi_inside(g, [(0, 0.0)])
     outs = viterbi_outside(g, ins, 1)
-    gv, ge = utilities(g, ins, outs)
-    assert gv[2] == INF
-    assert ge[2] == INF
+    pr = prune_relatively_useless(g, ins, outs, INF)
+    assert pr.gamma_vertices[2] == INF
+    assert pr.gamma_arcs[2] == INF
 
 
 def test_utility_of_source_level_arc():
     g = build(2, (Hyperarc(1, ((0, 2),), 1.5),))
     ins = viterbi_inside(g, [(0, 0.25)])
     outs = viterbi_outside(g, ins, 1)
-    _, ge = utilities(g, ins, outs)
+    ge = prune_relatively_useless(g, ins, outs, INF).gamma_arcs
     # head is the target: gamma = l + m * i_source + 0
     assert ge[1] == pytest.approx(1.5 + 2 * 0.25)
 
 
-def test_utilities_rejects_gamma_arcs_of_the_wrong_length(f1):
+def test_prune_rejects_gamma_arcs_of_the_wrong_length(f1):
     ins, outs = _f1_results(f1)
     for gamma_arcs in (outs.gamma_arcs[:-1], outs.gamma_arcs + (INF,)):
         bad = OutsideResult(outs.outside, outs.psi, outs.target, gamma_arcs)
         with pytest.raises(ValidationError, match="results do not match"):
-            utilities(f1, ins, bad)
+            prune_relatively_useless(f1, ins, bad, 1.0)
+
+
+def test_prune_rejects_results_of_a_larger_graph():
+    # The outside result of S -> A -> B -> T, pruned against S -> T: it is
+    # rejected before any of its values is read.
+    g_small = build(["S", "T"], [Hyperarc(1, ((0, 1),), 1.0)])
+    g_big = build(["S", "A", "B", "T"], [Hyperarc(v + 1, ((v, 1),), 1.0) for v in range(3)])
+    outs_big = viterbi_outside(g_big, viterbi_inside(g_big, [(0, 0.0)]), 3)
+    with pytest.raises(ValidationError, match="^results do not match this hypergraph$"):
+        prune_relatively_useless(g_small, viterbi_inside(g_small, [(0, 0.0)]), outs_big, 1.0)
+
+
+def test_prune_checks_the_target_of_an_outside_result():
+    # A hand-made result whose target is no vertex id: -1 and True once read
+    # the last and second vertex's inside cost, and 2 raised IndexError.
+    g = build(["S", "T"], [Hyperarc(1, ((0, 1),), 1.0)])
+    ins = viterbi_inside(g, [(0, 0.0)])
+    outs = viterbi_outside(g, ins, 1)
+    for target, message in (
+        (2, "target vertex 2 out of range (n=2)"),
+        (-1, "vertex id must be a nonnegative integer, got -1"),
+        (True, "vertex id must be a nonnegative integer, got True"),
+    ):
+        bad = OutsideResult(outs.outside, outs.psi, target, outs.gamma_arcs)
+        with pytest.raises(ValidationError) as info:
+            prune_relatively_useless(g, ins, bad, 1.0)
+        assert str(info.value) == message
 
 
 def _tie_heavy(rng: Random):
@@ -140,7 +167,7 @@ def test_outside_records_each_arcs_utility():
     """``gamma_arcs[i]`` is bitwise ``outside[head] + arc_total_cost(i,
     inside)``, or ``inf`` where either term is, after the full passes and
     after passes stopped at beams 0, 1 and inf, on random, tie-heavy and
-    cyclic graphs; ``utilities`` returns that tuple."""
+    cyclic graphs; ``PruneResult.gamma_arcs`` is that tuple."""
     rng = Random(304)
     cyclic = 0
     for k in range(300):
@@ -154,18 +181,18 @@ def test_outside_records_each_arcs_utility():
         sources = random_sources(rng, g)[: rng.randint(1, 3)]
         ins = viterbi_inside(g, sources)
         target = rng.choice([v for v in range(g.n) if ins.inside[v] < INF])
-        runs = [(ins, viterbi_outside(g, ins, target))]
+        runs = [(INF, ins, viterbi_outside(g, ins, target))]
         for beam in (0.0, 1.0, INF):
             ins_b = viterbi_inside(g, sources, stop=(target, beam))
-            runs.append((ins_b, viterbi_outside(g, ins_b, target, beam=beam)))
-        for ins_r, outs in runs:
+            runs.append((beam, ins_b, viterbi_outside(g, ins_b, target, beam=beam)))
+        for beam, ins_r, outs in runs:
             assert len(outs.gamma_arcs) == g.num_arcs + 1 and outs.gamma_arcs[0] == INF
             for i in g.arc_indices:
                 head = outs.outside[g._heads[i]]
                 total = arc_total_cost(g, i, ins_r.inside)
                 expected = INF if INF in (head, total) else head + total
                 assert outs.gamma_arcs[i].hex() == expected.hex()
-            assert utilities(g, ins_r, outs)[1] is outs.gamma_arcs
+            assert prune_relatively_useless(g, ins_r, outs, beam).gamma_arcs is outs.gamma_arcs
     assert cyclic >= 100
 
 
@@ -310,7 +337,7 @@ def test_gamma_bounds(reduced_instances):
         for v in range(inst.graph.n):
             assert inst.gamma_v[v] >= best - 1e-9
         assert inst.gamma_v[inst.target] == best
-        # Exact: utilities sums in arc_total_cost's order.
+        # Exact: the outside pass sums in arc_total_cost's order.
         g = inst.graph
         for i in g.arc_indices:
             expected = inst.outside.outside[g._heads[i]] + arc_total_cost(g, i, inst.inside.inside)
@@ -431,7 +458,7 @@ def test_passes_stopped_at_the_beam_keep_what_the_full_passes_keep():
         best = ins.inside[target]
         outs = viterbi_outside(g, ins, target)
         beams = {0.0, 0.5, INF}
-        for x in utilities(g, ins, outs)[1][1:]:
+        for x in outs.gamma_arcs[1:]:
             if x < INF:
                 beams.update(b for b in boundary_beams(best, x) if b >= 0)
         for beam in sorted(beams):
@@ -447,7 +474,7 @@ def test_passes_stopped_at_the_beam_keep_what_the_full_passes_keep():
             stopped += ins_b.inside != ins.inside
             runs += 1
             flags = _keep_flags(g, ins_b, viterbi_outside(g, ins_b, target, beam=beam), beam)
-            assert flags[2:5] == _keep_flags(g, ins, outs, beam)[2:5]
+            assert flags[1:4] == _keep_flags(g, ins, outs, beam)[1:4]
     assert stopped >= 500, f"only {stopped} of {runs} inside passes stopped early"
 
 

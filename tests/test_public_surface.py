@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "best_derivation", "build", "derivation_grammar", "extract_best_tree", "format_float",
     "format_tree", "from_pruned", "parse_grammar", "parse_hypergraph", "prune_relatively_useless",
     "reach_from", "reach_to", "reduce", "restrict", "serialize_grammar", "serialize_hypergraph",
-    "to_hypergraph", "utilities", "viterbi_inside", "viterbi_outside", "yield_nonterminals",
+    "to_hypergraph", "viterbi_inside", "viterbi_outside", "yield_nonterminals",
 ]
 
 
@@ -49,6 +49,7 @@ def test_derived_views_are_not_public():
     assert not hasattr(Hypergraph, "arc_total_cost") and not hasattr(Hypergraph, "validate")
     assert not hasattr(Query, "source_vertices")
     assert not hasattr(Wrtg, "production_label")
+    assert not hasattr(hyperpaths, "utilities") and not hasattr(hyperpaths.outside, "utilities")
 
 
 def test_format_tree_takes_name_of_without_a_default():
