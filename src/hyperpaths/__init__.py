@@ -26,14 +26,14 @@ _HOME = {
     name: module
     for module, names in {
         "core": "INF FormatError GrammarError Hyperarc Hypergraph InternalInvariantError "
-        "Query RestrictResult UnreachableTargetError ValidationError build restrict",
+        "Query RestrictResult UnreachableTargetError ValidationError build format_float restrict",
         "grammar": "DerivationTree GrammarHypergraphMap Production RhsTree Wrtg "
         "best_derivation derivation_grammar from_pruned parse_grammar serialize_grammar "
         "to_hypergraph yield_nonterminals",
         "inside": "HyperpathTree InsideResult extract_best_tree format_tree viterbi_inside",
         "outside": "OutsideResult PruneResult prune_relatively_useless viterbi_outside",
         "reachability": "ReachResult ReduceResult reach_from reach_to reduce",
-        "textio": "ParsedHypergraph format_float parse_hypergraph serialize_hypergraph",
+        "textio": "ParsedHypergraph parse_hypergraph serialize_hypergraph",
     }.items()
     for name in names.split()
 }

@@ -23,12 +23,13 @@ from .core import (
     Query,
     UnreachableTargetError,
     ValidationError,
+    format_float,
 )
-from .textio import ParsedHypergraph, format_float, parse_hypergraph, serialize_hypergraph
 
 if TYPE_CHECKING:
     from .inside import InsideResult
     from .outside import OutsideResult
+    from .textio import ParsedHypergraph
 
 # Each command imports the modules it runs, when it runs them, so a command
 # loads no more than it needs.
@@ -63,6 +64,8 @@ def _read_text(path: str) -> str:
 
 
 def _load(path: str) -> ParsedHypergraph:
+    from .textio import parse_hypergraph
+
     return parse_hypergraph(_read_text(path))
 
 
@@ -266,6 +269,7 @@ def _parse_beam(text: str) -> float:
 
 def _cmd_from_grammar(args: argparse.Namespace) -> int:
     from .grammar import parse_grammar, to_hypergraph
+    from .textio import serialize_hypergraph
 
     grammar = parse_grammar(_read_text(args.file))
     graph, query, _ = to_hypergraph(grammar)

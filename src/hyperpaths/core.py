@@ -15,6 +15,11 @@ trusted. :class:`Hyperarc` objects exist only at the edges, as the input of
 :func:`build` and as the values that :meth:`Hypergraph.arc` and
 :attr:`Hypergraph.arcs` build on demand.
 
+Each input rule has one home here: ``_check_vertex`` for vertex ids,
+``_check_number`` for costs, lengths and beams, and ``_NAME_RE`` for the
+names the text formats can write (vertex names, and grammar symbols other
+than ``->``). :func:`format_float` is how both formats write a number.
+
 A :class:`Hypergraph` is immutable after construction and safe to share
 across threads; all algorithm state lives in per-call arrays.
 """
@@ -22,6 +27,7 @@ across threads; all algorithm state lives in per-call arrays.
 from __future__ import annotations
 
 import math
+import re
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -75,17 +81,24 @@ class _Record:
     It gives a positional or keyword constructor, fields that cannot be set
     again, ``==`` and ``hash`` over the fields of instances of one class, the
     ``repr`` ``Name(field=value, ...)``, and pickling through the constructor.
+    A constructor sets the fields through ``_setters``, the ``__set__`` of
+    each slot descriptor in ``__slots__`` order, since ``__setattr__``
+    refuses them; a class whose constructor runs once per element binds
+    them to module names.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         names = self.__slots__
         values = args + tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
         if kwargs or len(values) != len(names):
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
-        for name, value in zip(names, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -248,6 +261,16 @@ def _check_vertex(v: object, n: float = INF, what: str = "") -> int:
     return v
 
 
+# A name the text formats can write, applied with fullmatch; '<-' alone
+# would read as an arrow.
+_NAME_RE = re.compile(r"(?!<-\Z)[^\s#*@(),:]+")
+
+
+def format_float(x: float) -> str:
+    """Format with 17 significant digits (full double round-trip fidelity)."""
+    return "%.17g" % x
+
+
 def _distinct_tails(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """One ``(vertex, total multiplicity)`` pair per distinct tail vertex, in
     order of first occurrence; ``pairs`` itself when its vertices are distinct."""
@@ -293,7 +316,7 @@ class Hyperarc(_Record):
     __slots__ = ("head", "tails", "length")
 
     def __init__(self, head: int, tails: tuple[tuple[int, int], ...], length: float) -> None:
-        object.__setattr__(self, "head", _check_vertex(head))
+        _set_head(self, _check_vertex(head))
         try:
             pairs = tuple((_check_vertex(v), _check_multiplicity(m)) for v, m in tails)
         except (TypeError, ValueError) as exc:
@@ -302,10 +325,13 @@ class Hyperarc(_Record):
             raise ValidationError(f"tails must be (vertex, multiplicity) pairs, got {tails!r}")
         if not pairs:
             raise ValidationError("hyperarc must have at least one tail")
-        object.__setattr__(self, "tails", pairs)
+        _set_tails(self, pairs)
         if length.__class__ is not float or not 0 <= length < INF:
             length = _check_number(length, "arc length")
-        object.__setattr__(self, "length", length)
+        _set_length(self, length)
+
+
+_set_head, _set_tails, _set_length = Hyperarc._setters
 
 
 class Query(_Record):
@@ -314,8 +340,7 @@ class Query(_Record):
     __slots__ = ("sources", "target")
 
     def __init__(self, sources: tuple[tuple[int, float], ...], target: int) -> None:
-        object.__setattr__(self, "sources", check_sources(sources))
-        object.__setattr__(self, "target", _check_vertex(target))
+        super().__init__(check_sources(sources), _check_vertex(target))
 
 
 class Hypergraph:

@@ -17,7 +17,9 @@ Items are bare identifiers. Identifiers that appear on some left-hand side
 are the nonterminals; everything else is a terminal. A parenthesized rhs
 like ``sigma(A, b)`` is a tree; a flat item list is a CFG string. A
 ``<weight>`` is any string Python's ``float`` takes, as the graph format's
-numbers are (``0_5`` reads as 5); it must be finite and above 0.
+numbers are (``0_5`` reads as 5); it must be finite and above 0. A symbol
+follows the graph format's name rule, :mod:`.core`'s ``_NAME_RE``, and may
+not be ``->``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import math
 import re
 from typing import TYPE_CHECKING, Iterable, Union
 
-from .core import GrammarError, Hypergraph, Query, ValidationError, _Record, _Tree
-from .textio import _NAME_RE, format_float
+from .core import (
+    _NAME_RE, INF, GrammarError, Hypergraph, Query, ValidationError, _Record, _Tree, format_float,
+)
 
 if TYPE_CHECKING:
     from .inside import HyperpathTree
@@ -41,8 +44,11 @@ class RhsTree(_Tree):
     __slots__ = ("label", "children")
 
     def __init__(self, label: str, children: tuple[RhsTree, ...] = ()) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "children", children)
+        _set_rhs_label(self, label)
+        _set_rhs_children(self, children)
+
+
+_set_rhs_label, _set_rhs_children = RhsTree._setters
 
 
 Rhs = Union[RhsTree, tuple[str, ...]]
@@ -58,11 +64,18 @@ class Production(_Record):
             w = float(weight)
         except (TypeError, ValueError, OverflowError):
             raise GrammarError(f"production {lhs!r}: weight {weight!r} is not a number") from None
-        if not (w > 0) or w == math.inf:
-            raise GrammarError(f"production {lhs!r}: weight must be finite and > 0, got {w!r}")
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "weight", w)
+        if not 0 < w < INF:  # NaN fails this test too
+            raise GrammarError(_bad_weight(lhs, w))
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_weight(self, w)
+
+
+_set_lhs, _set_rhs, _set_weight = Production._setters
+
+
+def _bad_weight(lhs: str, w: float) -> str:
+    return f"production {lhs!r}: weight must be finite and > 0, got {w!r}"
 
 
 def yield_nonterminals(rhs: Rhs, nonterminals: frozenset[str] | set[str]) -> tuple[str, ...]:
@@ -301,8 +314,11 @@ class DerivationTree(_Tree):
     __slots__ = ("production", "children")
 
     def __init__(self, production: int, children: tuple[DerivationTree, ...]) -> None:
-        object.__setattr__(self, "production", production)
-        object.__setattr__(self, "children", children)
+        _set_production(self, production)
+        _set_derivation_children(self, children)
+
+
+_set_production, _set_derivation_children = DerivationTree._setters
 
 
 def best_derivation(
@@ -446,10 +462,14 @@ def parse_grammar(text: str) -> Wrtg:
             for sym in rhs:
                 if sym not in known:
                     known.add(_check_symbol(sym, lineno))
-        try:
-            productions.append(Production(lhs, rhs, weight))
-        except GrammarError as exc:
-            raise GrammarError(f"line {lineno}: {exc}") from None
+        if not 0 < weight < INF:
+            raise GrammarError(f"line {lineno}: {_bad_weight(lhs, weight)}")
+        # The weight is checked, so the production is built without a second check.
+        p = object.__new__(Production)
+        _set_lhs(p, lhs)
+        _set_rhs(p, rhs)
+        _set_weight(p, weight)
+        productions.append(p)
 
     if start is None:
         start = rows[0][2]

@@ -181,10 +181,13 @@ class HyperpathTree(_Tree):
     __slots__ = ("arc", "vertex", "children", "cost")
 
     def __init__(self, arc: int, vertex: int, children: tuple[HyperpathTree, ...], cost: float):
-        object.__setattr__(self, "arc", arc)
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "cost", cost)
+        _set_arc(self, arc)
+        _set_vertex(self, vertex)
+        _set_children(self, children)
+        _set_cost(self, cost)
+
+
+_set_arc, _set_vertex, _set_children, _set_cost = HyperpathTree._setters
 
 
 def extract_best_tree(g: Hypergraph, result: InsideResult, vertex: int) -> HyperpathTree:

@@ -16,25 +16,19 @@ A ``<length>`` or ``<initialCost>`` is any string Python's ``float`` takes:
 ``+2`` and ``.5`` too, ``1_0`` reads as 10 and ``١٢`` as 12. The range
 check then rejects NaN, negative and infinite values. Such spellings are
 written back in canonical form.
+
+A ``<name>`` follows the one name rule, :mod:`.core`'s ``_NAME_RE``, which
+the grammar format's symbols follow too.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 from .core import (
-    INF, FormatError, Hypergraph, Query, ValidationError, _check_vertex, _distinct_tails, _Record,
-    check_sources,
+    _NAME_RE, INF, FormatError, Hypergraph, Query, ValidationError, _check_vertex,
+    _distinct_tails, _Record, check_sources, format_float,
 )
-
-# A vertex name, applied with fullmatch; '<-' alone would read as an arrow.
-_NAME_RE = re.compile(r"(?!<-\Z)[^\s#*@(),:]+")
-
-
-def format_float(x: float) -> str:
-    """Format with 17 significant digits (full double round-trip fidelity)."""
-    return "%.17g" % x
 
 
 def check_name(name: str) -> str:

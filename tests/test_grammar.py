@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+from importlib import import_module
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -433,6 +435,23 @@ def test_parse_grammar_cfg_and_errors():
         parse_grammar("start T\n0.5: S -> a\n")
     with pytest.raises(GrammarError, match="internal node"):
         parse_grammar("0.5: S -> a\n0.5: A -> S(a)\n")
+
+
+@pytest.mark.parametrize("seed", [3, 619])
+def test_parsed_productions_match_checked_ones(seed, monkeypatch):
+    """``parse_grammar`` checks each weight once and builds its productions
+    without the constructor's check; each is what the checked constructor
+    builds from its fields."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    gen = import_module("gen")  # read-only: the benchmark's grammar generator
+    productions = parse_grammar(gen.grammar(seed).text).productions
+    assert len(productions) > 1000
+    for p in productions:
+        checked = Production(p.lhs, p.rhs, p.weight)
+        assert p.weight.__class__ is float
+        assert p == checked and hash(p) == hash(checked) and repr(p) == repr(checked)
+        restored = pickle.loads(pickle.dumps(p))
+        assert restored == checked and repr(restored) == repr(checked)
 
 
 def test_epsilon_production_roundtrip():

@@ -2,8 +2,10 @@
 
 The package resolves its public names on first use, so a graph command
 never imports the grammar layer or ``json``; no command imports
-``dataclasses``; each command imports only the package modules it runs;
-and the lazy names still behave like the eager ones did.
+``dataclasses``; each command imports only the package modules it runs,
+and only a command that reads or writes graph text imports ``textio``;
+loading a grammar into its hypergraph imports only ``core`` and
+``grammar``; and the lazy names still behave like the eager ones did.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _run_cli(argv: list[str], script: str = _RUN_CLI) -> str:
 
 
 # Runs the CLI as above, then prints its exit code, the package modules it
-# loaded beyond the three every command needs (the CLI itself runs as
+# loaded beyond the two every command needs (the CLI itself runs as
 # ``__main__``), and whether it loaded json.
 _RUN_CLI_MODULES = """
 import runpy, sys
@@ -76,7 +78,7 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
-base = {"hyperpaths", "hyperpaths.core", "hyperpaths.textio"}
+base = {"hyperpaths", "hyperpaths.core"}
 assert base <= set(sys.modules)
 extra = sorted(m for m in sys.modules if m.startswith("hyperpaths.") and m not in base)
 loaded = [m.split(".")[1] for m in extra] + ["json"][: "json" in sys.modules]
@@ -90,17 +92,19 @@ UNREACHABLE = HERE / "golden" / "cli" / "unreachable.hg"
     "argv, expected",
     [
         (["--help"], "exit 0 loaded"),
-        (["validate", F1], "exit 0 loaded"),
-        (["reach-from", F1], "exit 0 loaded reachability"),
-        (["reach-to", F1], "exit 0 loaded reachability"),
-        (["reduce", F1], "exit 0 loaded reachability"),
-        (["inside", F1], "exit 0 loaded inside"),
-        (["best-tree", "--vertex", "S", F1], "exit 0 loaded inside"),
-        (["outside", F1], "exit 0 loaded inside outside"),
-        (["prune", "--beam", "1", F1], "exit 0 loaded inside outside"),
-        (["prune", "--beam", "1", "--report", "json", F1], "exit 0 loaded inside outside json"),
-        (["prune", "--beam", "1", UNREACHABLE], "exit 2 loaded inside outside reachability"),
-        (["from-grammar", "--map", "MAP", F1_GRAMMAR], "exit 0 loaded grammar"),
+        (["validate", F1], "exit 0 loaded textio"),
+        (["reach-from", F1], "exit 0 loaded reachability textio"),
+        (["reach-to", F1], "exit 0 loaded reachability textio"),
+        (["reduce", F1], "exit 0 loaded reachability textio"),
+        (["inside", F1], "exit 0 loaded inside textio"),
+        (["best-tree", "--vertex", "S", F1], "exit 0 loaded inside textio"),
+        (["outside", F1], "exit 0 loaded inside outside textio"),
+        (["prune", "--beam", "1", F1], "exit 0 loaded inside outside textio"),
+        (["prune", "--beam", "1", "--report", "json", F1],
+         "exit 0 loaded inside outside textio json"),
+        (["prune", "--beam", "1", UNREACHABLE],
+         "exit 2 loaded inside outside reachability textio"),
+        (["from-grammar", "--map", "MAP", F1_GRAMMAR], "exit 0 loaded grammar textio"),
         (["prune-grammar", "--beam", "1", F1_GRAMMAR], "exit 0 loaded grammar inside outside"),
     ],
     ids=["help", "validate", "reach-from", "reach-to", "reduce", "inside", "best-tree",
@@ -110,6 +114,23 @@ def test_each_command_loads_only_the_modules_it_runs(argv, expected, tmp_path):
     # reach_from loads only for a target whose inside cost is infinite.
     argv = [str(tmp_path / "f1.map") if a == "MAP" else str(a) for a in argv]
     assert _run_cli(argv, _RUN_CLI_MODULES) == expected
+
+
+# In a fresh interpreter, as the benchmark's set-up probe does: a grammar
+# file's text to its hypergraph, then the package modules that loaded.
+_GRAMMAR_SETUP = """
+import sys
+import hyperpaths
+with open(sys.argv[1], encoding="utf-8") as fh:
+    hyperpaths.to_hypergraph(hyperpaths.parse_grammar(fh.read()))
+print(*sorted(m for m in sys.modules if m.startswith("hyperpaths")))
+"""
+
+
+def test_grammar_setup_loads_only_core_and_grammar():
+    assert _run_cli([str(F1_GRAMMAR)], _GRAMMAR_SETUP).split() == [
+        "hyperpaths", "hyperpaths.core", "hyperpaths.grammar"
+    ]
 
 
 # In a fresh interpreter: names and submodules resolve on first use.
