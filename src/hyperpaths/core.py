@@ -368,6 +368,12 @@ class Hypergraph:
     ``_distinct_tails`` derives from the arc's tails, and be the tails
     tuple itself when those hold no repeated vertex; ``_subgraph`` and
     :func:`~hyperpaths.textio.parse_hypergraph` give it.
+
+    Equal tail pairs may be one object, shared by the arcs that hold them:
+    the text parser and :func:`~hyperpaths.grammar.to_hypergraph` give each
+    vertex one ``(v, 1)`` pair for its plain tails, and ``_subgraph`` one
+    pair per distinct ``(vertex, multiplicity)`` pair it renumbers. No
+    reader depends on which pairs are shared; :func:`build` shares none.
     """
 
     __slots__ = (
@@ -568,25 +574,37 @@ def _closed_arcs(g: Hypergraph, keep_flags: Sequence[bool], ids: Iterable[int]) 
 def _subgraph(g: Hypergraph, vertices: Sequence[int], arcs: Sequence[int]) -> RestrictResult:
     """``g``'s ``vertices`` and ``arcs``, both increasing, copied into a new
     graph and renumbered in order, with the old-to-new maps. Every endpoint
-    of each arc must be in ``vertices`` (see :func:`_closed_arcs`). When
-    nothing is dropped, the graph is ``g`` itself, with identity maps."""
+    of each arc must be in ``vertices`` (see :func:`_closed_arcs`). Each
+    distinct old ``(vertex, multiplicity)`` tail pair is renumbered once, and
+    that one new pair goes into every arc that holds it. When nothing is
+    dropped, the graph is ``g`` itself, with identity maps."""
     if len(vertices) == g.n and len(arcs) == g.num_arcs:
         return RestrictResult(g, {v: v for v in range(g.n)}, {i: i for i in g.arc_indices})
     vertex_map = dict(zip(vertices, range(len(vertices))))
     new_id = [-1] * g.n
     for v, k in vertex_map.items():
         new_id[v] = k
+    # Old (vertex, multiplicity) pair -> its renumbered pair, made on first
+    # sight and shared by every arc that holds an equal pair.
+    pair_of: dict[tuple[int, int], tuple[int, int]] = {}
+    get = pair_of.get
     g_heads, g_tails, g_lengths, g_dtails = g._heads, g._tails, g._lengths, g._dtails
     heads, tails, lengths, dtails = [0], [()], [0.0], [()]
     for i in arcs:
-        old_t, old_d = g_tails[i], g_dtails[i]
-        pairs = tuple([(new_id[v], m) for v, m in old_t])
+        old_t = g_tails[i]
+        new = []
+        for p in old_t:
+            q = get(p)
+            if q is None:
+                q = pair_of[p] = (new_id[p[0]], p[1])
+            new.append(q)
+        pairs = tuple(new)
         heads.append(new_id[g_heads[i]])
         tails.append(pairs)
         lengths.append(g_lengths[i])
-        # Renumbering is injective and keeps order, so it maps distinct
-        # tails to the distinct tails of the renumbered pairs.
-        dtails.append(pairs if old_d is old_t else tuple([(new_id[v], m) for v, m in old_d]))
+        # Renumbering is injective and keeps order, so a tail vertex repeats
+        # in the new pairs exactly where it repeated in the old.
+        dtails.append(pairs if g_dtails[i] is old_t else _distinct_tails(pairs))
     names = tuple([g.names[v] for v in vertices])
     arc_map = dict(zip(arcs, range(1, len(heads))))
     return RestrictResult(Hypergraph(names, heads, tails, lengths, dtails), vertex_map, arc_map)

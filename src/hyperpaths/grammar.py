@@ -200,11 +200,8 @@ class GrammarHypergraphMap(_Record):
     def after_restriction(
         self, vertex_map: dict[int, int], arc_map: dict[int, int]
     ) -> "GrammarHypergraphMap":
-        pfa = {
-            new: self.production_for_arc[old]
-            for old, new in arc_map.items()
-            if old in self.production_for_arc
-        }
+        get = self.production_for_arc.get
+        pfa = {new: p for old, new in arc_map.items() if (p := get(old)) is not None}
         return GrammarHypergraphMap(
             production_for_arc=pfa,
             sink=vertex_map.get(self.sink) if self.sink is not None else None,

@@ -32,7 +32,10 @@ a repr over 4 KiB by its SHA-256):
 - ``restrict`` on parsed random graphs and on random graphs made by
   ``build`` with unnamed vertices, keeping no vertex, a random multiset of
   vertices in random order, and every vertex, compared by the serialized
-  graph and both index maps;
+  graph and both index maps; and on the ``to_hypergraph`` graphs of the
+  benchmark grammars of seeds 13 and 31 and of random grammars, keeping no
+  vertex, a random subset and every vertex, compared also by the grammar
+  map that ``after_restriction`` composes;
 - the benchmark grammar through prune, ``serialize_grammar`` and
   ``best_derivation`` at the benchmark's beams;
 - ``parse_grammar`` then ``serialize_grammar`` on every input of
@@ -130,8 +133,8 @@ def _utilities(ins, outs) -> tuple:
     return tuple(map(operator.add, ins.inside, outs.outside)), outs.gamma_arcs
 
 
-def _restricted(hp, g, keep: list[int]):
-    res = hp.restrict(g, keep)
+def _restricted(hp, res) -> tuple:
+    """A restriction's serialized graph and both index maps."""
     return hp.serialize_hypergraph(res.graph), sorted(res.vertex_map.items()), sorted(res.arc_map.items())
 
 
@@ -253,6 +256,11 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         return pruned, _derivation_table(deriv), weight
     if kind == "grammar text":
         return hp.serialize_grammar(hp.parse_grammar(texts[job[1]]))
+    if kind == "grammar restrict":
+        graph, _, gmap = hp.to_hypergraph(hp.parse_grammar(texts[job[1]]))
+        res = hp.restrict(graph, job[2])
+        gmap2 = gmap.after_restriction(res.vertex_map, res.arc_map)
+        return _restricted(hp, res), sorted(gmap2.production_for_arc.items()), gmap2.sink
     if kind == "parse":  # job[2] seeds a mutation of the text, or is None
         text = texts[job[1]] if job[2] is None else _mutant(texts[job[1]], job[2])
         return _parsed_arrays(hp.parse_hypergraph(text))
@@ -260,7 +268,7 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
         names, arcs = job[1:3]
         g = hp.build(names, [hp.Hyperarc(h, tuple(map(tuple, t)), x) for h, t, x in arcs])
         if kind == "unnamed restrict":
-            return _restricted(hp, g, job[3])
+            return _restricted(hp, hp.restrict(g, job[3]))
         sources, target = tuple(map(tuple, job[3])), job[4]
         if kind == "unnamed reduce":
             red = hp.reduce(g, hp.Query(sources, target))
@@ -273,7 +281,7 @@ def _run_job(hp, texts: list[str], graphs: dict, job: list):
     parsed = graphs[job[1]]
     g = parsed.graph
     if kind == "restrict":
-        return _restricted(hp, g, job[2])
+        return _restricted(hp, hp.restrict(g, job[2]))
     if kind == "vertex id":
         return _id_call(hp, parsed, job[2], job[3])
     if kind == "number":
@@ -358,20 +366,6 @@ def _tie_heavy(rng: Random, hp):
     return hp.build(n, arcs)
 
 
-def _random_grammar(rng: Random) -> str:
-    """A random grammar text: recursive, unproductive and unreachable
-    nonterminals, flat and tree rhs, repeated nonterminals, tied weights."""
-    nts = [f"N{i}" for i in range(rng.randint(1, 8))]
-    lines = ["start N0"]
-    for k in range(rng.randint(len(nts), 4 * len(nts))):
-        weight = rng.choice(("1", "0.5", "0.25", "0.125", repr(rng.uniform(0.01, 1.0))))
-        syms = [rng.choice(nts) if rng.random() < 0.6 else rng.choice("ab")
-                for _ in range(rng.randint(0, 3))]
-        rhs = f"f({', '.join(syms)})" if syms and rng.random() < 0.4 else " ".join(syms)
-        lines.append(f"{weight}: {nts[0] if k == 0 else rng.choice(nts)} -> {rhs}")
-    return "\n".join(lines) + "\n"
-
-
 def _boundary_beams(hp, graph, sources, target: int) -> list[float]:
     """The boundary beams of every arc and vertex of a prune of ``graph``
     toward ``target``, with the floats just below them; none when the
@@ -399,7 +393,10 @@ def build_jobs() -> tuple[dict, list[str]]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     import gen
     import hyperpaths as hp
-    from support import boundary_beams, random_hypergraph, random_sources, random_weighted_instance
+    from support import (
+        boundary_beams, random_grammar_text, random_hypergraph, random_sources,
+        random_weighted_instance,
+    )
     from test_grammar_parse_table import CASES as GRAMMAR_PARSE_CASES
     from test_parse_table import CASES as PARSE_CASES
 
@@ -508,7 +505,15 @@ def build_jobs() -> tuple[dict, list[str]]:
         some += rng.choices(some, k=len(some) // 3) if some else []
         rng.shuffle(some)
         for keep in ([], some, rng.sample(range(g.n), g.n)):
-            add("restrict random", [*job, keep])
+            add("restrict", [*job, keep])
+    # Grammar-form graphs hold each nonterminal's shared (v, 1) pair and
+    # merged (v, 2) pairs.
+    for text in [gen.grammar(seed).text for seed in SEEDS] + [random_grammar_text(rng) for _ in range(40)]:
+        ti = add_text(text)
+        n = hp.to_hypergraph(hp.parse_grammar(text))[0].n
+        some = [v for v in range(n) if rng.random() < 0.6]
+        for keep in ([], some, list(range(n))):
+            add("restrict", ["grammar restrict", ti, keep])
 
     mutant_seeds = Random(20)
     for seed in SEEDS:
@@ -568,7 +573,7 @@ def build_jobs() -> tuple[dict, list[str]]:
     # prune-grammar at fixed and boundary beams.
     texts_gr = [gen.grammar(seed).text for seed in SEEDS]
     rng = Random(14)
-    texts_gr += [_random_grammar(rng) for _ in range(150)]
+    texts_gr += [random_grammar_text(rng) for _ in range(150)]
     for text in texts_gr:
         ti = add_text(text)
         beams = ["0", "0.0625", "1", "16", "inf"]

@@ -360,6 +360,20 @@ def random_acyclic_grammar(rng: Random) -> Wrtg:
     return Wrtg(frozenset(terminals), tuple(nts), nts[0], tuple(productions))
 
 
+def random_grammar_text(rng: Random) -> str:
+    """A random grammar text: recursive, unproductive and unreachable
+    nonterminals, flat and tree rhs, repeated nonterminals, tied weights."""
+    nts = [f"N{i}" for i in range(rng.randint(1, 8))]
+    lines = ["start N0"]
+    for k in range(rng.randint(len(nts), 4 * len(nts))):
+        weight = rng.choice(("1", "0.5", "0.25", "0.125", repr(rng.uniform(0.01, 1.0))))
+        syms = [rng.choice(nts) if rng.random() < 0.6 else rng.choice("ab")
+                for _ in range(rng.randint(0, 3))]
+        rhs = f"f({', '.join(syms)})" if syms and rng.random() < 0.4 else " ".join(syms)
+        lines.append(f"{weight}: {nts[0] if k == 0 else rng.choice(nts)} -> {rhs}")
+    return "\n".join(lines) + "\n"
+
+
 DerivationShape = tuple  # (production index, child shapes...)
 
 

@@ -39,7 +39,10 @@ from hyperpaths.cli import main
 
 from conftest import F1_GRAMMAR_TEXT
 from oracle import enumerate_trees
-from support import assert_derived_arrays, layered_hypergraph, random_hypergraph, random_sources
+from support import (
+    assert_derived_arrays, layered_hypergraph, random_grammar_text, random_hypergraph,
+    random_sources,
+)
 
 
 def stored(g) -> tuple:
@@ -164,6 +167,81 @@ def test_parse_of_serialize_stores_the_graph():
                 shapes["plain repeated" if tokens[3] == tokens[4] else "plain"] += 1
         shapes["undeclared"] += reparsed.n
     assert min(shapes.values()) >= 50, shapes
+
+
+def pair_objects(g, multiplicity: int | None = None) -> tuple[int, int]:
+    """How many tail pair objects ``g._tails`` holds, and how many distinct
+    pairs; only pairs of that ``multiplicity``, when it is given."""
+    pairs = [p for t in g._tails for p in t if multiplicity in (None, p[1])]
+    return len({id(p) for p in pairs}), len(set(pairs))
+
+
+def storage_instances(rng: Random, count: int):
+    """``count`` graphs of four kinds, each with a query whose target the
+    sources reach, or ``None``: random graphs with multiplicities, random
+    graphs with few vertices and long tails, where tail vertices repeat,
+    the parse of such a graph's text, and the ``to_hypergraph`` graph of a
+    random grammar, which holds merged ``(v, 2)`` pairs. Yields
+    ``(kind, graph, query)``."""
+    kinds = ("random", "repeated", "parsed", "grammar")
+    for k in range(count):
+        kind = kinds[k % 4]
+        if kind == "grammar":
+            graph, query, _ = to_hypergraph(parse_grammar(random_grammar_text(rng)))
+        else:
+            graph = (random_hypergraph(rng) if kind == "random"
+                     else random_hypergraph(rng, n_range=(2, 4), max_tail=5))
+            sources = random_sources(rng, graph)
+            query = Query(sources, rng.randrange(graph.n))
+            if kind == "parsed":
+                graph = parse_hypergraph(serialize_hypergraph(graph, sources, query.target)).graph
+        if viterbi_inside(graph, query.sources).inside[query.target] == float("inf"):
+            query = None
+        yield kind, graph, query
+
+
+def test_copies_hold_one_object_per_distinct_pair():
+    """`restrict`, `reduce` and `prune_relatively_useless` renumber each
+    distinct tail pair once: every arc of the copy that holds an equal pair
+    holds that one object."""
+    rng = Random(48)
+    copies = {"restrict": 0, "reduce": 0, "prune": 0}
+    merged_pairs = 0
+    for kind, g, query in storage_instances(rng, 400):
+        if kind == "grammar":
+            merged_pairs += any(m == 2 for t in g._tails for _, m in t)
+        made = [("restrict", restrict(g, [v for v in range(g.n) if rng.random() < 0.7]).graph)]
+        if query is not None:
+            made.append(("reduce", reduce(g, query).graph))
+            ins = viterbi_inside(g, query.sources)
+            outs = viterbi_outside(g, ins, query.target)
+            for beam in (0.0, 0.5, float("inf")):
+                made.append(("prune", prune_relatively_useless(g, ins, outs, beam).graph))
+        for how, copy in made:
+            if copy is g:  # nothing dropped, nothing copied
+                continue
+            copies[how] += 1
+            objects, distinct = pair_objects(copy)
+            assert objects == distinct, (kind, how)
+            tails = copy._tails
+            assert merged_arcs(copy) == [
+                i for i in copy.arc_indices if len({v for v, _ in tails[i]}) < len(tails[i])
+            ]
+    assert min(copies.values()) >= 100, copies
+    assert merged_pairs >= 30
+
+
+def test_parsed_and_grammar_graphs_hold_one_plain_pair_per_vertex():
+    """The text parser and `to_hypergraph` give each vertex one `(v, 1)`
+    pair object for all its plain tails."""
+    rng = Random(49)
+    for kind, g, _ in storage_instances(rng, 400):
+        if kind in ("parsed", "grammar"):
+            objects, distinct = pair_objects(g, 1)
+            assert objects == distinct, kind
+    f1_graph = to_hypergraph(parse_grammar(F1_GRAMMAR_TEXT))[0]
+    # (A, 1), (B, 1), the sink's pair and the merged (A, 2) of tau(A, A).
+    assert pair_objects(f1_graph) == (4, 4)
 
 
 def two_restrict_reduce(g, query: Query):
