@@ -20,14 +20,16 @@ Each input rule has one home here: ``_check_vertex`` for vertex ids,
 names the text formats can write (vertex names, and grammar symbols other
 than ``->``). :func:`format_float` is how both formats write a number.
 
-A :class:`Hypergraph` is immutable after construction and safe to share
-across threads; all algorithm state lives in per-call arrays.
+A :class:`Hypergraph` is immutable and safe to share across threads, also
+a copy that fills its arrays on their first read (see :class:`Hypergraph`);
+all algorithm state lives in per-call arrays.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from _thread import RLock
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -280,6 +282,14 @@ def _distinct_tails(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int]
     return pairs if len(total) == len(pairs) else tuple(total.items())
 
 
+# What a copy made by _subgraph fills on the first read of any of them,
+# under the lock, which is reentrant since a fill may read its parent's.
+_FILLED_ON_READ = frozenset(
+    ("forward", "backward", "input_size", "_tails", "_lengths", "_dtails", "_arity")
+)
+_fill_lock = RLock()
+
+
 def check_sources(
     sources: Iterable[tuple[int, float]], n: float = INF
 ) -> tuple[tuple[int, float], ...]:
@@ -360,6 +370,17 @@ class Hypergraph:
     is built on its first call, since most graphs never look a name up;
     filling it is idempotent, so a graph stays safe to share across threads.
 
+    A copy that ``_subgraph`` makes, behind :func:`restrict`,
+    :func:`~hyperpaths.reachability.reduce` and
+    :func:`~hyperpaths.outside.prune_relatively_useless`, holds only ``n``,
+    ``names``, ``_heads`` and, in ``_copy_of``, its parent graph, the kept
+    arcs and the new vertex ids, so it keeps its parent alive. The first
+    read of ``_tails``, ``_lengths``, ``_dtails``, ``_arity``, ``forward``,
+    ``backward`` or ``input_size`` copies the kept arcs, runs the
+    constructor once and drops the parent. Immutable and safe to share
+    across threads means that no read sees a field change: a thread that
+    reads during another's fill waits on a lock and sees the same arrays.
+
     The constructor trusts its arguments: every head and tail must be a
     vertex id below ``len(names)``, every length finite and nonnegative, and
     the names distinct strings. Construct from unchecked data through
@@ -388,6 +409,7 @@ class Hypergraph:
         "_lengths",
         "_dtails",
         "_arity",
+        "_copy_of",  # last, so pickling reads (and fills) the arrays first
     )
 
     def __init__(
@@ -423,6 +445,17 @@ class Hypergraph:
         self._lengths = lengths
         self._dtails = dtails
         self._arity = list(map(len, dtails))
+        self._copy_of: tuple[Hypergraph, Sequence[int], list[int]] | None = None
+
+    def __getattr__(self, name: str) -> Any:
+        """A deferred field of a copy, which this first read fills; any
+        other missing attribute raises :class:`AttributeError`."""
+        if name not in _FILLED_ON_READ:
+            raise AttributeError(f"'Hypergraph' object has no attribute {name!r}")
+        with _fill_lock:
+            if self._copy_of is not None:
+                _fill_copy(self, *self._copy_of)
+        return object.__getattribute__(self, name)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -453,10 +486,11 @@ class Hypergraph:
 
     def id_of(self, name: str) -> int:
         """Id of the vertex named ``name``."""
-        if self._name_to_id is None:
-            self._name_to_id = dict(zip(self.names, range(self.n)))
+        table = self._name_to_id
+        if table is None:
+            table = self._name_to_id = dict(zip(self.names, range(self.n)))
         try:
-            return self._name_to_id[name]
+            return table[name]
         except KeyError:
             raise ValidationError(f"unknown vertex name {name!r}") from None
 
@@ -572,24 +606,37 @@ def _closed_arcs(g: Hypergraph, keep_flags: Sequence[bool], ids: Iterable[int]) 
 
 
 def _subgraph(g: Hypergraph, vertices: Sequence[int], arcs: Sequence[int]) -> RestrictResult:
-    """``g``'s ``vertices`` and ``arcs``, both increasing, copied into a new
-    graph and renumbered in order, with the old-to-new maps. Every endpoint
-    of each arc must be in ``vertices`` (see :func:`_closed_arcs`). Each
-    distinct old ``(vertex, multiplicity)`` tail pair is renumbered once, and
-    that one new pair goes into every arc that holds it. When nothing is
-    dropped, the graph is ``g`` itself, with identity maps."""
+    """``g``'s ``vertices`` and ``arcs``, both increasing, as a new graph
+    renumbered in order, with the old-to-new maps. Every endpoint of each
+    arc must be in ``vertices`` (see :func:`_closed_arcs`). The graph holds
+    its ``n``, ``names`` and ``_heads`` at once; :func:`_fill_copy` fills
+    the rest on the first read of another array (see :class:`Hypergraph`).
+    When nothing is dropped, the graph is ``g`` itself, with identity maps."""
     if len(vertices) == g.n and len(arcs) == g.num_arcs:
         return RestrictResult(g, {v: v for v in range(g.n)}, {i: i for i in g.arc_indices})
     vertex_map = dict(zip(vertices, range(len(vertices))))
     new_id = [-1] * g.n
     for v, k in vertex_map.items():
         new_id[v] = k
+    copy = Hypergraph.__new__(Hypergraph)
+    copy.n = len(vertices)
+    copy.names = tuple(map(g.names.__getitem__, vertices))
+    copy._heads = [0, *map(new_id.__getitem__, map(g._heads.__getitem__, arcs))]
+    copy._name_to_id = None
+    copy._copy_of = (g, arcs, new_id)
+    arc_map = dict(zip(arcs, range(1, len(arcs) + 1)))
+    return RestrictResult(copy, vertex_map, arc_map)
+
+
+def _fill_copy(copy: Hypergraph, g: Hypergraph, arcs: Sequence[int], new_id: list[int]) -> None:
+    """Fill ``copy``, which ``_subgraph`` made of ``g``'s ``arcs``, through
+    the constructor."""
     # Old (vertex, multiplicity) pair -> its renumbered pair, made on first
     # sight and shared by every arc that holds an equal pair.
     pair_of: dict[tuple[int, int], tuple[int, int]] = {}
     get = pair_of.get
-    g_heads, g_tails, g_lengths, g_dtails = g._heads, g._tails, g._lengths, g._dtails
-    heads, tails, lengths, dtails = [0], [()], [0.0], [()]
+    g_tails, g_lengths, g_dtails = g._tails, g._lengths, g._dtails
+    tails, lengths, dtails = [()], [0.0], [()]
     for i in arcs:
         old_t = g_tails[i]
         new = []
@@ -599,12 +646,9 @@ def _subgraph(g: Hypergraph, vertices: Sequence[int], arcs: Sequence[int]) -> Re
                 q = pair_of[p] = (new_id[p[0]], p[1])
             new.append(q)
         pairs = tuple(new)
-        heads.append(new_id[g_heads[i]])
         tails.append(pairs)
         lengths.append(g_lengths[i])
         # Renumbering is injective and keeps order, so a tail vertex repeats
         # in the new pairs exactly where it repeated in the old.
         dtails.append(pairs if g_dtails[i] is old_t else _distinct_tails(pairs))
-    names = tuple([g.names[v] for v in vertices])
-    arc_map = dict(zip(arcs, range(1, len(heads))))
-    return RestrictResult(Hypergraph(names, heads, tails, lengths, dtails), vertex_map, arc_map)
+    Hypergraph.__init__(copy, copy.names, copy._heads, tails, lengths, dtails)

@@ -3,13 +3,19 @@
 Only :func:`build` validates arcs; the parser, the grammar conversion and
 :func:`restrict` hand arrays straight to the trusted constructor. These
 tests check that the trusted paths store exactly what the validating path
-stores, that no library path builds a :class:`Hyperarc`, and how many
-graphs and vertex-name checks the forward pipeline makes.
+stores, that no library path builds a :class:`Hyperarc`, how many
+graphs and vertex-name checks the forward pipeline makes, and that a copy
+fills its arrays once, on their first read.
 """
 
 from __future__ import annotations
 
+import copy as copy_module
+import gc
 import io
+import pickle
+import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from random import Random
 
@@ -442,11 +448,13 @@ def test_cli_reduce_builds_only_the_parsed_graph(graph_count, copy_calls, tmp_pa
     red = reduce(parsed.graph, parsed.query())
     pass1 = reach_from(parsed.graph, [v for v, _ in parsed.query().sources]).vertices()
     assert set(red.vertex_map) < set(pass1), "pass 2 drops something"
+    # Serialized now: the copy fills, and so builds its graph, on this read.
+    expected = serialize_hypergraph(red.graph, red.sources, red.target)
     graph_count[0] = copy_calls[0] = 0
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         assert main(["reduce", str(path)]) == 0
-    assert out.getvalue() == serialize_hypergraph(red.graph, red.sources, red.target)
+    assert out.getvalue() == expected
     assert "arc T <- A @ 1\n" in out.getvalue() and "B" not in out.getvalue()
     assert graph_count[0] == 1, "the parsed graph only"
     assert copy_calls[0] == 0
@@ -458,3 +466,141 @@ def test_arc_accessors_build_on_demand(hyperarc_count, f1):
     assert hyperarc_count[0] == f1.num_arcs
     assert arcs[2] == f1.arc(3) == Hyperarc(3, ((1, 1), (2, 1)), 0.5)
     assert build(f1.names, arcs) == f1
+
+
+def unfilled(g) -> set[str]:
+    """The fields a copy fills on first read that ``g`` does not hold yet,
+    read through the slot descriptors, so that looking does not fill."""
+    missing = set()
+    for name in core._FILLED_ON_READ:
+        try:
+            Hypergraph.__dict__[name].__get__(g, Hypergraph)
+        except AttributeError:
+            missing.add(name)
+    return missing
+
+
+def reference_copy(g, vertex_map, arc_map):
+    """The copy of ``g`` that the maps describe, spelled out through ``build``."""
+    arcs = [g.arc(i) for i in arc_map]
+    return build(
+        [g.names[v] for v in vertex_map],
+        [Hyperarc(vertex_map[a.head], tuple((vertex_map[v], m) for v, m in a.tails), a.length)
+         for a in arcs],
+    )
+
+
+def lazy_copy_instances(rng: Random, count: int):
+    """Every copy that `restrict`, `reduce` and `prune_relatively_useless`
+    at beams 0, 0.5 and inf make of ``count`` random, layered and
+    `to_hypergraph` graphs, unread, with the graph it copies. Yields
+    ``(how, g, result)`` for each result whose graph is not ``g``."""
+    for k in range(count):
+        if k % 3 == 0:
+            g = random_hypergraph(rng)
+            query = Query(random_sources(rng, g), rng.randrange(g.n))
+        elif k % 3 == 1:
+            g, sources, target = layered_hypergraph(rng, 400, width=4)
+            query = Query(sources, target)
+        else:
+            g, query, _ = to_hypergraph(parse_grammar(random_grammar_text(rng)))
+        made = [("restrict", restrict(g, [v for v in range(g.n) if rng.random() < 0.7])),
+                ("reduce", reduce(g, query))]
+        ins = viterbi_inside(g, query.sources)
+        if ins.inside[query.target] < float("inf"):
+            outs = viterbi_outside(g, ins, query.target)
+            made += [("prune", prune_relatively_useless(g, ins, outs, beam))
+                     for beam in (0.0, 0.5, float("inf"))]
+        for how, res in made:
+            if res.graph is not g:
+                yield how, g, res
+
+
+def test_copies_fill_on_the_first_read_of_a_deferred_field():
+    """A copy read only through its size, names, arc indices and maps has
+    not filled; the first read of any deferred field fills every one, with
+    what the validating path stores and one object per distinct pair, and
+    drops the reference to the parent."""
+    rng = Random(50)
+    deferred = sorted(core._FILLED_ON_READ)
+    copies = {"restrict": 0, "reduce": 0, "prune": 0}
+    for k, (how, g, res) in enumerate(lazy_copy_instances(rng, 150)):
+        c = res.graph
+        copies[how] += 1
+        assert (c.n, c.names, c.num_arcs, c.arc_indices) == (
+            len(res.vertex_map), tuple(g.names[v] for v in res.vertex_map),
+            len(res.arc_map), range(1, len(res.arc_map) + 1))
+        assert [c.id_of(c.name_of(v)) for v in range(c.n)] == list(range(c.n))
+        assert repr(c) == f"Hypergraph(n={c.n}, m={c.num_arcs})"
+        assert getattr(c, "no_such_field", None) is None and not hasattr(c, "__deepcopy__")
+        assert unfilled(c) == core._FILLED_ON_READ and c._copy_of[0] is g, how
+
+        getattr(c, deferred[k % len(deferred)])
+        assert not unfilled(c) and c._copy_of is None
+        assert g not in gc.get_referents(c)
+        assert stored(c) == stored(reference_copy(g, res.vertex_map, res.arc_map)), how
+        objects, distinct = pair_objects(c)
+        assert objects == distinct
+    assert min(copies.values()) >= 50, copies
+
+
+def test_pickle_and_deepcopy_of_an_unread_copy_give_an_equal_graph():
+    rng = Random(51)
+    for how, g, res in lazy_copy_instances(rng, 30):
+        expected = stored(reference_copy(g, res.vertex_map, res.arc_map))
+        for duplicate in (lambda c: pickle.loads(pickle.dumps(c)), copy_module.deepcopy):
+            # A fresh unread copy of the same arcs, for each way of duplicating.
+            c = core._subgraph(g, list(res.vertex_map), list(res.arc_map)).graph
+            assert unfilled(c) == core._FILLED_ON_READ
+            dup = duplicate(c)
+            assert dup._copy_of is None and not unfilled(dup)
+            assert dup == c and stored(dup) == expected, how
+
+
+def test_threads_reading_a_fresh_copy_fill_it_once(monkeypatch):
+    """Eight threads make the first reads of one copy's deferred fields at
+    once: none raises, the copy fills once, and all see the same arrays."""
+    fills = [0]
+    fill = core._fill_copy
+
+    def counting(*args):
+        fills[0] += 1
+        fill(*args)
+
+    monkeypatch.setattr(core, "_fill_copy", counting)
+    g, _, _ = layered_hypergraph(Random(52), 30000, width=20)
+    keep = [v for v in range(g.n) if v % 7]
+    res = restrict(g, keep)
+    expected = stored(reference_copy(g, res.vertex_map, res.arc_map))
+    c = res.graph
+    assert unfilled(c) == core._FILLED_ON_READ
+    deferred = sorted(core._FILLED_ON_READ)
+    start = threading.Barrier(8)
+    seen: list[tuple] = [()] * 8
+    errors: list[Exception] = []
+
+    def read(k: int) -> None:
+        try:
+            start.wait(timeout=60)
+            first = getattr(c, deferred[k % len(deferred)])
+            seen[k] = (first, *[getattr(c, name) for name in deferred])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert fills[0] == 1
+    for k, values in enumerate(seen):
+        assert values[0] is getattr(c, deferred[k % len(deferred)])
+        assert all(a is getattr(c, name) for a, name in zip(values[1:], deferred))
+    assert stored(c) == expected
