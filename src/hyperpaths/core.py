@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from _thread import RLock
+from itertools import chain, filterfalse
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -377,7 +378,9 @@ class Hypergraph:
     arcs and the new vertex ids, so it keeps its parent alive. The first
     read of ``_tails``, ``_lengths``, ``_dtails``, ``_arity``, ``forward``,
     ``backward`` or ``input_size`` copies the kept arcs, runs the
-    constructor once and drops the parent. Immutable and safe to share
+    constructor once and drops the parent;
+    :func:`~hyperpaths.textio.serialize_hypergraph` writes an unfilled
+    copy from its parent's arrays instead. Immutable and safe to share
     across threads means that no read sees a field change: a thread that
     reads during another's fill waits on a lock and sees the same arrays.
 
@@ -589,10 +592,17 @@ def restrict(g: Hypergraph, keep: Iterable[int]) -> RestrictResult:
     return _subgraph(g, sorted(kept), _closed_arcs(g, flags, g.arc_indices))
 
 
-def _closed_arcs(g: Hypergraph, keep_flags: Sequence[bool], ids: Iterable[int]) -> list[int]:
+def _closed_arcs(g: Hypergraph, keep_flags: Sequence[bool], ids: Sequence[int]) -> list[int]:
     """The arcs of ``ids`` whose head and every distinct tail are flagged in
     ``keep_flags``, in the order of ``ids``: the arcs a sub-hypergraph on the
     flagged vertices can keep."""
+    if keep_flags.count(False) < len(ids):
+        # Fewer vertices to drop than arcs to test: drop every arc that
+        # touches one of them, as its head or as a tail.
+        dropped = list(filterfalse(keep_flags.__getitem__, range(g.n)))
+        drop = set(chain.from_iterable(map(g.forward.__getitem__, dropped)))
+        drop.update(chain.from_iterable(map(g.backward.__getitem__, dropped)))
+        return list(filterfalse(drop.__contains__, ids))
     heads, dtails = g._heads, g._dtails
     closed: list[int] = []
     for i in ids:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .core import (
@@ -276,29 +277,44 @@ def from_pruned(g: Wrtg, gmap: GrammarHypergraphMap, pruned: Hypergraph) -> Wrtg
     """
     if g.start not in pruned.names:
         raise GrammarError(f"language emptied: start symbol {g.start!r} was pruned")
-    surviving: set[int] = set()
     count = len(g.productions)
-    for arc_index in pruned.arc_indices:
-        p = gmap.production_for_arc.get(arc_index)
-        if p is None:
-            raise GrammarError(f"pruned arc {arc_index} maps to no production")
-        if p.__class__ is not int or not 1 <= p <= count:
-            raise GrammarError(f"pruned arc {arc_index} maps to {p!r}, not a production 1..{count}")
-        surviving.add(p)
-    return _subgrammar(g, sorted(surviving))
+    ps = list(map(gmap.production_for_arc.get, pruned.arc_indices))
+    # Every entry exactly an int, so none is None, and all in 1..count; if
+    # not, the loop names the first bad arc.
+    if ps and not (set(map(type, ps)) == {int} and 1 <= min(ps) and max(ps) <= count):
+        for arc_index, p in zip(pruned.arc_indices, ps):
+            if p is None:
+                raise GrammarError(f"pruned arc {arc_index} maps to no production")
+            if p.__class__ is not int or not 1 <= p <= count:
+                raise GrammarError(
+                    f"pruned arc {arc_index} maps to {p!r}, not a production 1..{count}"
+                )
+    return _subgrammar(g, sorted(set(ps)))
 
 
 def _subgrammar(g: Wrtg, kept: Iterable[int]) -> Wrtg:
     """``g`` with only the productions ``kept``, indices in increasing order,
     and the nonterminals that the start and those productions use."""
     productions = tuple([g.productions[i - 1] for i in kept])
+    # Only nonterminals are read back, so terminals may go in too.
     used: set[str] = {g.start}
-    nts = frozenset(g.nonterminals)
+    add = used.add
+    flat: list[tuple[str, ...]] = []
     for p in productions:
-        used.add(p.lhs)
-        # Only nonterminals are read back, so a flat rhs's terminals may go in.
-        used.update(p.rhs if isinstance(p.rhs, tuple) else yield_nonterminals(p.rhs, nts))
-    nonterminals = tuple(nt for nt in g.nonterminals if nt in used)
+        add(p.lhs)
+        rhs = p.rhs
+        if rhs.__class__ is tuple:
+            flat.append(rhs)
+            continue
+        add(rhs.label)
+        stack = [rhs]
+        while stack:
+            for node in stack.pop().children:
+                add(node.label)
+                if node.children:
+                    stack.append(node)
+    used.update(chain.from_iterable(flat))
+    nonterminals = tuple(filter(used.__contains__, g.nonterminals))
     # Every field comes from the checked grammar g: the productions are a
     # subsequence of its own, and the nonterminals keep the start and every
     # lhs and rhs nonterminal they use.
@@ -477,9 +493,7 @@ def parse_grammar(text: str) -> Wrtg:
     return _trusted_wrtg(frozenset(known - nts), nonterminal_order, start, tuple(productions))
 
 
-def _format_rhs(rhs: Rhs) -> str:
-    if isinstance(rhs, tuple):
-        return " ".join(rhs)
+def _format_rhs(rhs: RhsTree) -> str:
     if not rhs.children:
         return rhs.label
     # The open nodes: label, finished children's text, the children left.
@@ -501,8 +515,16 @@ def _format_rhs(rhs: Rhs) -> str:
 
 def serialize_grammar(g: Wrtg) -> str:
     """Emit the grammar in the input format, start directive first."""
-    lines = [f"start {g.start}"]
+    lines = [f"start {g.start}\n"]
+    append = lines.append
     for p in g.productions:
-        rhs = _format_rhs(p.rhs)
-        lines.append(f"{format_float(p.weight)}: {p.lhs} -> {rhs}".rstrip())
-    return "".join(line + "\n" for line in lines)
+        rhs = p.rhs
+        if rhs.__class__ is not tuple:
+            text = _format_rhs(rhs)
+        elif rhs:
+            text = " ".join(rhs)
+        else:
+            append("%.17g: %s ->\n" % (p.weight, p.lhs))
+            continue
+        append("%.17g: %s -> %s\n" % (p.weight, p.lhs, text))
+    return "".join(lines)

@@ -19,8 +19,8 @@ is the arc's utility, which the pass returns for pruning.
 from __future__ import annotations
 
 import heapq
-import math
 import operator
+from itertools import compress, islice
 
 from .core import (
     INF,
@@ -190,9 +190,9 @@ def _keep_flags(
     """
     gamma_v = tuple(map(operator.add, ins.inside, outs.outside))
     cutoff, limit = _beam_bounds(ins.inside[outs.target] + beam)
-    keep_v = tuple(math.isfinite(x) and x <= cutoff for x in gamma_v)
+    keep_v = tuple([x <= cutoff and x < INF for x in gamma_v])
     keep_e = [x <= cutoff and x < INF for x in outs.gamma_arcs]
-    flagged = [i for i in g.arc_indices if keep_e[i]]
+    flagged = list(compress(g.arc_indices, islice(keep_e, 1, None)))
     kept = _closed_arcs(g, keep_v, flagged)
     if len(kept) < len(flagged):
         # A kept arc's endpoints have utility <= the arc's, but rounding may
@@ -226,7 +226,7 @@ def prune_relatively_useless(
     if ins.inside[_check_vertex(outs.target, g.n, "target ")] == INF:
         raise UnreachableTargetError("target is unreachable; nothing to prune")
     gamma_v, keep_v, keep_e, kept = _keep_flags(g, ins, outs, beam)
-    res = _subgraph(g, [v for v in range(g.n) if keep_v[v]], kept)
+    res = _subgraph(g, list(compress(range(g.n), keep_v)), kept)
     return PruneResult(
         gamma_vertices=gamma_v,
         gamma_arcs=outs.gamma_arcs,

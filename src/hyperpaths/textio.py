@@ -196,7 +196,15 @@ def serialize_hypergraph(
     sources = check_sources(sources, g.n) if sources else ()
     if target is not None:
         _check_vertex(target, g.n, "target ")
-    return _serialize(g, range(g.n), g.arc_indices, sources, target)
+    copy_of = g._copy_of  # read once: a concurrent fill resets it
+    if copy_of is None:
+        return _serialize(g, range(g.n), g.arc_indices, sources, target)
+    # An unfilled copy is written from its parent, which gives the same text,
+    # so the copy need not fill.
+    parent, arcs, new_id = copy_of
+    old = [v for v, k in enumerate(new_id) if k >= 0]
+    sources = [(old[v], c) for v, c in sources]
+    return _serialize(parent, old, arcs, sources, None if target is None else old[target])
 
 
 def _serialize(g: Hypergraph, vertices, arcs, sources, target: int | None) -> str:

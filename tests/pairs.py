@@ -24,6 +24,9 @@ none), or with ``--cli`` to the exit of ``python -m hyperpaths.cli ARG
 
 A pair runs both trees back to back, alternating which goes first. Each row
 prints each tree's median and quartiles and in how many pairs new was faster.
+A last line names the rows that meet both halves of the claim rule: new
+faster in at least 9 of 10 pairs, and the medians further apart than the
+old tree's interquartile range; or ``none``.
 """
 
 from __future__ import annotations
@@ -108,9 +111,13 @@ def _inputs(seed: int, work: Path) -> dict[str, str]:
     return {"grammar": str(grammar), "horn": str(horn)}
 
 
+def _quartiles(xs: list[float]) -> list[float]:
+    return statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
+
+
 def _cell(xs: list[float]) -> str:
     """Median and quartiles of ``xs`` seconds, in ms."""
-    q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    q1, q2, q3 = _quartiles(xs)
     return f"{q2 * 1e3:9.3f} {f'{q1 * 1e3:.3f}-{q3 * 1e3:.3f}':>17}"
 
 
@@ -163,11 +170,18 @@ def main() -> int:
     print(f"{title}, seed {args.seed}, {args.pairs} pairs; old {trees[0]}, new {trees[1]}")
     print(f"{'':36} {'old ms':>9} {'old q1-q3':>17} {'new ms':>9} {'new q1-q3':>17} "
           f"{'change':>8}  new better")
+    claimed = []
     for name in runs[0][0]:
         old, new = ([run[name] for run in side] for side in runs)
         change = (statistics.median(new) / statistics.median(old) - 1) * 100
         better = sum(y < x for x, y in zip(old, new))
         print(f"{name:36} {_cell(old)} {_cell(new)} {change:+7.1f}%  {better} of {len(old)}")
+        q1, q2, q3 = _quartiles(old)
+        if 10 * better >= 9 * len(old) and q2 - statistics.median(new) > q3 - q1:
+            claimed.append(name)
+    # Either half alone is met by noise on some of several dozen rows.
+    print("rows where new is better in at least 9 of 10 pairs by a median gap above "
+          f"the old IQR: {', '.join(claimed) or 'none'}")
     return 0
 
 

@@ -21,7 +21,7 @@ from hyperpaths import (
     viterbi_inside,
     viterbi_outside,
 )
-from hyperpaths.core import _distinct_tails, check_sources
+from hyperpaths.core import _closed_arcs, _distinct_tails, check_sources
 from hyperpaths.textio import format_float
 
 from support import (
@@ -279,6 +279,30 @@ def test_restrict_membership_predicate_random():
             arc = g.arc(i)
             expected = arc.head in keep and all(v in keep for v, _ in arc.tails)
             assert (i in surviving) == expected
+
+
+def test_closed_arcs_by_either_method_match_a_brute_force_closure():
+    """``_closed_arcs`` drops the arcs of the unflagged vertices' adjacency
+    when those vertices are fewer than the ids, and tests each id
+    otherwise; both keep the ids whose head and tails are all flagged, in
+    the order of ``ids``."""
+    rng = Random(10)
+    by_adjacency = by_ids = 0
+    for _ in range(200):
+        g = random_hypergraph(rng, n_range=(1, 25), m_range=(0, 50))
+        unflagged = rng.choice([0.0, 0.05, 0.2, 0.5, 0.8, 1.0])
+        flags = [rng.random() >= unflagged for _ in range(g.n)]
+        subset = [i for i in g.arc_indices if rng.random() < 0.5]
+        for ids in (g.arc_indices, subset, subset[::-1], []):
+            expected = [i for i in ids
+                        if flags[g.arc(i).head] and all(flags[v] for v, _ in g.arc(i).tails)]
+            assert _closed_arcs(g, flags, ids) == expected
+            assert _closed_arcs(g, tuple(flags), ids) == expected
+            if flags.count(False) < len(ids):
+                by_adjacency += 1
+            else:
+                by_ids += 1
+    assert by_adjacency >= 200 and by_ids >= 200, (by_adjacency, by_ids)
 
 
 def test_build_derives_the_arc_arrays_random():

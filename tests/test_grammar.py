@@ -314,6 +314,13 @@ def test_from_pruned_rejects_an_index_that_is_not_a_production():
     for production_for_arc, message in (
         ({1: 0, 2: 2}, "pruned arc 1 maps to 0, not a production 1..2"),
         ({1: 1, 2: 5}, "pruned arc 2 maps to 5, not a production 1..2"),
+        ({2: 1}, "pruned arc 1 maps to no production"),
+        ({1: 2, 2: None}, "pruned arc 2 maps to no production"),
+        ({1: True, 2: 2}, "pruned arc 1 maps to True, not a production 1..2"),
+        ({1: 1, 2: 2.0}, "pruned arc 2 maps to 2.0, not a production 1..2"),
+        ({1: 2, 2: 3}, "pruned arc 2 maps to 3, not a production 1..2"),
+        ({1: 3, 2: None}, "pruned arc 1 maps to 3, not a production 1..2"),
+        ({1: None, 2: 0}, "pruned arc 1 maps to no production"),
     ):
         with pytest.raises(GrammarError) as info:
             from_pruned(w, GrammarHypergraphMap(production_for_arc, gmap.sink), graph)

@@ -79,6 +79,12 @@ CASES: dict[str, str] = {
     "no productions": "# nothing here\n\n",
     "start only": "start S\n",
     "empty rhs": "0.5: S ->\n",
+    "spaced flat rhs": "0.5: S ->  a   T \n0.5: T -> t\n",
+    "depth-one tree of terminals": "0.5: S -> f(a, b, c)\n",
+    "depth-one tree of one nonterminal": "0.5: S -> g(S)\n0.5: S -> s\n",
+    "deeper mixed tree": "0.5: S -> f(g(a, S), b, h(k(S, c)), T)\n0.5: T -> t\n0.5: S -> s\n",
+    "spaced tree": "0.5: S -> f( a ,g( b ) )\n",
+    "weight of 17 digits": "0.1: S -> f(a)\n0.1: S -> a b\n",
     "comment after a rhs": "0.5: S -> a # b*c\n",
     "comment hides the arrow": "0.5: S # -> a\n",
     # weights

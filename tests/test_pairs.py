@@ -26,13 +26,18 @@ def tree(tmp_path_factory):
 
 
 def _rows(tree: Path, *args: str) -> list[str]:
-    """The report's rows of one pair, after its title and header lines."""
+    """The report's rows of one pair, after its title and header lines and
+    before its last line, which names the rows that meet the claim rule."""
     proc = subprocess.run([sys.executable, str(HERE / "pairs.py"), str(tree), str(tree),
                            "--pairs", "1", *args], capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[2:]
+    *rows, last = proc.stdout.splitlines()[2:]
     for row in rows:
         assert re.search(r" [01] of 1$", row), row
+    # With one pair, a row meets the rule when new was faster: its IQR is 0.
+    claimed = [row.split("  ")[0].rstrip() for row in rows if row.endswith(" 1 of 1")]
+    prefix = "rows where new is better in at least 9 of 10 pairs by a median gap above the old IQR: "
+    assert last == prefix + (", ".join(claimed) or "none")
     return rows
 
 

@@ -396,7 +396,7 @@ def test_forward_pipeline_work_counts(graph_count, name_checks):
     outs = viterbi_outside(rr.graph, ins, parsed.target)
     pr = prune_relatively_useless(rr.graph, ins, outs, 1.0)
     serialize_hypergraph(pr.graph)
-    assert graph_count[0] == 2, "one graph from the parser, one from the prune"
+    assert graph_count[0] == 1, "the parser's graph only: the prune copy is written unfilled"
 
 
 @pytest.fixture
@@ -542,6 +542,20 @@ def test_copies_fill_on_the_first_read_of_a_deferred_field():
         objects, distinct = pair_objects(c)
         assert objects == distinct
     assert min(copies.values()) >= 50, copies
+
+
+def test_an_unread_copy_is_written_from_its_parent_without_filling():
+    """``serialize_hypergraph`` writes an unfilled copy, with its sources and
+    target, as the text of the filled copy, and leaves it unfilled."""
+    rng = Random(53)
+    for how, g, res in lazy_copy_instances(rng, 60):
+        c = res.graph
+        sources = [(v, rng.choice([0.0, 0.25, 3.0])) for v in rng.sample(range(c.n), min(c.n, 2))]
+        target = rng.randrange(c.n) if c.n and rng.random() < 0.7 else None
+        text = serialize_hypergraph(c, sources, target)
+        assert unfilled(c) == core._FILLED_ON_READ, how
+        assert text == serialize_hypergraph(reference_copy(g, res.vertex_map, res.arc_map),
+                                            sources, target), how
 
 
 def test_pickle_and_deepcopy_of_an_unread_copy_give_an_equal_graph():
