@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -141,7 +142,7 @@ def _write_kept(g: Hypergraph, keep_v: Sequence[bool], arcs: list[int], query: Q
 
     sources = [(v, c) for v, c in query.sources if keep_v[v]]
     target = query.target if keep_v[query.target] else None
-    vertices = [v for v in range(g.n) if keep_v[v]]
+    vertices = list(compress(range(g.n), keep_v))
     sys.stdout.write(_serialize(g, vertices, arcs, sources, target))
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from _thread import RLock
-from itertools import chain, filterfalse
+from itertools import chain, compress, filterfalse
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -374,15 +374,15 @@ class Hypergraph:
     A copy that ``_subgraph`` makes, behind :func:`restrict`,
     :func:`~hyperpaths.reachability.reduce` and
     :func:`~hyperpaths.outside.prune_relatively_useless`, holds only ``n``,
-    ``names``, ``_heads`` and, in ``_copy_of``, its parent graph, the kept
-    arcs and the new vertex ids, so it keeps its parent alive. The first
+    ``names``, ``_heads`` and, in ``_copy_of``, its parent graph, its
+    ``vertex_map`` and its arcs, so it keeps its parent alive. The first
     read of ``_tails``, ``_lengths``, ``_dtails``, ``_arity``, ``forward``,
     ``backward`` or ``input_size`` copies the kept arcs, runs the
-    constructor once and drops the parent;
-    :func:`~hyperpaths.textio.serialize_hypergraph` writes an unfilled
-    copy from its parent's arrays instead. Immutable and safe to share
-    across threads means that no read sees a field change: a thread that
-    reads during another's fill waits on a lock and sees the same arrays.
+    constructor once and drops the parent; ``_stored_in`` gives an
+    unfilled copy's parent, from whose arrays the writers read. Immutable
+    and safe to share across threads means that no read sees a field
+    change: a thread that reads during another's fill waits on a lock and
+    sees the same arrays.
 
     The constructor trusts its arguments: every head and tail must be a
     vertex id below ``len(names)``, every length finite and nonnegative, and
@@ -448,7 +448,7 @@ class Hypergraph:
         self._lengths = lengths
         self._dtails = dtails
         self._arity = list(map(len, dtails))
-        self._copy_of: tuple[Hypergraph, Sequence[int], list[int]] | None = None
+        self._copy_of: tuple[Hypergraph, dict[int, int], list[int]] | None = None
 
     def __getattr__(self, name: str) -> Any:
         """A deferred field of a copy, which this first read fills; any
@@ -584,12 +584,12 @@ def restrict(g: Hypergraph, keep: Iterable[int]) -> RestrictResult:
     the result's graph is ``g`` itself, with identity maps; a graph is
     immutable, so sharing it is safe.
     """
-    n = g.n  # each id is checked before it is hashed, in the caller's order
-    kept = {v if v.__class__ is int and 0 <= v < n else _check_vertex(v, n) for v in keep}
-    if len(kept) == n:
-        return _subgraph(g, range(n), g.arc_indices)
-    flags = [v in kept for v in range(n)]
-    return _subgraph(g, sorted(kept), _closed_arcs(g, flags, g.arc_indices))
+    n = g.n
+    flags = [False] * n
+    for v in keep:  # each id is checked before it is flagged, in the caller's order
+        flags[v if v.__class__ is int and 0 <= v < n else _check_vertex(v, n)] = True
+    arcs = g.arc_indices if all(flags) else _closed_arcs(g, flags, g.arc_indices)
+    return RestrictResult(*_subgraph(g, flags, arcs))
 
 
 def _closed_arcs(g: Hypergraph, keep_flags: Sequence[bool], ids: Sequence[int]) -> list[int]:
@@ -615,30 +615,27 @@ def _closed_arcs(g: Hypergraph, keep_flags: Sequence[bool], ids: Sequence[int]) 
     return closed
 
 
-def _subgraph(g: Hypergraph, vertices: Sequence[int], arcs: Sequence[int]) -> RestrictResult:
-    """``g``'s ``vertices`` and ``arcs``, both increasing, as a new graph
-    renumbered in order, with the old-to-new maps. Every endpoint of each
-    arc must be in ``vertices`` (see :func:`_closed_arcs`). The graph holds
-    its ``n``, ``names`` and ``_heads`` at once; :func:`_fill_copy` fills
-    the rest on the first read of another array (see :class:`Hypergraph`).
-    When nothing is dropped, the graph is ``g`` itself, with identity maps."""
-    if len(vertices) == g.n and len(arcs) == g.num_arcs:
-        return RestrictResult(g, {v: v for v in range(g.n)}, {i: i for i in g.arc_indices})
+def _subgraph(g: Hypergraph, keep_flags: Sequence[bool], arcs: Sequence[int]) -> tuple:
+    """``g``'s vertices flagged in ``keep_flags`` and its ``arcs`` (increasing,
+    with every endpoint flagged; see :func:`_closed_arcs`) as a new graph
+    renumbered in order: ``(graph, vertex_map, arc_map)``. The graph holds
+    ``n``, ``names``, ``_heads`` and ``_copy_of``, which shares that
+    ``vertex_map``; :func:`_fill_copy` fills the rest on the first read of
+    another array. When nothing is dropped, the graph is ``g`` itself."""
+    if len(arcs) == g.num_arcs and all(keep_flags):
+        return g, {v: v for v in range(g.n)}, {i: i for i in g.arc_indices}
+    vertices = list(compress(range(g.n), keep_flags))
     vertex_map = dict(zip(vertices, range(len(vertices))))
-    new_id = [-1] * g.n
-    for v, k in vertex_map.items():
-        new_id[v] = k
     copy = Hypergraph.__new__(Hypergraph)
     copy.n = len(vertices)
     copy.names = tuple(map(g.names.__getitem__, vertices))
-    copy._heads = [0, *map(new_id.__getitem__, map(g._heads.__getitem__, arcs))]
+    copy._heads = [0, *map(vertex_map.__getitem__, map(g._heads.__getitem__, arcs))]
     copy._name_to_id = None
-    copy._copy_of = (g, arcs, new_id)
-    arc_map = dict(zip(arcs, range(1, len(arcs) + 1)))
-    return RestrictResult(copy, vertex_map, arc_map)
+    copy._copy_of = (g, vertex_map, arcs)
+    return copy, vertex_map, dict(zip(arcs, range(1, len(arcs) + 1)))
 
 
-def _fill_copy(copy: Hypergraph, g: Hypergraph, arcs: Sequence[int], new_id: list[int]) -> None:
+def _fill_copy(copy: Hypergraph, g: Hypergraph, vertex_map: dict[int, int], arcs: list) -> None:
     """Fill ``copy``, which ``_subgraph`` made of ``g``'s ``arcs``, through
     the constructor."""
     # Old (vertex, multiplicity) pair -> its renumbered pair, made on first
@@ -653,7 +650,7 @@ def _fill_copy(copy: Hypergraph, g: Hypergraph, arcs: Sequence[int], new_id: lis
         for p in old_t:
             q = get(p)
             if q is None:
-                q = pair_of[p] = (new_id[p[0]], p[1])
+                q = pair_of[p] = (vertex_map[p[0]], p[1])
             new.append(q)
         pairs = tuple(new)
         tails.append(pairs)
@@ -662,3 +659,12 @@ def _fill_copy(copy: Hypergraph, g: Hypergraph, arcs: Sequence[int], new_id: lis
         # in the new pairs exactly where it repeated in the old.
         dtails.append(pairs if g_dtails[i] is old_t else _distinct_tails(pairs))
     Hypergraph.__init__(copy, copy.names, copy._heads, tails, lengths, dtails)
+
+
+def _stored_in(g: Hypergraph) -> tuple[Hypergraph, Sequence[int], Sequence[int]]:
+    """The graph that holds ``g``'s arcs, with ``g``'s vertices and arcs as its
+    increasing ids: an unfilled copy's parent, which spares the fill, or else ``g``."""
+    copy_of = g._copy_of  # read once: a concurrent fill resets it
+    if copy_of is None:
+        return g, range(g.n), g.arc_indices
+    return copy_of[0], list(copy_of[1]), copy_of[2]

@@ -226,10 +226,9 @@ def to_hypergraph(g: Wrtg) -> tuple[Hypergraph, Query, GrammarHypergraphMap]:
         sink_name = f"{SINK_NAME}{k}"
         k += 1
     names = tuple(g.nonterminals) + (sink_name,)
-    vertex_of = {nt: i for i, nt in enumerate(g.nonterminals)}
     sink = len(g.nonterminals)
     # Each nonterminal's (vertex, 1) tail pair, which every single occurrence shares.
-    pair_of = {nt: (i, 1) for nt, i in vertex_of.items()}
+    pair_of = {nt: (i, 1) for i, nt in enumerate(g.nonterminals)}
     sink_tails = ((sink, 1),)
 
     heads, tails, lengths = [0], [()], [0.0]
@@ -251,14 +250,14 @@ def to_hypergraph(g: Wrtg) -> tuple[Hypergraph, Query, GrammarHypergraphMap]:
                 pairs[-1] = (pair[0], pairs[-1][1] + 1)
             else:
                 pairs.append(pair)
-        heads.append(vertex_of[p.lhs])
+        heads.append(pair_of[p.lhs][0])
         tails.append(tuple(pairs) if pairs else sink_tails)
         lengths.append(0.0 - log(weight))  # 0.0 for a weight of 1, not -0.0
 
     # Names are distinct, ids in range and lengths finite and nonnegative by
     # construction, so the graph is built unchecked.
     graph = Hypergraph(names, heads, tails, lengths)
-    query = Query(((sink, 0.0),), vertex_of[g.start])
+    query = Query(((sink, 0.0),), pair_of[g.start][0])
     gmap = GrammarHypergraphMap(production_for_arc={i: i for i in graph.arc_indices}, sink=sink)
     return graph, query, gmap
 

@@ -226,13 +226,5 @@ def prune_relatively_useless(
     if ins.inside[_check_vertex(outs.target, g.n, "target ")] == INF:
         raise UnreachableTargetError("target is unreachable; nothing to prune")
     gamma_v, keep_v, keep_e, kept = _keep_flags(g, ins, outs, beam)
-    res = _subgraph(g, list(compress(range(g.n), keep_v)), kept)
-    return PruneResult(
-        gamma_vertices=gamma_v,
-        gamma_arcs=outs.gamma_arcs,
-        keep_vertices=keep_v,
-        keep_arcs=tuple(keep_e),
-        graph=res.graph,
-        vertex_map=res.vertex_map,
-        arc_map=res.arc_map,
-    )
+    graph, vmap, amap = _subgraph(g, keep_v, kept)
+    return PruneResult(gamma_v, outs.gamma_arcs, keep_v, tuple(keep_e), graph, vmap, amap)

@@ -150,8 +150,6 @@ def reduce(g: Hypergraph, query: Query) -> ReduceResult:
     the result is the empty hypergraph, with ``target`` ``None``.
     """
     marked, arcs = _useful(g, query)
-    res = _subgraph(g, [v for v in range(g.n) if marked[v]], arcs)
-    sources = tuple((res.vertex_map[v], c) for v, c in query.sources if marked[v])
-    return ReduceResult(
-        res.graph, res.vertex_map, res.arc_map, sources, res.vertex_map.get(query.target)
-    )
+    graph, vmap, amap = _subgraph(g, marked, arcs)
+    sources = tuple((vmap[v], c) for v, c in query.sources if marked[v])
+    return ReduceResult(graph, vmap, amap, sources, vmap.get(query.target))

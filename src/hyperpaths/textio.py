@@ -24,10 +24,11 @@ the grammar format's symbols follow too.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from .core import (
     _NAME_RE, INF, FormatError, Hypergraph, Query, ValidationError, _check_vertex,
-    _distinct_tails, _Record, check_sources, format_float,
+    _distinct_tails, _Record, _stored_in, check_sources, format_float,
 )
 
 
@@ -189,22 +190,17 @@ def parse_hypergraph(text: str) -> ParsedHypergraph:
 
 def serialize_hypergraph(
     g: Hypergraph,
-    sources: tuple[tuple[int, float], ...] = (),
+    sources: Iterable[tuple[int, float]] = (),
     target: int | None = None,
 ) -> str:
     """Canonical text form: all vertices, then arcs, sources, target."""
+    sources = tuple(sources)
     sources = check_sources(sources, g.n) if sources else ()
     if target is not None:
         _check_vertex(target, g.n, "target ")
-    copy_of = g._copy_of  # read once: a concurrent fill resets it
-    if copy_of is None:
-        return _serialize(g, range(g.n), g.arc_indices, sources, target)
-    # An unfilled copy is written from its parent, which gives the same text,
-    # so the copy need not fill.
-    parent, arcs, new_id = copy_of
-    old = [v for v, k in enumerate(new_id) if k >= 0]
-    sources = [(old[v], c) for v, c in sources]
-    return _serialize(parent, old, arcs, sources, None if target is None else old[target])
+    graph, vertices, arcs = _stored_in(g)
+    sources = [(vertices[v], c) for v, c in sources]
+    return _serialize(graph, vertices, arcs, sources, None if target is None else vertices[target])
 
 
 def _serialize(g: Hypergraph, vertices, arcs, sources, target: int | None) -> str:

@@ -14,13 +14,18 @@ Before any timed run, one run per tree checks that it imports that tree.
 With ``--workload`` a run loads the workload for ``--seed``, checks one
 pass of its queries, as the benchmark's warm-up does, then runs ``P``
 passes untraced and ``P`` through ``perfbench/spans.Tracer``, collecting
-garbage before each query. It reports each query's median untraced time
-and the median time a traced pass spends in each phase (span name, such as
-``core.restrict``) and in the whole ``pass``. Otherwise one row times each
-run from spawn to the ``ready`` line of ``perfbench/setup_probe.py`` for
-the probe's input, as the benchmark's ``setup_s`` is (``import`` loads
-none), or with ``--cli`` to the exit of ``python -m hyperpaths.cli ARG
-...``, where ``{grammar}`` and ``{horn}`` name the benchmark's input files.
+garbage and probing the host's speed before each query. It reports each
+query's median untraced time and the median time a traced pass spends in
+each phase (span name, such as ``core.restrict``) and in the whole
+``pass``. Each time is scaled to the host's nominal speed by the probe
+taken before its query, as ``perfbench/run.py`` scales the benchmark's
+(``Harness.scale``: ``hostprobe.work()``, best of 3, median of the last
+5), so that a swing of the host's speed within a run moves no row.
+Otherwise one row times each run, unscaled, from spawn to the ``ready``
+line of ``perfbench/setup_probe.py`` for the probe's input, as the
+benchmark's ``setup_s`` is (``import`` loads none), or with ``--cli`` to
+the exit of ``python -m hyperpaths.cli ARG ...``, where ``{grammar}`` and
+``{horn}`` name the benchmark's input files.
 
 A pair runs both trees back to back, alternating which goes first. Each row
 prints each tree's median and quartiles and in how many pairs new was faster.
@@ -50,6 +55,7 @@ def child(workload: str, seed: int, passes: int) -> None:
     """One query-mode run in the current directory: print the medians as one
     JSON object, the queries first and then the phases by name."""
     sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import Harness
     from spans import Tracer, clock, direct
     from workloads import WORKLOADS
 
@@ -60,23 +66,26 @@ def child(workload: str, seed: int, passes: int) -> None:
         wl.check(state, q, wl.query(direct, state, q))
     labels = [f"query {k} ({q!r})" for k, q in enumerate(wl.queries)]
     times: dict[str, list[float]] = {label: [] for label in labels}
+    harness = Harness({})  # only its in-process probes are used
     for _ in range(passes):
         for label, q in zip(labels, wl.queries):
             gc.collect()
+            f = harness.scale()
             t0 = clock()
             wl.query(direct, state, q)
-            times[label].append(clock() - t0)
+            times[label].append((clock() - t0) * f)
     tracer = Tracer()
     for p in range(passes):
         first = len(tracer.spans)
         for k, q in enumerate(wl.queries):
             gc.collect()
+            tracer.scale = harness.scale()
             span = tracer.begin("pass", p * len(wl.queries) + k)
             wl.query(tracer.call, state, q)
             tracer.end(span)
         spent: dict[str, float] = {}
-        for name, start, end, *_ in tracer.spans[first:]:
-            spent[name] = spent.get(name, 0.0) + end - start
+        for name, start, end, *_, scale in tracer.spans[first:]:
+            spent[name] = spent.get(name, 0.0) + (end - start) * scale
         for name, s in spent.items():
             times.setdefault(name, []).append(s)
     names = labels + sorted(set(times) - set(labels))

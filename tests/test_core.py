@@ -197,7 +197,13 @@ def test_serialize_checks_its_sources_as_the_passes_do(f1):
     with pytest.raises(ValidationError, match=r"^source must be a \(vertex, cost\) pair, got 0$"):
         serialize_hypergraph(f1, [0])
     assert serialize_hypergraph(f1, [(0, True)]).endswith("source omega 1\n")
-    assert serialize_hypergraph(f1, ()) == serialize_hypergraph(f1)
+    # Any empty iterable means no sources; a nonempty one is read once.
+    for empty in ((), [], iter(()), (pair for pair in ())):
+        assert serialize_hypergraph(f1, empty) == serialize_hypergraph(f1)
+    assert serialize_hypergraph(f1, iter([(0, 0.5)])) == serialize_hypergraph(f1, [(0, 0.5)])
+    assert serialize_hypergraph(f1, ((v, 0.0) for v in (1, 0))).endswith(
+        "source A 0\nsource omega 0\n"
+    )
 
 
 def test_build_rejects_a_negative_count_and_a_non_arc():

@@ -1,4 +1,5 @@
-"""``tests/pairs.py`` runs both of its modes end to end.
+"""``tests/pairs.py`` runs both of its modes end to end, and scales the
+query mode's times by the host-speed probe taken before each query.
 
 Each run compares a copy of ``src/`` with itself, so the script deletes no
 ``__pycache__`` in the checkout.
@@ -6,6 +7,8 @@ Each run compares a copy of ``src/`` with itself, so the script deletes no
 
 from __future__ import annotations
 
+import itertools
+import json
 import re
 import shutil
 import subprocess
@@ -51,3 +54,35 @@ def test_query_mode_prints_each_query_phase_and_pass(tree):
 def test_startup_mode_prints_one_row(tree):
     [row] = _rows(tree, "--probe", "import")
     assert row.startswith("probe import ")
+
+
+def test_query_mode_scales_each_time_by_the_probe_before_its_query(tmp_path, monkeypatch,
+                                                                   capsys):
+    """With a clock that ticks once a read and probes that each give the
+    factor 1/1024, every query row reads the factor, and every phase row its
+    whole number of ticks (fewer than 1024) times the factor. Unscaled, each
+    row would be a whole number of ticks, at least 1."""
+    import pairs
+
+    monkeypatch.setattr(sys, "path", [str(HERE.parent / "perfbench"), *sys.path])
+    import run
+    import spans
+
+    ticks = itertools.count()
+    monkeypatch.setattr(spans, "clock", lambda: float(next(ticks)))
+    probes = [0]
+
+    def scale(self) -> float:
+        probes[0] += 1
+        return 2.0 ** -10
+
+    monkeypatch.setattr(run.Harness, "scale", scale)
+    monkeypatch.chdir(tmp_path)
+    pairs.child("grammar", 2718, 1)
+    rows = json.loads(capsys.readouterr().out)
+    queries = [name for name in rows if name.startswith("query ")]
+    assert queries and probes[0] == 2 * len(queries), "a probe before each query, each way"
+    assert all(rows[name] == 2.0 ** -10 for name in queries)
+    assert {"core.restrict", "pass"} <= set(rows)
+    for name, value in rows.items():
+        assert 0 < value < 1 and (value * 1024).is_integer(), name

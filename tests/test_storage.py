@@ -17,6 +17,7 @@ import pickle
 import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import compress
 from random import Random
 
 import pytest
@@ -79,14 +80,9 @@ def random_named_graph(rng: Random):
 
 def reference_restrict(g, keep):
     """``restrict`` spelled out through the validating ``build``."""
-    kept = sorted(set(keep))
-    vmap = {v: k for k, v in enumerate(kept)}
-    arcs = [
-        Hyperarc(vmap[a.head], tuple((vmap[v], m) for v, m in a.tails), a.length)
-        for a in g.arcs
-        if a.head in vmap and all(v in vmap for v, _ in a.tails)
-    ]
-    return build([g.names[v] for v in kept], arcs)
+    kept = set(keep)
+    flags = [v in kept for v in range(g.n)]
+    return reference_copy(g, flags, closed(g, flags))[0]
 
 
 def merged_arcs(g) -> list[int]:
@@ -480,21 +476,33 @@ def unfilled(g) -> set[str]:
     return missing
 
 
-def reference_copy(g, vertex_map, arc_map):
-    """The copy of ``g`` that the maps describe, spelled out through ``build``."""
-    arcs = [g.arc(i) for i in arc_map]
-    return build(
-        [g.names[v] for v in vertex_map],
-        [Hyperarc(vertex_map[a.head], tuple((vertex_map[v], m) for v, m in a.tails), a.length)
-         for a in arcs],
+def reference_copy(g, keep_flags, arcs):
+    """The copy of ``g``'s flagged vertices and ``arcs``, spelled out through
+    ``build``, with the maps that renumber both in order."""
+    vmap = {v: k for k, v in enumerate(v for v in range(g.n) if keep_flags[v])}
+    amap = {i: k for k, i in enumerate(arcs, start=1)}
+    graph = build(
+        [g.names[v] for v in vmap],
+        [Hyperarc(vmap[a.head], tuple((vmap[v], m) for v, m in a.tails), a.length)
+         for a in map(g.arc, arcs)],
     )
+    return graph, vmap, amap
+
+
+def closed(g, keep_flags, arcs=None) -> list[int]:
+    """The arcs of ``arcs`` (default all) whose endpoints are all flagged."""
+    return [i for i in (g.arc_indices if arcs is None else arcs)
+            if keep_flags[g._heads[i]] and all(keep_flags[v] for v, _ in g._tails[i])]
 
 
 def lazy_copy_instances(rng: Random, count: int):
-    """Every copy that `restrict`, `reduce` and `prune_relatively_useless`
-    at beams 0, 0.5 and inf make of ``count`` random, layered and
-    `to_hypergraph` graphs, unread, with the graph it copies. Yields
-    ``(how, g, result)`` for each result whose graph is not ``g``."""
+    """Every copy made of ``count`` random, layered and `to_hypergraph`
+    graphs, unread: `restrict` keeping no vertex and a random subset;
+    `_subgraph` with every vertex flagged and every other arc; `_subgraph`
+    of the unread subset copy; `reduce`; and `prune_relatively_useless` at
+    beams 0, 0.5 and inf. Yields ``(how, parent, result, keep_flags, arcs)``
+    for each result whose graph is not its parent, where the flags and the
+    arcs, of the parent, are worked out apart from the copy."""
     for k in range(count):
         if k % 3 == 0:
             g = random_hypergraph(rng)
@@ -504,32 +512,53 @@ def lazy_copy_instances(rng: Random, count: int):
             query = Query(sources, target)
         else:
             g, query, _ = to_hypergraph(parse_grammar(random_grammar_text(rng)))
-        made = [("restrict", restrict(g, [v for v in range(g.n) if rng.random() < 0.7])),
-                ("reduce", reduce(g, query))]
+        none, some = [False] * g.n, [rng.random() < 0.7 for _ in range(g.n)]
+        every, other = [True] * g.n, list(g.arc_indices)[::2]
+        made = [("restrict none", g, restrict(g, ()), none, []),
+                ("restrict some", g, restrict(g, compress(range(g.n), some)), some,
+                 closed(g, some)),
+                ("all flags", g, core.RestrictResult(*core._subgraph(g, every, other)),
+                 every, other),
+                ("reduce", g, reduce(g, query), *reachability._useful(g, query))]
+        # A second subset copy, whose arcs are read off a rebuild so that it stays unread.
+        parent = restrict(g, compress(range(g.n), some)).graph
+        twice = [rng.random() < 0.7 for _ in range(parent.n)]
+        arcs = closed(reference_copy(g, some, made[1][4])[0], twice)
+        if parent is not g:
+            res = core.RestrictResult(*core._subgraph(parent, twice, arcs))
+            made.append(("copy of a copy", parent, res, twice, arcs))
         ins = viterbi_inside(g, query.sources)
         if ins.inside[query.target] < float("inf"):
             outs = viterbi_outside(g, ins, query.target)
-            made += [("prune", prune_relatively_useless(g, ins, outs, beam))
-                     for beam in (0.0, 0.5, float("inf"))]
-        for how, res in made:
-            if res.graph is not g:
-                yield how, g, res
+            for beam in (0.0, 0.5, float("inf")):
+                pr = prune_relatively_useless(g, ins, outs, beam)
+                kept = list(compress(g.arc_indices, pr.keep_arcs[1:]))
+                made.append(("prune", g, pr, pr.keep_vertices, closed(g, pr.keep_vertices, kept)))
+        for how, parent, res, flags, arcs in made:
+            if res.graph is not parent:
+                yield how, parent, res, flags, arcs
 
 
 def test_copies_fill_on_the_first_read_of_a_deferred_field():
     """A copy read only through its size, names, arc indices and maps has
     not filled; the first read of any deferred field fills every one, with
     what the validating path stores and one object per distinct pair, and
-    drops the reference to the parent."""
+    drops the reference to the parent. The maps renumber the flagged
+    vertices and the kept arcs in order."""
     rng = Random(50)
     deferred = sorted(core._FILLED_ON_READ)
-    copies = {"restrict": 0, "reduce": 0, "prune": 0}
-    for k, (how, g, res) in enumerate(lazy_copy_instances(rng, 150)):
+    kinds = ("restrict none", "restrict some", "all flags", "copy of a copy", "reduce", "prune")
+    copies = dict.fromkeys(kinds, 0)
+    for k, (how, g, res, flags, arcs) in enumerate(lazy_copy_instances(rng, 150)):
         c = res.graph
         copies[how] += 1
+        if how == "copy of a copy":
+            assert unfilled(g) == core._FILLED_ON_READ, "made without reading its parent"
+        expected, vmap, amap = reference_copy(g, flags, arcs)
+        assert list(res.vertex_map.items()) == list(vmap.items()), how
+        assert list(res.arc_map.items()) == list(amap.items()), how
         assert (c.n, c.names, c.num_arcs, c.arc_indices) == (
-            len(res.vertex_map), tuple(g.names[v] for v in res.vertex_map),
-            len(res.arc_map), range(1, len(res.arc_map) + 1))
+            len(vmap), tuple(g.names[v] for v in vmap), len(arcs), range(1, len(arcs) + 1))
         assert [c.id_of(c.name_of(v)) for v in range(c.n)] == list(range(c.n))
         assert repr(c) == f"Hypergraph(n={c.n}, m={c.num_arcs})"
         assert getattr(c, "no_such_field", None) is None and not hasattr(c, "__deepcopy__")
@@ -538,7 +567,7 @@ def test_copies_fill_on_the_first_read_of_a_deferred_field():
         getattr(c, deferred[k % len(deferred)])
         assert not unfilled(c) and c._copy_of is None
         assert g not in gc.get_referents(c)
-        assert stored(c) == stored(reference_copy(g, res.vertex_map, res.arc_map)), how
+        assert stored(c) == stored(expected), how
         objects, distinct = pair_objects(c)
         assert objects == distinct
     assert min(copies.values()) >= 50, copies
@@ -546,25 +575,28 @@ def test_copies_fill_on_the_first_read_of_a_deferred_field():
 
 def test_an_unread_copy_is_written_from_its_parent_without_filling():
     """``serialize_hypergraph`` writes an unfilled copy, with its sources and
-    target, as the text of the filled copy, and leaves it unfilled."""
+    target, as the text of the rebuilt copy, and leaves it unfilled; once
+    filled, the copy writes the same text."""
     rng = Random(53)
-    for how, g, res in lazy_copy_instances(rng, 60):
+    for how, g, res, flags, arcs in lazy_copy_instances(rng, 60):
         c = res.graph
         sources = [(v, rng.choice([0.0, 0.25, 3.0])) for v in rng.sample(range(c.n), min(c.n, 2))]
         target = rng.randrange(c.n) if c.n and rng.random() < 0.7 else None
         text = serialize_hypergraph(c, sources, target)
         assert unfilled(c) == core._FILLED_ON_READ, how
-        assert text == serialize_hypergraph(reference_copy(g, res.vertex_map, res.arc_map),
-                                            sources, target), how
+        expected = reference_copy(g, flags, arcs)[0]
+        assert text == serialize_hypergraph(expected, sources, target), how
+        c.forward
+        assert c._copy_of is None and serialize_hypergraph(c, sources, target) == text, how
 
 
 def test_pickle_and_deepcopy_of_an_unread_copy_give_an_equal_graph():
     rng = Random(51)
-    for how, g, res in lazy_copy_instances(rng, 30):
-        expected = stored(reference_copy(g, res.vertex_map, res.arc_map))
+    for how, g, res, flags, arcs in lazy_copy_instances(rng, 30):
+        expected = stored(reference_copy(g, flags, arcs)[0])
         for duplicate in (lambda c: pickle.loads(pickle.dumps(c)), copy_module.deepcopy):
             # A fresh unread copy of the same arcs, for each way of duplicating.
-            c = core._subgraph(g, list(res.vertex_map), list(res.arc_map)).graph
+            c = core._subgraph(g, flags, arcs)[0]
             assert unfilled(c) == core._FILLED_ON_READ
             dup = duplicate(c)
             assert dup._copy_of is None and not unfilled(dup)
@@ -583,9 +615,9 @@ def test_threads_reading_a_fresh_copy_fill_it_once(monkeypatch):
 
     monkeypatch.setattr(core, "_fill_copy", counting)
     g, _, _ = layered_hypergraph(Random(52), 30000, width=20)
-    keep = [v for v in range(g.n) if v % 7]
-    res = restrict(g, keep)
-    expected = stored(reference_copy(g, res.vertex_map, res.arc_map))
+    flags = [v % 7 != 0 for v in range(g.n)]
+    res = restrict(g, compress(range(g.n), flags))
+    expected = stored(reference_copy(g, flags, closed(g, flags))[0])
     c = res.graph
     assert unfilled(c) == core._FILLED_ON_READ
     deferred = sorted(core._FILLED_ON_READ)
